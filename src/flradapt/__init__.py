@@ -9,11 +9,8 @@ rates at desk scale.
 from .sequences import (
     Regime,
     SequenceModel,
-    TabulatedSequenceModel,
     SaturationError,
     UnderflowWarning,
-    beta,
-    gamma,
     check_assumption,
 )
 from .functionals import (
@@ -39,7 +36,6 @@ from .estimator import (
     Moments,
     GalerkinFit,
     empirical_moments,
-    spectral_norm_inverse,
     galerkin_estimate,
     plug_in,
 )
@@ -74,7 +70,6 @@ from .harness import (
     StudyError,
     run_study,
     fit_rate,
-    sandwich_frequency,
 )
 
 __version__ = "0.1.0"

@@ -95,27 +95,20 @@ def cap_m_ell(spec, n: int) -> int:
     return int(admissible[-1]) + 1
 
 
-def _cap_m_hat_from_norms(inv_norms, gram_prefix, n, m_ell):
+def cap_m_hat(inv_norms, gram_prefix, n: int, m_ell: int) -> int:
+    """Random dimension bound: one below the first m >= 2 at which the
+    inverse-norm times coefficient-mass product exceeds n / (1 + log n);
+    equal to the deterministic cap ``m_ell`` when no such m exists.
+
+    ``inv_norms[m - 1]`` is the spectral norm of the inverse moment block at
+    dimension m (infinite when singular) and ``gram_prefix[m - 1]`` the
+    coefficient mass up to m.
+    """
     threshold = n / (1.0 + math.log(n))
     for m in range(2, m_ell + 1):
         if inv_norms[m - 1] * gram_prefix[m - 1] > threshold:
             return m - 1
     return m_ell
-
-
-def cap_m_hat(mom: estimator.Moments, spec, n: int) -> int:
-    """Random dimension bound: one below the first m >= 2 at which the
-    inverse-norm times coefficient-mass product exceeds n / (1 + log n);
-    equal to the deterministic cap when no such m exists.  A singular moment
-    block counts as an infinite inverse norm.
-    """
-    m_ell = min(cap_m_ell(spec, n), mom.dim)
-    inv_norms = np.array(
-        [estimator.galerkin_estimate(mom, m).inv_spectral_norm
-         for m in range(1, m_ell + 1)]
-    )
-    prefix = functionals.gram_prefix(spec, m_ell)
-    return _cap_m_hat_from_norms(inv_norms, prefix, n, m_ell)
 
 
 def penalties(mom: estimator.Moments, spec, n, m_max: int,
@@ -198,7 +191,7 @@ def adaptive_estimate(data, spec,
         inv_norms[m - 1] = fit.inv_spectral_norm
         est_all[m - 1] = estimator.plug_in(spec, fit)
     prefix = functionals.gram_prefix(spec, m_ell)
-    m_hat = _cap_m_hat_from_norms(inv_norms, prefix, n, m_ell)
+    m_hat = cap_m_hat(inv_norms, prefix, n, m_ell)
     try:
         pen = penalties(mom, spec, n, m_hat, constant=penalty_constant)
     except AdaptiveEstimationError as err:

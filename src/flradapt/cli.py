@@ -69,14 +69,6 @@ def _build_model(cfg, args):
     regime = sec.get("regime")
     if regime is None:
         raise ConfigError("model regime missing (set model.regime or --regime)")
-    if regime == "custom":
-        try:
-            return sequences.TabulatedSequenceModel(
-                beta_table=tuple(float(v) for v in sec["beta"]),
-                gamma_table=tuple(float(v) for v in sec["gamma"]),
-            )
-        except KeyError as err:
-            raise ConfigError(f"custom regime needs beta and gamma tables: {err}") from err
     missing = [k for k in ("p", "a") if sec.get(k) is None]
     if missing:
         raise ConfigError(f"model parameters missing: {', '.join(missing)}")
@@ -92,45 +84,51 @@ def _build_model(cfg, args):
         raise ConfigError(str(err)) from err
 
 
+def _floats(value):
+    """Coefficient list from ``c1,c2,..`` text or a YAML sequence."""
+    if isinstance(value, str):
+        value = value.split(",")
+    return tuple(float(v) for v in value)
+
+
+# functional kind -> (constructor, ordered (field, cast) pairs); the ordered
+# fields are the colon-separated values of the ``--functional`` text and the
+# keys of the ``functional:`` config section
+_FUNCTIONAL_KINDS = {
+    "point": (functionals.PointEval, (("t0", float),)),
+    "deriv": (functionals.DerivativeEval, (("t0", float), ("q", int))),
+    "avg": (functionals.LocalAverage, (("b", float),)),
+    "custom": (functionals.Custom, (("coeffs", _floats),)),
+}
+_FUNCTIONAL_USAGE = "point:t0 | deriv:t0:q | avg:b | custom:c1,c2,.."
+
+
+def _make_functional(kind, values: dict, source: str):
+    if kind not in _FUNCTIONAL_KINDS:
+        raise ConfigError(f"unknown functional kind {kind!r} in {source} ({_FUNCTIONAL_USAGE})")
+    cls, fields = _FUNCTIONAL_KINDS[kind]
+    try:
+        return cls(**{name: cast(values[name]) for name, cast in fields})
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad functional {source}: {err!r}") from err
+
+
 def parse_functional(text):
     """Parse ``point:t0``, ``deriv:t0:q``, ``avg:b``, or ``custom:c1,c2,...``."""
-    parts = str(text).split(":")
-    kind = parts[0]
-    try:
-        if kind == "point" and len(parts) == 2:
-            return functionals.PointEval(t0=float(parts[1]))
-        if kind == "deriv" and len(parts) == 3:
-            return functionals.DerivativeEval(t0=float(parts[1]), q=int(parts[2]))
-        if kind == "avg" and len(parts) == 2:
-            return functionals.LocalAverage(b=float(parts[1]))
-        if kind == "custom" and len(parts) == 2:
-            return functionals.Custom(
-                coeffs=tuple(float(v) for v in parts[1].split(","))
-            )
-    except ValueError as err:
-        raise ConfigError(f"bad functional {text!r}: {err}") from err
-    raise ConfigError(f"bad functional {text!r} (point:t0 | deriv:t0:q | avg:b | custom:c1,..)")
+    kind, *parts = str(text).split(":")
+    names = [name for name, _ in _FUNCTIONAL_KINDS.get(kind, (None, ()))[1]]
+    if len(parts) != len(names):
+        raise ConfigError(f"bad functional {text!r} ({_FUNCTIONAL_USAGE})")
+    return _make_functional(kind, dict(zip(names, parts)), repr(text))
 
 
 def _build_functional(cfg, args):
     if getattr(args, "functional", None) is not None:
         return parse_functional(args.functional)
     sec = _section(cfg, "functional")
-    kind = sec.get("kind")
-    if kind is None:
+    if sec.get("kind") is None:
         raise ConfigError("functional missing (set functional.kind or --functional)")
-    try:
-        if kind == "point":
-            return functionals.PointEval(t0=float(sec["t0"]))
-        if kind == "deriv":
-            return functionals.DerivativeEval(t0=float(sec["t0"]), q=int(sec["q"]))
-        if kind == "avg":
-            return functionals.LocalAverage(b=float(sec["b"]))
-        if kind == "custom":
-            return functionals.Custom(coeffs=tuple(float(v) for v in sec["coeffs"]))
-    except (KeyError, ValueError) as err:
-        raise ConfigError(f"bad functional config: {err}") from err
-    raise ConfigError(f"unknown functional kind {kind!r}")
+    return _make_functional(sec["kind"], sec, "config section 'functional'")
 
 
 def _pick(sec, key, flag_value, default=None, cast=None):
@@ -291,7 +289,7 @@ def _cmd_check_lemma(args):
 
 
 def _add_model_flags(sub):
-    sub.add_argument("--regime", choices=["pp", "pe", "ep", "custom"])
+    sub.add_argument("--regime", choices=[r.value for r in sequences.Regime])
     sub.add_argument("--p", type=float)
     sub.add_argument("--a", type=float)
     sub.add_argument("--r", type=float)
@@ -299,7 +297,7 @@ def _add_model_flags(sub):
 
 
 def _add_functional_flag(sub):
-    sub.add_argument("--functional", help="point:t0 | deriv:t0:q | avg:b | custom:c1,c2,..")
+    sub.add_argument("--functional", help=_FUNCTIONAL_USAGE)
 
 
 def build_parser():

@@ -19,8 +19,6 @@ from . import functionals
 # numerically singular iff lambda_min <= SINGULARITY_RTOL * trace / m
 SINGULARITY_RTOL = 1e-12
 
-SYMMETRY_RTOL = 1e-8
-
 
 @dataclass(eq=False)
 class Moments:
@@ -88,25 +86,6 @@ def block_spectrum(mom: Moments, m: int):
     a = mom.gammahat[:m, :m]
     w, v = np.linalg.eigh(a)
     return w, v
-
-
-def spectral_norm_inverse(mat: np.ndarray) -> float:
-    """Spectral norm of the inverse of a symmetric PSD matrix.
-
-    Returns 1 / lambda_min, or +inf when the matrix is numerically singular.
-    Asymmetry beyond SYMMETRY_RTOL times the matrix scale is rejected.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    scale = max(np.max(np.abs(mat)), 1e-300)
-    if np.max(np.abs(mat - mat.T)) > SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    w = np.linalg.eigvalsh((mat + mat.T) / 2.0)
-    m = mat.shape[0]
-    if _is_singular(w, float(np.trace(mat)), m):
-        return math.inf
-    return 1.0 / float(w[0])
 
 
 def galerkin_estimate(mom: Moments, m: int) -> GalerkinFit:

@@ -181,8 +181,3 @@ def mean_square_density(spec: FunctionalSpec) -> tuple[float, float]:
         return 0.0, 0.0
     raise TypeError(f"unknown functional spec {spec!r}")
 
-
-def evaluate(spec: FunctionalSpec, coeff_vector: np.ndarray) -> float:
-    """Apply the functional to an element given by basis coefficients."""
-    v = np.asarray(coeff_vector, dtype=np.float64)
-    return float(coefficients(spec, len(v)) @ v)

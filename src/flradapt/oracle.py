@@ -39,10 +39,6 @@ class RegimeConditionError(ValueError):
 
 
 def _default_horizon(model) -> int:
-    if isinstance(model, sequences.TabulatedSequenceModel):
-        raise RegimeConditionError(
-            "tabulated weight sequences are not supported by the rate oracle"
-        )
     if model.regime is sequences.Regime.EP:
         return TAIL_HORIZON_EXP
     return TAIL_HORIZON_POLY
@@ -186,7 +182,7 @@ def side_condition_ratio(model, spec, n: int, m: Optional[int] = None) -> float:
     if m is None:
         m, _ = minimax_dimension(model, spec, (1.0 + math.log(n)) / n)
     mass = functionals.gram(spec, m)
-    inv_gamma = math.exp(-sequences.log_gamma(model, m))
+    inv_gamma = math.exp(-sequences.log_gamma_array(model, m)[-1])
     return (mass * inv_gamma) / (n / (1.0 + math.log(n)))
 
 

@@ -20,14 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-# exp() overflows IEEE doubles just above exp(709.78); computations switch to
-# log space (or fail loudly) beyond this exponent.
-EXP_SATURATION = 700.0
-
 # smallest positive normal double, returned on underflow together with a flag
 MIN_NORMAL = float(np.finfo(np.float64).tiny)
-
-_LOG_MIN_NORMAL = math.log(MIN_NORMAL)
 
 
 class Regime(str, Enum):
@@ -88,102 +82,8 @@ class SequenceModel:
             raise ValueError(f"d must be a real >= 1, got {self.d}")
 
 
-@dataclass(frozen=True)
-class TabulatedSequenceModel:
-    """Escape hatch for user-supplied weight tables.
-
-    Ships unvalidated: no monotonicity or summability checks are applied and
-    the rate oracle does not support it.  Indices beyond the table raise.
-    """
-
-    beta_table: tuple[float, ...]
-    gamma_table: tuple[float, ...]
-
-
-def _check_index(j) -> None:
-    if not (isinstance(j, (int, np.integer)) and j >= 1):
-        raise ValueError(f"index must be a positive integer, got {j!r}")
-
-
-def log_beta(model, j: int) -> float:
-    """Natural logarithm of beta_j, exact in the exponent (no overflow)."""
-    _check_index(j)
-    if model.regime is Regime.EP:
-        return float(j) ** (2.0 * model.p) - 1.0
-    return 2.0 * model.p * math.log(j)
-
-
-def log_gamma(model, j: int) -> float:
-    """Natural logarithm of gamma_j, exact in the exponent (no underflow)."""
-    _check_index(j)
-    if model.regime is Regime.PE:
-        return -(float(j) ** (2.0 * model.a) - 1.0)
-    return -2.0 * model.a * math.log(j)
-
-
-def beta(model, j: int) -> float:
-    """Slope-regularity weight beta_j.
-
-    Raises
-    ------
-    SaturationError
-        If the exponential regime overflows double precision; callers that
-        need such values must work with :func:`log_beta`.
-    """
-    if isinstance(model, TabulatedSequenceModel):
-        _check_index(j)
-        return float(model.beta_table[j - 1])
-    _check_index(j)
-    if model.regime is Regime.EP:
-        e = float(j) ** (2.0 * model.p) - 1.0
-        if e > EXP_SATURATION:
-            raise SaturationError(
-                f"beta_{j} = exp({e:.3g}) exceeds double range; use log_beta"
-            )
-        return math.exp(e)
-    try:
-        value = float(j) ** (2.0 * model.p)
-    except OverflowError as err:
-        raise SaturationError(f"beta_{j} exceeds double range; use log_beta") from err
-    if not math.isfinite(value):
-        raise SaturationError(f"beta_{j} exceeds double range; use log_beta")
-    return value
-
-
-def gamma(model, j: int) -> float:
-    """Eigenvalue-decay weight gamma_j, strictly positive.
-
-    Underflow in the exponential regime is clamped to the smallest positive
-    normal double and flagged with :class:`UnderflowWarning`.
-    """
-    if isinstance(model, TabulatedSequenceModel):
-        _check_index(j)
-        return float(model.gamma_table[j - 1])
-    lg = log_gamma(model, j)
-    if lg < _LOG_MIN_NORMAL:
-        warnings.warn(
-            f"gamma_{j} underflowed; clamped to smallest positive normal",
-            UnderflowWarning,
-            stacklevel=2,
-        )
-        return MIN_NORMAL
-    if model.regime is Regime.PE:
-        v = math.exp(lg)
-        if v < MIN_NORMAL:
-            warnings.warn(
-                f"gamma_{j} underflowed; clamped to smallest positive normal",
-                UnderflowWarning,
-                stacklevel=2,
-            )
-            return MIN_NORMAL
-        return v
-    return float(j) ** (-2.0 * model.a)
-
-
 def log_beta_array(model, j_max: int) -> np.ndarray:
     """log beta_j for j = 1..j_max."""
-    if isinstance(model, TabulatedSequenceModel):
-        return np.log(np.asarray(model.beta_table[:j_max], dtype=np.float64))
     j = np.arange(1, j_max + 1, dtype=np.float64)
     if model.regime is Regime.EP:
         return j ** (2.0 * model.p) - 1.0
@@ -192,8 +92,6 @@ def log_beta_array(model, j_max: int) -> np.ndarray:
 
 def log_gamma_array(model, j_max: int) -> np.ndarray:
     """log gamma_j for j = 1..j_max."""
-    if isinstance(model, TabulatedSequenceModel):
-        return np.log(np.asarray(model.gamma_table[:j_max], dtype=np.float64))
     j = np.arange(1, j_max + 1, dtype=np.float64)
     if model.regime is Regime.PE:
         return -(j ** (2.0 * model.a) - 1.0)
@@ -202,8 +100,6 @@ def log_gamma_array(model, j_max: int) -> np.ndarray:
 
 def gamma_array(model, j_max: int) -> np.ndarray:
     """gamma_1..gamma_{j_max}, clamped below at the smallest positive normal."""
-    if isinstance(model, TabulatedSequenceModel):
-        return np.asarray(model.gamma_table[:j_max], dtype=np.float64)
     j = np.arange(1, j_max + 1, dtype=np.float64)
     if model.regime is Regime.PE:
         with np.errstate(under="ignore"):
@@ -223,8 +119,6 @@ def gamma_array(model, j_max: int) -> np.ndarray:
 
 def beta_array(model, j_max: int) -> np.ndarray:
     """beta_1..beta_{j_max}; raises :class:`SaturationError` on overflow."""
-    if isinstance(model, TabulatedSequenceModel):
-        return np.asarray(model.beta_table[:j_max], dtype=np.float64)
     lb = log_beta_array(model, j_max)
     j = np.arange(1, j_max + 1, dtype=np.float64)
     with np.errstate(over="ignore"):

@@ -176,10 +176,7 @@ def make_slope(model, J: int, slope_scale: float = DEFAULT_SLOPE_SCALE) -> Slope
     if not (0.0 <= slope_scale <= 1.0):
         raise ValueError("slope_scale must lie in [0, 1]")
     j = np.arange(1, J + 1, dtype=np.float64)
-    if isinstance(model, sequences.TabulatedSequenceModel):
-        # unvalidated hook: same beta-weighted j^-2 shape, radius 1
-        log_raw = -np.log(j) - sequences.log_beta_array(model, J) / 2.0
-    elif model.regime is sequences.Regime.EP:
+    if model.regime is sequences.Regime.EP:
         log_raw = -(j ** (2.0 * model.p) - 1.0) / 2.0 - np.log(j)
     else:
         log_raw = -(model.p + 1.0) * np.log(j)
@@ -189,8 +186,7 @@ def make_slope(model, J: int, slope_scale: float = DEFAULT_SLOPE_SCALE) -> Slope
         weights = np.exp(log_w)
         raw = np.exp(log_raw)
     total = math.fsum(weights.tolist())
-    radius = getattr(model, "r", 1.0)
-    scale = math.sqrt(slope_scale * radius / total)
+    scale = math.sqrt(slope_scale * model.r / total)
     coeffs = scale * raw
     norm_sq = math.fsum((weights * scale * scale).tolist())
     return SlopeSpec(coeffs=coeffs, true_norm_beta_sq=norm_sq, model=model)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flradapt import adaptive, simulate
+from flradapt import adaptive, estimator, functionals, simulate
 from flradapt.adaptive import (
     cap_m_ell,
     cap_m_hat,
@@ -46,29 +46,37 @@ class TestCapMEll:
             assert cap_m_ell(Custom(coeffs=(10.0, 10.0, 10.0)), 99) == 1
 
 
+def cap_from_moments(mom, spec, n):
+    """Random dimension bound read off injected moments: inverse norms of
+    every leading block up to the deterministic cap, then ``cap_m_hat``."""
+    m_ell = min(cap_m_ell(spec, n), mom.dim)
+    inv_norms = [estimator.galerkin_estimate(mom, m).inv_spectral_norm
+                 for m in range(1, m_ell + 1)]
+    return cap_m_hat(inv_norms, functionals.gram_prefix(spec, m_ell), n, m_ell)
+
+
 class TestCapMHat:
     def test_empty_trigger_set_returns_cap(self):
         mom = injected(np.eye(2), [0.5, 0.5], n=20)
-        assert cap_m_hat(mom, Custom(coeffs=(1.0, 1.0, 1.0)), 20) == 2
+        assert cap_from_moments(mom, Custom(coeffs=(1.0, 1.0, 1.0)), 20) == 2
 
     def test_trigger_at_two_gives_one(self):
         n = 100
         mom = injected(np.diag([1.0, 1e-9]), [0.5, 0.5], n=n)
-        assert cap_m_hat(mom, Custom(coeffs=(1.0, 1.0, 1.0)), n) == 1
+        assert cap_from_moments(mom, Custom(coeffs=(1.0, 1.0, 1.0)), n) == 1
 
     def test_singular_block_counts_as_infinite_norm(self):
         n = 100
         mom = injected(np.outer([1, 0], [1, 0]), [0.5, 0.5], n=n)
-        assert cap_m_hat(mom, Custom(coeffs=(1.0, 1.0)), n) == 1
+        assert cap_from_moments(mom, Custom(coeffs=(1.0, 1.0)), n) == 1
 
     def test_agrees_with_pipeline_on_simulated_draws(self):
-        from flradapt.estimator import empirical_moments
         for seed in range(3):
             data = sim_data(n=900, seed=seed)
             spec = PointEval(t0=0.3)
             result = adaptive.adaptive_estimate(data, spec)
-            mom = empirical_moments(data, result.m_ell_cap)
-            assert cap_m_hat(mom, spec, data.n) == result.m_hat_cap
+            mom = estimator.empirical_moments(data, result.m_ell_cap)
+            assert cap_from_moments(mom, spec, data.n) == result.m_hat_cap
 
 
 class TestPenalties:
@@ -239,3 +247,24 @@ class TestSelectionBound:
             rng.uniform(-5, 5, m), float(rng.uniform(-5, 5)),
         )
         assert out.passed, (out.witness, out.lhs, out.rhs_at_witness)
+
+    def test_bound_holds_on_estimator_output(self):
+        # diagonal covariance: the dimension-k approximant of the target is
+        # exactly <l_{1:k}, phi_{1:k}>, so the bound is checkable per draw
+        spec = PointEval(t0=0.3)
+        checked = violations = 0
+        for n in (256, 1024, 4096):
+            slope = simulate.make_slope(PP, simulate.default_truncation(n))
+            target = simulate.true_value(spec, slope).value
+            for rep in range(10):
+                data = simulate.draw_dataset(
+                    simulate.SimConfig(n=n, sigma=1.0, seed=500 + rep, model=PP), slope
+                )
+                result = adaptive.adaptive_estimate(data, spec)
+                m = result.m_hat_cap
+                approx = np.cumsum(functionals.coefficients(spec, m) * slope.coeffs[:m])
+                out = check_selection_bound(result.estimates, result.penalties,
+                                            approx, target)
+                checked += 1
+                violations += not out.passed
+        assert checked == 30 and violations == 0

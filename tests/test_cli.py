@@ -108,6 +108,58 @@ class TestConfigFile:
         assert "error:" in err
 
 
+@pytest.fixture
+def small_dataset(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    code, _, err = run(capsys, "simulate", "--regime", "pp", "--p", "1", "--a", "1",
+                       "--n", "64", "--seed", "5", "--out", str(data))
+    assert code == 0, err
+    return data
+
+
+class TestFunctionalConfig:
+    @pytest.mark.parametrize("section, text", [
+        ("{kind: point, t0: 0.3}", "point:0.3"),
+        ("{kind: deriv, t0: 0.3, q: 1}", "deriv:0.3:1"),
+        ("{kind: avg, b: 0.25}", "avg:0.25"),
+        ("{kind: custom, coeffs: [1, 0, 2.5]}", "custom:1,0,2.5"),
+    ])
+    def test_section_matches_flag_text(self, tmp_path, capsys, small_dataset,
+                                       section, text):
+        cfg = tmp_path / "est.yaml"
+        cfg.write_text(f"functional: {section}\noutput: {{dataset: {small_dataset}}}\n")
+        code, from_config, err = run(capsys, "estimate", "--config", str(cfg))
+        assert code == 0, err
+        code, from_flag, err = run(capsys, "estimate", "--data", str(small_dataset),
+                                   "--functional", text)
+        assert code == 0, err
+        assert json.loads(from_config) == json.loads(from_flag)
+
+    @pytest.mark.parametrize("section", [
+        "{kind: median, t0: 0.3}",  # unknown kind
+        "{kind: deriv, t0: 0.3}",   # missing key q
+    ])
+    def test_bad_section_is_a_config_error(self, tmp_path, capsys, small_dataset,
+                                           section):
+        cfg = tmp_path / "est.yaml"
+        cfg.write_text(f"functional: {section}\noutput: {{dataset: {small_dataset}}}\n")
+        code, _, err = run(capsys, "estimate", "--config", str(cfg))
+        assert code == 1
+        assert "error: config" in err
+
+    def test_custom_regime_is_a_usage_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "simulate", "--regime", "custom", "--p", "1",
+                           "--a", "1", "--n", "64", "--out", str(tmp_path / "d.csv"))
+        assert code == 1
+        assert "invalid choice" in err
+        cfg = tmp_path / "sim.yaml"
+        cfg.write_text("model: {regime: custom, p: 1.0, a: 1.0}\nsimulate: {n: 64}\n")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg),
+                           "--out", str(tmp_path / "d.csv"))
+        assert code == 1
+        assert "error: config" in err
+
+
 class TestRates:
     def test_pp_point_output(self, capsys):
         code, out, err = run(

@@ -7,7 +7,7 @@ import pytest
 from flradapt import adaptive, harness, oracle, simulate
 from flradapt.estimator import Moments
 from flradapt.functionals import PointEval
-from flradapt.harness import StudyConfig, fit_rate, run_study, sandwich_frequency
+from flradapt.harness import StudyConfig, fit_rate, run_study
 from flradapt.sequences import Regime, SequenceModel
 
 PP = SequenceModel(regime=Regime.PP, p=1.0, a=1.0)
@@ -126,6 +126,15 @@ class TestRunStudy:
         bad = [rec for rec in report.raw_records if rec["error"] is not None]
         assert len(bad) == 1 and "synthetic failure" in bad[0]["error"]
 
+    def test_unexpected_exception_propagates(self, monkeypatch):
+        # only the expected numerical failures are recorded; a bug surfaces
+        def broken(data, spec, penalty_constant=adaptive.PENALTY_CONSTANT):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(harness.adaptive, "adaptive_estimate", broken)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_study(small_config())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             small_config(replicates=1)
@@ -180,19 +189,12 @@ class TestSandwich:
         assert np.all(p_pop <= p_hat) and np.all(p_hat <= 24.0 * p_pop)
 
     def test_frequency_reported_at_tiny_n(self):
-        freq = sandwich_frequency(small_config(n_grid=(16, 32), replicates=6), 16)
-        assert 0.0 <= freq <= 1.0
+        row = run_study(small_config(n_grid=(16,), replicates=6)).rows[0]
+        assert 0.0 <= row["sandwich_frequency"] <= 1.0
 
     def test_moderate_n_frequency_high(self):
-        freq = sandwich_frequency(
-            small_config(n_grid=(512, 1024), replicates=30), 1024
-        )
-        assert freq >= 0.8
-
-    def test_requires_diagonal_covariance(self):
-        cfg = small_config(mixing=0.3)
-        with pytest.raises(ValueError):
-            sandwich_frequency(cfg, 64)
+        row = run_study(small_config(n_grid=(1024,), replicates=30)).rows[0]
+        assert row["sandwich_frequency"] >= 0.8
 
     def test_mixing_disables_sandwich_column(self):
         report = run_study(small_config(mixing=0.3, replicates=3))

@@ -1,35 +1,37 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from flradapt import sequences
-from flradapt.sequences import Regime, SequenceModel, beta, gamma
+from flradapt.sequences import Regime, SequenceModel, beta_array, gamma_array
 
 
 PP = SequenceModel(regime=Regime.PP, p=1.0, a=1.0)
 PE = SequenceModel(regime=Regime.PE, p=1.0, a=0.5)
 EP = SequenceModel(regime=Regime.EP, p=0.5, a=1.0)
 
+WINDOW = 10 ** 6
+
 
 class TestWeightFormulas:
     def test_pp_beta_is_polynomial(self):
-        assert beta(PP, 3) == 9.0
+        assert beta_array(PP, 3)[2] == 9.0
 
     def test_ep_beta_exponential(self):
-        assert beta(EP, 4) == pytest.approx(math.exp(3.0), rel=1e-15)
+        assert beta_array(EP, 4)[3] == pytest.approx(math.exp(3.0), rel=1e-15)
 
     def test_pp_gamma_is_polynomial(self):
-        assert gamma(PP, 4) == 1.0 / 16.0
+        assert gamma_array(PP, 4)[3] == 1.0 / 16.0
 
     def test_pe_gamma_exponential(self):
-        assert gamma(PE, 3) == pytest.approx(math.exp(-2.0), rel=1e-15)
+        assert gamma_array(PE, 3)[2] == pytest.approx(math.exp(-2.0), rel=1e-15)
 
     @pytest.mark.parametrize("model", [PP, PE, EP])
     def test_first_weights_are_one(self, model):
-        assert beta(model, 1) == 1.0
-        assert gamma(model, 1) == 1.0
+        assert beta_array(model, 1)[0] == 1.0
+        assert gamma_array(model, 1)[0] == 1.0
 
     @pytest.mark.parametrize("model", [PP, PE, EP])
     def test_monotonicity_on_window(self, model):
@@ -39,61 +41,58 @@ class TestWeightFormulas:
         assert np.all(np.diff(lg) <= 0)
 
     def test_deterministic(self):
-        vals = [beta(PE, 17) for _ in range(5)] + [gamma(PE, 17) for _ in range(5)]
-        assert len({v for v in vals[:5]}) == 1
-        assert len({v for v in vals[5:]}) == 1
+        betas = [beta_array(PE, 17) for _ in range(5)]
+        gammas = [gamma_array(PE, 17) for _ in range(5)]
+        assert all(np.array_equal(b, betas[0]) for b in betas)
+        assert all(np.array_equal(g, gammas[0]) for g in gammas)
 
     def test_pp_product_cancels_when_p_equals_a(self):
         # pow is not guaranteed correctly rounded, so allow one ulp
-        for j in range(1, 200):
-            assert abs(beta(PP, j) * gamma(PP, j) - 1.0) <= 2.0 ** -52
+        prod = beta_array(PP, 199) * gamma_array(PP, 199)
+        assert np.all(np.abs(prod - 1.0) <= 2.0 ** -52)
 
-    @given(st.integers(min_value=1, max_value=10 ** 6),
-           st.sampled_from([PP, PE, EP]))
-    def test_bounds(self, j, model):
-        try:
-            b = beta(model, j)
-        except sequences.SaturationError:
-            b = None
-        if b is not None:
-            assert b >= 1.0
-        with np.errstate(all="ignore"):
-            import warnings
+    def test_bounds(self):
+        # every index of the window 1..10^6: beta >= 1 where it is finite
+        # (in log space where it saturates), 0 < gamma <= 1 after clamping
+        for model in (PP, PE, EP):
+            assert np.all(sequences.log_beta_array(model, WINDOW) >= 0.0)
+            try:
+                b = beta_array(model, WINDOW)
+            except sequences.SaturationError:
+                assert model is EP
+            else:
+                assert np.all(b >= 1.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", sequences.UnderflowWarning)
-                g = gamma(model, j)
-        assert 0.0 < g <= 1.0
-
-    def test_bad_index_rejected(self):
-        with pytest.raises(ValueError):
-            beta(PP, 0)
-        with pytest.raises(ValueError):
-            gamma(PP, -3)
+                g = gamma_array(model, WINDOW)
+            assert np.all((0.0 < g) & (g <= 1.0))
 
 
 class TestSaturationAndUnderflow:
     def test_ep_overflow_is_reported(self):
         with pytest.raises(sequences.SaturationError):
-            beta(EP, 10 ** 6)
+            beta_array(EP, 10 ** 6)
         # log-space access still works
-        assert sequences.log_beta(EP, 10 ** 6) == 10 ** 6 - 1.0
+        assert sequences.log_beta_array(EP, 10 ** 6)[-1] == 10 ** 6 - 1.0
 
     def test_polynomial_overflow_is_reported(self):
+        # j^(2p) passes the double range at j = 100 when p = 200
+        steep = SequenceModel(regime=Regime.PP, p=200.0, a=1.0)
         with pytest.raises(sequences.SaturationError):
-            beta(PP, 10 ** 160)
+            beta_array(steep, 100)
         with pytest.raises(sequences.SaturationError):
-            sequences.beta_array(EP, 10 ** 4)
+            beta_array(EP, 10 ** 4)
 
     def test_pe_underflow_flagged_and_clamped(self):
         with pytest.warns(sequences.UnderflowWarning):
-            g = gamma(PE, 1000)
-        assert g == sequences.MIN_NORMAL
+            g = gamma_array(PE, 1000)
+        assert g[-1] == sequences.MIN_NORMAL
 
-    def test_array_variants_match_scalars(self):
+    def test_array_values_match_closed_forms(self):
         lb = sequences.log_beta_array(EP, 50)
-        assert lb[3] == sequences.log_beta(EP, 4)
-        ga = sequences.gamma_array(PP, 50)
-        assert ga[7] == gamma(PP, 8)
+        assert lb[3] == 4.0 ** (2.0 * EP.p) - 1.0
+        ga = gamma_array(PP, 50)
+        assert ga[7] == 8.0 ** (-2.0 * PP.a)
 
 
 class TestModelValidation:

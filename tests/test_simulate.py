@@ -27,7 +27,7 @@ def zero_slope(model, J):
 def unit_slope(model, J, k):
     coeffs = np.zeros(J)
     coeffs[k - 1] = 1.0
-    return SlopeSpec(coeffs=coeffs, true_norm_beta_sq=sequences.beta(model, k),
+    return SlopeSpec(coeffs=coeffs, true_norm_beta_sq=sequences.beta_array(model, k)[-1],
                      model=model)
 
 
