@@ -57,7 +57,6 @@ from .oracle import (
     RateDescriptor,
     DivergentTailError,
     RegimeConditionError,
-    risk_term,
     risk_profile,
     minimax_dimension,
     theoretical_penalty,

@@ -21,8 +21,8 @@ import numpy as np
 from . import estimator, functionals
 from ._util import floor_fourth_root
 
-# multiplicative constant of the stochastic penalty; exposed as a knob, the
-# deliberately conservative default is the one the theory prescribes
+# multiplicative constant of the stochastic penalty: 7 times the population
+# constant oracle.THEORETICAL_PENALTY_CONSTANT, as the theory prescribes
 PENALTY_CONSTANT = 700.0
 
 
@@ -111,12 +111,11 @@ def cap_m_hat(inv_norms, gram_prefix, n: int, m_ell: int) -> int:
     return m_ell
 
 
-def penalties(mom: estimator.Moments, spec, n, m_max: int,
-              constant: float = PENALTY_CONSTANT) -> np.ndarray:
+def penalties(mom: estimator.Moments, spec, n, m_max: int) -> np.ndarray:
     """Stochastic penalties p_1..p_{m_max}.
 
-    p_m = constant * (2 mean(y^2) + 2 g_hat_m' Gamma_hat_m^-1 g_hat_m)
-                   * max_{k <= m} l_k' Gamma_hat_k^-1 l_k * (1 + log n) / n
+    p_m = PENALTY_CONSTANT * (2 mean(y^2) + 2 g_hat_m' Gamma_hat_m^-1 g_hat_m)
+                           * max_{k <= m} l_k' Gamma_hat_k^-1 l_k * (1 + log n) / n
 
     Both bracketed factors are accumulated as running maxima over k <= m, so
     the sequence is non-decreasing by construction (the quadratic form in
@@ -141,7 +140,7 @@ def penalties(mom: estimator.Moments, spec, n, m_max: int,
         quad_ell[m - 1] = float(ell[:m] @ sol_ell)
     quad_g = np.maximum.accumulate(quad_g)
     quad_ell = np.maximum.accumulate(quad_ell)
-    factor = constant * (1.0 + math.log(n)) / n
+    factor = PENALTY_CONSTANT * (1.0 + math.log(n)) / n
     return factor * (2.0 * mom.sigma2_y_hat + 2.0 * quad_g) * quad_ell
 
 
@@ -166,8 +165,7 @@ def select(contrasts, penalties) -> int:
     return int(np.argmin(kap + pen)) + 1
 
 
-def adaptive_estimate(data, spec,
-                      penalty_constant: float = PENALTY_CONSTANT) -> AdaptiveResult:
+def adaptive_estimate(data, spec) -> AdaptiveResult:
     """Run the full data-driven pipeline on one dataset.
 
     Deterministic given the data: moments up to the deterministic cap, the
@@ -193,7 +191,7 @@ def adaptive_estimate(data, spec,
     prefix = functionals.gram_prefix(spec, m_ell)
     m_hat = cap_m_hat(inv_norms, prefix, n, m_ell)
     try:
-        pen = penalties(mom, spec, n, m_hat, constant=penalty_constant)
+        pen = penalties(mom, spec, n, m_hat)
     except AdaptiveEstimationError as err:
         last_ok = err.diagnostics.get("last_invertible", 0)
         if last_ok < 1:
@@ -203,7 +201,7 @@ def adaptive_estimate(data, spec,
             ) from err
         diagnostics["penalty_truncated_at"] = last_ok
         m_hat = last_ok
-        pen = penalties(mom, spec, n, m_hat, constant=penalty_constant)
+        pen = penalties(mom, spec, n, m_hat)
     est = est_all[:m_hat]
     kap = contrasts(est, pen)
     chosen = select(kap, pen)
@@ -281,21 +279,20 @@ class SelectionBoundSuite:
         return self.violations == 0
 
 
-def selection_bound_suite(instances: int, seed: int,
-                          max_models: int = 20, span: float = 10.0) -> SelectionBoundSuite:
+def selection_bound_suite(instances: int, seed: int) -> SelectionBoundSuite:
     """Randomized stress suite for the selection error bound.
 
-    Each instance draws up to ``max_models`` estimates, approximation values
-    and a target uniformly on [-span, span], and sorted uniform penalties.
+    Each instance draws up to 20 estimates, approximation values and a
+    target uniformly on [-10, 10], and sorted uniform penalties on [0, 1].
     """
     rng = np.random.default_rng(seed)
     violations = 0
     first = None
     for _ in range(instances):
-        m = int(rng.integers(1, max_models + 1))
-        est = rng.uniform(-span, span, m)
-        approx = rng.uniform(-span, span, m)
-        target = float(rng.uniform(-span, span))
+        m = int(rng.integers(1, 21))
+        est = rng.uniform(-10.0, 10.0, m)
+        approx = rng.uniform(-10.0, 10.0, m)
+        target = float(rng.uniform(-10.0, 10.0))
         pen = np.sort(rng.uniform(0.0, 1.0, m))
         check = check_selection_bound(est, pen, approx, target)
         if not check.passed:

@@ -8,8 +8,7 @@ deterministic selection error bound.
 
 Configuration comes from an optional YAML file (sections ``model``,
 ``functional``, ``simulate``, ``study``, ``output``); every flag overrides
-the matching config key.  The environment variable ``FLR_SEED`` overrides
-the study base seed.
+the matching config key, and an unknown section or key is a config error.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure,
 3 property-check violation.  Errors print one machine-parsable line on
@@ -38,6 +37,17 @@ class ConfigError(Exception):
     pass
 
 
+# keys some subcommand reads, per config section; the ``functional`` section
+# takes ``kind`` plus that kind's fields from ``_FUNCTIONAL_KINDS``
+_CONFIG_KEYS = {
+    "model": ("regime", "p", "a", "r"),
+    "functional": ("kind",),
+    "simulate": ("n", "sigma", "seed", "slope_scale", "theta"),
+    "study": ("n_grid", "replicates", "base_seed", "n"),
+    "output": ("dir", "dataset", "report", "raw", "curves"),
+}
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -50,19 +60,28 @@ def _load_config(path):
             raise ConfigError(f"config unreadable: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping of sections")
+    for name, sec in cfg.items():
+        if name not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown section {name!r}")
+        if not isinstance(sec, dict):
+            raise ConfigError(f"config section {name!r} must be a mapping")
+        known = _CONFIG_KEYS[name]
+        if name == "functional" and sec:
+            _, fields = _functional_kind(sec.get("kind"), "config section 'functional'")
+            known = ("kind", *(field for field, _ in fields))
+        for key in sec:
+            if key not in known:
+                raise ConfigError(f"unknown key {name}.{key}")
     return cfg
 
 
 def _section(cfg, name):
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    return dict(sec)
+    return dict(cfg.get(name, {}))
 
 
 def _build_model(cfg, args):
     sec = _section(cfg, "model")
-    for key in ("regime", "p", "a", "r", "d"):
+    for key in ("regime", "p", "a", "r"):
         val = getattr(args, key, None)
         if val is not None:
             sec[key] = val
@@ -78,7 +97,6 @@ def _build_model(cfg, args):
             p=float(sec["p"]),
             a=float(sec["a"]),
             r=float(sec.get("r", 1.0)),
-            d=float(sec.get("d", 1.0)),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -103,10 +121,14 @@ _FUNCTIONAL_KINDS = {
 _FUNCTIONAL_USAGE = "point:t0 | deriv:t0:q | avg:b | custom:c1,c2,.."
 
 
-def _make_functional(kind, values: dict, source: str):
-    if kind not in _FUNCTIONAL_KINDS:
+def _functional_kind(kind, source: str):
+    if not isinstance(kind, str) or kind not in _FUNCTIONAL_KINDS:
         raise ConfigError(f"unknown functional kind {kind!r} in {source} ({_FUNCTIONAL_USAGE})")
-    cls, fields = _FUNCTIONAL_KINDS[kind]
+    return _FUNCTIONAL_KINDS[kind]
+
+
+def _make_functional(kind, values: dict, source: str):
+    cls, fields = _functional_kind(kind, source)
     try:
         return cls(**{name: cast(values[name]) for name, cast in fields})
     except (KeyError, TypeError, ValueError) as err:
@@ -149,7 +171,6 @@ def _cmd_simulate(args):
         raise ConfigError("sample size missing (simulate.n or --n)")
     config = simulate.SimConfig(
         n=n, sigma=sigma, seed=seed, model=model,
-        J=_pick(sec, "J", args.truncation, cast=int),
         slope_scale=_pick(sec, "slope_scale", args.slope_scale,
                           default=simulate.DEFAULT_SLOPE_SCALE, cast=float),
         mixing=_pick(sec, "theta", args.theta, default=0.0, cast=float),
@@ -173,10 +194,7 @@ def _cmd_estimate(args):
     if not os.path.exists(data_path):
         raise ConfigError(f"dataset not found: {data_path}")
     data = simulate.load_dataset_csv(data_path)
-    constant = _pick(_section(cfg, "study"), "penalty_constant",
-                     args.penalty_constant,
-                     default=adaptive.PENALTY_CONSTANT, cast=float)
-    result = adaptive.adaptive_estimate(data, spec, penalty_constant=constant)
+    result = adaptive.adaptive_estimate(data, spec)
     text = json.dumps(result.to_record(), indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -198,9 +216,6 @@ def _cmd_mc_study(args):
         raise ConfigError("study n_grid missing (study.n_grid or --n-grid)")
     if isinstance(n_grid, str):
         n_grid = [int(v) for v in n_grid.split(",")]
-    base_seed = _pick(sec, "base_seed", args.base_seed, default=0, cast=int)
-    if "FLR_SEED" in os.environ:
-        base_seed = int(os.environ["FLR_SEED"])
     out_dir = args.out_dir or out_sec.get("dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     study = harness.StudyConfig(
@@ -209,13 +224,10 @@ def _cmd_mc_study(args):
         sigma=_pick(sim_sec, "sigma", args.sigma, default=1.0, cast=float),
         n_grid=tuple(int(v) for v in n_grid),
         replicates=_pick(sec, "replicates", args.replicates, default=100, cast=int),
-        base_seed=base_seed,
-        penalty_constant=_pick(sec, "penalty_constant", args.penalty_constant,
-                               default=adaptive.PENALTY_CONSTANT, cast=float),
+        base_seed=_pick(sec, "base_seed", args.base_seed, default=0, cast=int),
         slope_scale=_pick(sim_sec, "slope_scale", args.slope_scale,
                           default=simulate.DEFAULT_SLOPE_SCALE, cast=float),
         mixing=_pick(sim_sec, "theta", args.theta, default=0.0, cast=float),
-        truncation=_pick(sim_sec, "J", args.truncation, cast=int),
         report_path=os.path.join(out_dir, out_sec.get("report", "study_report.json")),
         raw_path=os.path.join(out_dir, out_sec.get("raw", "study_raw.csv")),
         curves_path=os.path.join(out_dir, out_sec.get("curves", "study_curves.csv")),
@@ -239,7 +251,13 @@ def _cmd_rates(args):
     model = _build_model(cfg, args)
     spec = _build_functional(cfg, args)
     n = _pick(_section(cfg, "study"), "n", args.n, default=10000, cast=int)
-    m_search = args.m_search or oracle.default_search_bound(model, n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    m_search = args.m_search
+    if m_search is None:
+        m_search = oracle.default_search_bound(model, n)
+    elif m_search < 1:
+        raise ValueError(f"--m-search must be >= 1, got {m_search}")
     x_minimax = 1.0 / n
     x_adaptive = (1.0 + math.log(n)) / n
     prof_minimax = oracle.risk_profile(model, spec, x_minimax, m_search)
@@ -293,7 +311,6 @@ def _add_model_flags(sub):
     sub.add_argument("--p", type=float)
     sub.add_argument("--a", type=float)
     sub.add_argument("--r", type=float)
-    sub.add_argument("--d", type=float)
 
 
 def _add_functional_flag(sub):
@@ -312,7 +329,6 @@ def build_parser():
     sim.add_argument("--seed", type=int)
     sim.add_argument("--theta", type=float)
     sim.add_argument("--slope-scale", dest="slope_scale", type=float)
-    sim.add_argument("--truncation", type=int)
     sim.add_argument("--out")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -320,7 +336,6 @@ def build_parser():
     _add_functional_flag(est)
     est.add_argument("--config")
     est.add_argument("--data")
-    est.add_argument("--penalty-constant", dest="penalty_constant", type=float)
     est.add_argument("--out")
     est.set_defaults(func=_cmd_estimate)
 
@@ -334,8 +349,6 @@ def build_parser():
     study.add_argument("--sigma", type=float)
     study.add_argument("--theta", type=float)
     study.add_argument("--slope-scale", dest="slope_scale", type=float)
-    study.add_argument("--truncation", type=int)
-    study.add_argument("--penalty-constant", dest="penalty_constant", type=float)
     study.add_argument("--out-dir", dest="out_dir")
     study.set_defaults(func=_cmd_mc_study)
 

@@ -3,9 +3,12 @@
 For a fixed dimension m the slope estimate solves the m x m empirical normal
 equations; the solve is abandoned (coefficients set to zero) when the moment
 matrix is numerically singular or the spectral norm of its inverse exceeds
-the sample size.  One symmetric eigendecomposition per dimension supplies the
-singularity test, the inverse norm, and the solve, so the threshold decision
-and the solution can never disagree.
+the sample size.  ``galerkin_estimate`` takes the singularity test, the
+inverse norm, and the solve from one symmetric eigendecomposition of the
+leading block, so the threshold decision and the solution can never disagree.
+``solve_block``, which the penalties call twice per dimension, decomposes the
+block again on every call, so a candidate dimension costs three
+decompositions in all.
 """
 from __future__ import annotations
 

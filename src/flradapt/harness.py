@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,10 +45,8 @@ class StudyConfig:
     n_grid: tuple
     replicates: int
     base_seed: int
-    penalty_constant: float = adaptive.PENALTY_CONSTANT
     slope_scale: float = simulate.DEFAULT_SLOPE_SCALE
     mixing: float = 0.0
-    truncation: Optional[int] = None
     report_path: Optional[str] = None
     raw_path: Optional[str] = None
     curves_path: Optional[str] = None
@@ -89,26 +87,14 @@ class StudyReport:
 
 
 def _config_echo(cfg: StudyConfig) -> dict:
-    spec = cfg.spec
-    spec_echo = {"kind": type(spec).__name__}
-    for name in ("t0", "q", "b", "coeffs"):
-        if hasattr(spec, name):
-            val = getattr(spec, name)
-            spec_echo[name] = list(val) if isinstance(val, tuple) else val
     return {
-        "model": {
-            "regime": cfg.model.regime.value,
-            "p": cfg.model.p,
-            "a": cfg.model.a,
-            "r": cfg.model.r,
-            "d": cfg.model.d,
-        },
-        "functional": spec_echo,
+        "model": asdict(cfg.model),
+        "functional": {"kind": type(cfg.spec).__name__, **asdict(cfg.spec)},
         "sigma": cfg.sigma,
         "n_grid": list(cfg.n_grid),
         "replicates": cfg.replicates,
         "base_seed": cfg.base_seed,
-        "penalty_constant": cfg.penalty_constant,
+        "penalty_constant": adaptive.PENALTY_CONSTANT,
         "slope_scale": cfg.slope_scale,
         "mixing": cfg.mixing,
     }
@@ -125,7 +111,7 @@ def _lower_dimension_bound(cfg, n: int, m_ell: int) -> int:
 
 def _run_single_n(cfg: StudyConfig, n: int):
     """All replicate records for one sample size, plus per-n theory."""
-    j_dim = cfg.truncation if cfg.truncation is not None else simulate.default_truncation(n)
+    j_dim = simulate.default_truncation(n)
     slope = simulate.make_slope(cfg.model, j_dim, cfg.slope_scale)
     target = simulate.true_value(cfg.spec, slope).value
     m_ell = adaptive.cap_m_ell(cfg.spec, n)
@@ -156,9 +142,7 @@ def _run_single_n(cfg: StudyConfig, n: int):
                 J=j_dim, slope_scale=cfg.slope_scale, mixing=cfg.mixing,
             )
             data = simulate.draw_dataset(config, slope)
-            result = adaptive.adaptive_estimate(
-                data, cfg.spec, penalty_constant=cfg.penalty_constant
-            )
+            result = adaptive.adaptive_estimate(data, cfg.spec)
             est_all = result.diagnostics["estimates_all"]
             record["sq_err_adaptive"] = (result.value - target) ** 2
             record["sq_err_best_fixed"] = float(np.min((est_all - target) ** 2))

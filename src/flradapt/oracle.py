@@ -24,8 +24,8 @@ from . import functionals, sequences, simulate
 
 THEORETICAL_PENALTY_CONSTANT = 100.0
 
-# default horizons for explicit tail summation; exponential regularity
-# weights terminate by underflow long before the cap
+# horizons for explicit tail summation; exponential regularity weights
+# terminate by underflow long before the cap
 TAIL_HORIZON_POLY = 1_000_000
 TAIL_HORIZON_EXP = 65_536
 
@@ -38,20 +38,15 @@ class RegimeConditionError(ValueError):
     """Rate formulas require a parameter condition that does not hold."""
 
 
-def _default_horizon(model) -> int:
-    if model.regime is sequences.Regime.EP:
-        return TAIL_HORIZON_EXP
-    return TAIL_HORIZON_POLY
-
-
 @functools.lru_cache(maxsize=32)
-def _tail_data(model, spec, j_tail: int):
+def _tail_data(model, spec):
     """Cumulative sums of l_j^2 / beta_j and the completed total.
 
-    For polynomial regularity weights the total adds a midpoint-rule integral
-    of the mean-square envelope past the horizon, accurate to a relative
-    O(1/j_tail); exponential weights make the remainder vanish by underflow
-    (a crude doubled-last-term bound covers the cut).
+    For polynomial regularity weights the sum runs to TAIL_HORIZON_POLY and
+    the total adds a midpoint-rule integral of the mean-square envelope past
+    it, accurate to a relative O(1/horizon); exponential weights make the
+    remainder past TAIL_HORIZON_EXP vanish by underflow (a crude
+    doubled-last-term bound covers the cut).
     """
     support = functionals.coefficient_support(spec)
     if support is not None:
@@ -63,12 +58,14 @@ def _tail_data(model, spec, j_tail: int):
             )
         cum = np.cumsum(terms)
         return cum, float(cum[-1])
-    ell2 = functionals.coefficients(spec, j_tail) ** 2
-    log_beta = sequences.log_beta_array(model, j_tail)
+    exponential = model.regime is sequences.Regime.EP
+    horizon = TAIL_HORIZON_EXP if exponential else TAIL_HORIZON_POLY
+    ell2 = functionals.coefficients(spec, horizon) ** 2
+    log_beta = sequences.log_beta_array(model, horizon)
     with np.errstate(under="ignore", invalid="ignore"):
         terms = np.where(ell2 == 0.0, 0.0, ell2 * np.exp(-log_beta))
     cum = np.cumsum(terms)
-    if model.regime is sequences.Regime.EP:
+    if exponential:
         remainder = 2.0 * float(terms[-1])
     else:
         amp, power = functionals.mean_square_density(spec)
@@ -78,16 +75,16 @@ def _tail_data(model, spec, j_tail: int):
                 f"tail sum of l_j^2/beta_j diverges: needs p - s > 1/2, "
                 f"got p = {model.p}, coefficient growth power s = {power}"
             )
-        edge = j_tail + 0.5
+        edge = horizon + 0.5
         remainder = amp * edge ** (1.0 - decay) / (decay - 1.0)
     return cum, float(cum[-1] + remainder)
 
 
-def ell_weight_tail(model, spec, m: int, j_tail: Optional[int] = None) -> float:
+def ell_weight_tail(model, spec, m: int) -> float:
     """sum_{j > m} l_j^2 / beta_j, to about 1e-6 relative accuracy."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    cum, total = _tail_data(model, spec, j_tail or _default_horizon(model))
+    cum, total = _tail_data(model, spec)
     if m == 0:
         return total
     if m >= len(cum):
@@ -95,15 +92,14 @@ def ell_weight_tail(model, spec, m: int, j_tail: Optional[int] = None) -> float:
     return max(total - float(cum[m - 1]), 0.0)
 
 
-def risk_curve(model, spec, x: float, m_max: int,
-               j_tail: Optional[int] = None) -> np.ndarray:
+def risk_curve(model, spec, x: float, m_max: int) -> np.ndarray:
     """R_1[x]..R_{m_max}[x]; entries overflow to +inf where the head sum
     exceeds the double range (such dimensions can never be minimizers)."""
     if not (0.0 < x <= 1.0):
         raise ValueError(f"x must lie in (0, 1], got {x}")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    cum, total = _tail_data(model, spec, j_tail or _default_horizon(model))
+    cum, total = _tail_data(model, spec)
     if functionals.coefficient_support(spec) is None and m_max > len(cum):
         raise ValueError(f"m_max = {m_max} exceeds the tail horizon {len(cum)}")
     # finitely supported functionals have zero tail past their support
@@ -119,12 +115,6 @@ def risk_curve(model, spec, x: float, m_max: int,
     return np.maximum(tail, np.maximum(ratio, x) * head)
 
 
-def risk_term(model, spec, m: int, x: float,
-              j_tail: Optional[int] = None) -> float:
-    """R_m[x] for a single dimension m."""
-    return float(risk_curve(model, spec, x, m, j_tail=j_tail)[-1])
-
-
 @dataclass(frozen=True, eq=False)
 class OracleRisk:
     """Risk curve over 1..M with its smallest minimizer."""
@@ -136,9 +126,8 @@ class OracleRisk:
     on_boundary: bool
 
 
-def risk_profile(model, spec, x: float, m_max: int,
-                 j_tail: Optional[int] = None) -> OracleRisk:
-    risks = risk_curve(model, spec, x, m_max, j_tail=j_tail)
+def risk_profile(model, spec, x: float, m_max: int) -> OracleRisk:
+    risks = risk_curve(model, spec, x, m_max)
     idx = int(np.argmin(risks))
     on_boundary = idx == m_max - 1 and m_max > 1
     if on_boundary:
@@ -162,25 +151,22 @@ def default_search_bound(model, n: float) -> int:
 
 
 def minimax_dimension(model, spec, x: float,
-                      m_search: Optional[int] = None,
-                      j_tail: Optional[int] = None) -> tuple[int, float]:
+                      m_search: Optional[int] = None) -> tuple[int, float]:
     """Smallest minimizer of R_m[x] over 1..m_search and its value."""
     if m_search is None:
         m_search = default_search_bound(model, 1.0 / x)
-    prof = risk_profile(model, spec, x, m_search, j_tail=j_tail)
+    prof = risk_profile(model, spec, x, m_search)
     return prof.minimizer, prof.minimum
 
 
-def side_condition_ratio(model, spec, n: int, m: Optional[int] = None) -> float:
+def side_condition_ratio(model, spec, n: int, m: int) -> float:
     """Finite-n diagnostic for the asymptotic negligibility condition on the
     coefficient mass: gamma_m^-1 * sum_{j<=m} l_j^2 relative to n/(1+log n),
-    evaluated at the adaptive dimension by default.
+    evaluated at dimension m (the adaptive dimension in studies).
 
     The condition itself is asymptotic (the ratio should vanish as n grows)
     and cannot be verified at a single n; small values are consistent with it.
     """
-    if m is None:
-        m, _ = minimax_dimension(model, spec, (1.0 + math.log(n)) / n)
     mass = functionals.gram(spec, m)
     inv_gamma = math.exp(-sequences.log_gamma_array(model, m)[-1])
     return (mass * inv_gamma) / (n / (1.0 + math.log(n)))

@@ -54,16 +54,16 @@ class SequenceModel:
         the exponential regime (pe) needs a > 0.
     r : float
         Radius of the slope ellipsoid, r > 0.
-    d : float
-        Link constant between the covariance and its eigenvalue weights,
-        d >= 1 (d = 1 means exactly diagonal with eigenvalues gamma_j).
+
+    The link constant between the covariance and the eigenvalue weights is
+    not a model parameter: ``simulate.Covariance.effective_d`` computes it
+    from the covariance construction.
     """
 
     regime: Regime
     p: float
     a: float
     r: float = 1.0
-    d: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "regime", Regime(self.regime))
@@ -78,8 +78,6 @@ class SequenceModel:
             )
         if not (math.isfinite(self.r) and self.r > 0):
             raise ValueError(f"r must be a positive real, got {self.r}")
-        if not (math.isfinite(self.d) and self.d >= 1):
-            raise ValueError(f"d must be a real >= 1, got {self.d}")
 
 
 def log_beta_array(model, j_max: int) -> np.ndarray:

@@ -50,7 +50,7 @@ def rate_study():
 
 def test_criterion_1_selection_bound_suite():
     start = time.perf_counter()
-    result = adaptive.selection_bound_suite(10_000, seed=20260801, max_models=20)
+    result = adaptive.selection_bound_suite(10_000, seed=20260801)
     elapsed = time.perf_counter() - start
     ok = result.passed and elapsed < 5.0
     assert verdict(

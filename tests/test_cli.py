@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -117,6 +118,53 @@ def small_dataset(tmp_path, capsys):
     return data
 
 
+class TestConfigKeys:
+    @pytest.mark.parametrize("text", [
+        "study: {replicates: 3, penalty_constnat: 1.0}",    # typo key
+        "functional: {kind: point, t0: 0.3, q: 1}",         # field of another kind
+        "functional: {kind: [point], t0: 0.3}",             # kind not a string
+        "model: {regime: pp, p: 1.0, a: 1.0, d: 1.0}",      # removed link constant
+        "study: {penalty_constant: 700.0}",                 # removed penalty constant
+        "simulate: {n: 64, J: 128}",                        # removed truncation
+        "simualte: {n: 64}",                                # unknown section
+    ])
+    def test_unknown_key_or_section_is_a_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text + "\n")
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), "--n", "64",
+                           "--regime", "pp", "--p", "1", "--a", "1",
+                           "--out", str(tmp_path / "d.csv"))
+        assert code == 1
+        assert "error: config: unknown" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--d", "1"),
+        ("simulate", "--truncation", "128"),
+        ("estimate", "--penalty-constant", "700"),
+        ("mc-study", "--penalty-constant", "700"),
+        ("mc-study", "--truncation", "128"),
+        ("rates", "--d", "1"),
+    ])
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "unrecognized arguments" in err
+
+    def test_shipped_config_runs_every_subcommand(self, tmp_path, capsys):
+        shipped = str(pathlib.Path(__file__).parents[1] / "configs" / "study_pp_point.yaml")
+        data = tmp_path / "data.csv"
+        code, _, err = run(capsys, "simulate", "--config", shipped, "--n", "64",
+                           "--out", str(data))
+        assert code == 0, err
+        code, _, err = run(capsys, "estimate", "--config", shipped, "--data", str(data))
+        assert code == 0, err
+        code, _, err = run(capsys, "rates", "--config", shipped, "--n", "1000")
+        assert code == 0, err
+        code, _, err = run(capsys, "mc-study", "--config", shipped, "--n-grid", "64,128,256",
+                           "--replicates", "3", "--out-dir", str(tmp_path))
+        assert code == 0, err
+
+
 class TestFunctionalConfig:
     @pytest.mark.parametrize("section, text", [
         ("{kind: point, t0: 0.3}", "point:0.3"),
@@ -182,6 +230,15 @@ class TestRates:
         assert code == 2
         assert "error: numeric" in err
 
+    @pytest.mark.parametrize("flag, value", [("--m-search", "0"), ("--n", "0")])
+    def test_nonpositive_sizes_are_usage_errors(self, capsys, flag, value):
+        code, _, err = run(
+            capsys, "rates", "--regime", "pp", "--p", "1", "--a", "1",
+            "--functional", "point:0.3", flag, value,
+        )
+        assert code == 1
+        assert "error: usage" in err
+
 
 class TestCheckLemma:
     def test_default_suite_passes(self, capsys):
@@ -204,7 +261,7 @@ class TestMcStudy:
         summary = json.loads(out)
         assert set(summary["per_n_risk_adaptive"]) == {"64", "128", "256"}
 
-    def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
+    def test_base_seed_flag_ignores_environment(self, tmp_path, capsys, monkeypatch):
         args = ("mc-study", "--regime", "pp", "--p", "1", "--a", "1",
                 "--functional", "point:0.3", "--n-grid", "64,128,256",
                 "--replicates", "3", "--base-seed", "1",
@@ -212,4 +269,4 @@ class TestMcStudy:
         monkeypatch.setenv("FLR_SEED", "77")
         assert run(capsys, *args)[0] == 0
         doc = json.loads((tmp_path / "study_report.json").read_text())
-        assert doc["config"]["base_seed"] == 77
+        assert doc["config"]["base_seed"] == 1

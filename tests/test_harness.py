@@ -99,11 +99,11 @@ class TestRunStudy:
         calls = {"k": 0}
         original = adaptive.adaptive_estimate
 
-        def flaky(data, spec, penalty_constant=adaptive.PENALTY_CONSTANT):
+        def flaky(data, spec):
             calls["k"] += 1
             if calls["k"] % 3 == 0:
                 raise adaptive.AdaptiveEstimationError("synthetic failure")
-            return original(data, spec, penalty_constant=penalty_constant)
+            return original(data, spec)
 
         monkeypatch.setattr(harness.adaptive, "adaptive_estimate", flaky)
         with pytest.raises(harness.StudyError):
@@ -113,11 +113,11 @@ class TestRunStudy:
         original = adaptive.adaptive_estimate
         state = {"failed": False}
 
-        def once(data, spec, penalty_constant=adaptive.PENALTY_CONSTANT):
+        def once(data, spec):
             if not state["failed"]:
                 state["failed"] = True
                 raise adaptive.AdaptiveEstimationError("synthetic failure")
-            return original(data, spec, penalty_constant=penalty_constant)
+            return original(data, spec)
 
         monkeypatch.setattr(harness.adaptive, "adaptive_estimate", once)
         cfg = small_config(replicates=40, n_grid=(64, 128, 256))
@@ -128,7 +128,7 @@ class TestRunStudy:
 
     def test_unexpected_exception_propagates(self, monkeypatch):
         # only the expected numerical failures are recorded; a bug surfaces
-        def broken(data, spec, penalty_constant=adaptive.PENALTY_CONSTANT):
+        def broken(data, spec):
             raise TypeError("synthetic bug")
 
         monkeypatch.setattr(harness.adaptive, "adaptive_estimate", broken)

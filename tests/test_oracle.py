@@ -11,7 +11,6 @@ from flradapt.oracle import (
     minimax_dimension,
     rate_exponent,
     risk_curve,
-    risk_term,
     theoretical_penalty,
 )
 from flradapt.sequences import Regime, SequenceModel
@@ -40,12 +39,12 @@ def brute_force_risk(model, spec, m, x, horizon=2_000_000):
 
 class TestRiskTerm:
     def test_unit_coordinate_at_full_accuracy(self):
-        assert risk_term(PP, E1, 1, 1.0) == 1.0
+        assert risk_curve(PP, E1, 1.0, 1)[-1] == 1.0
 
     def test_supported_functional_has_zero_tail(self):
         spec = Custom(coeffs=(0.5, -0.5))
         x = 0.9
-        got = risk_term(PP, spec, 2, x)
+        got = risk_curve(PP, spec, x, 2)[-1]
         head = 0.25 / 1.0 + 0.25 / 0.25
         ratio = (2.0 ** -2.0) / (2.0 ** 2.0)
         assert got == pytest.approx(max(ratio, x) * head, rel=1e-14)
@@ -59,19 +58,19 @@ class TestRiskTerm:
         spec = PointEval(t0=0.3)
         for m in (1, 3, 7, 15):
             for x in (1e-4, 1e-2, 1.0):
-                got = risk_term(PP, spec, m, x)
+                got = risk_curve(PP, spec, x, m)[-1]
                 want = brute_force_risk(PP, spec, m, x)
                 assert got == pytest.approx(want, rel=2e-5)
 
     def test_out_of_range_x_rejected(self):
         with pytest.raises(ValueError):
-            risk_term(PP, E1, 1, 0.0)
+            risk_curve(PP, E1, 0.0, 1)
         with pytest.raises(ValueError):
-            risk_term(PP, E1, 1, 1.5)
+            risk_curve(PP, E1, 1.5, 1)
 
     def test_divergent_tail_reported(self):
         with pytest.raises(oracle.DivergentTailError):
-            risk_term(PP, DerivativeEval(t0=0.3, q=1), 3, 0.5)
+            risk_curve(PP, DerivativeEval(t0=0.3, q=1), 0.5, 3)
 
     def test_floor_invariant(self):
         spec = PointEval(t0=0.3)
@@ -241,7 +240,9 @@ class TestRateExponent:
 
 class TestSideCondition:
     def test_ratio_is_small_in_regime(self):
-        ratio = oracle.side_condition_ratio(PP, PointEval(t0=0.3), 10 ** 4)
+        n = 10 ** 4
+        m, _ = minimax_dimension(PP, PointEval(t0=0.3), (1.0 + math.log(n)) / n)
+        ratio = oracle.side_condition_ratio(PP, PointEval(t0=0.3), n, m)
         assert 0.0 < ratio < 1.0
 
     def test_ratio_at_explicit_dimension(self):

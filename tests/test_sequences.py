@@ -112,8 +112,6 @@ class TestModelValidation:
     def test_radius_and_link_constant(self):
         with pytest.raises(ValueError):
             SequenceModel(regime=Regime.PP, p=1.0, a=1.0, r=0.0)
-        with pytest.raises(ValueError):
-            SequenceModel(regime=Regime.PP, p=1.0, a=1.0, d=0.9)
 
     def test_regime_coercion_from_string(self):
         m = SequenceModel(regime="pp", p=1.0, a=1.0)
