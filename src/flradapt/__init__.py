@@ -53,13 +53,11 @@ from .adaptive import (
 )
 from .oracle import (
     OracleRisk,
-    TheoreticalPenalty,
     RateDescriptor,
     DivergentTailError,
     RegimeConditionError,
     risk_profile,
     minimax_dimension,
-    theoretical_penalty,
     rate_exponent,
     check_link_bounds,
 )

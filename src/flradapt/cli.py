@@ -217,7 +217,6 @@ def _cmd_mc_study(args):
     if isinstance(n_grid, str):
         n_grid = [int(v) for v in n_grid.split(",")]
     out_dir = args.out_dir or out_sec.get("dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
     study = harness.StudyConfig(
         model=model,
         spec=spec,
@@ -232,6 +231,7 @@ def _cmd_mc_study(args):
         raw_path=os.path.join(out_dir, out_sec.get("raw", "study_raw.csv")),
         curves_path=os.path.join(out_dir, out_sec.get("curves", "study_curves.csv")),
     )
+    os.makedirs(out_dir, exist_ok=True)
     report = harness.run_study(study)
     summary = {
         "per_n_risk_adaptive": {

@@ -63,6 +63,7 @@ class StudyConfig:
             raise ValueError("n_grid must be strictly increasing")
         if not self.sigma >= 0:
             raise ValueError("sigma must be non-negative")
+        simulate.check_mixing(self.mixing)
 
 
 @dataclass(eq=False)

@@ -172,20 +172,9 @@ def side_condition_ratio(model, spec, n: int, m: int) -> float:
     return (mass * inv_gamma) / (n / (1.0 + math.log(n)))
 
 
-@dataclass(frozen=True)
-class TheoreticalPenalty:
-    """Population counterparts of the stochastic penalty ingredients."""
-
-    m: int
-    n: int
-    sigma_m_sq: float
-    v_m: float
-    p_m: float
-    rho_m_sq: float
-
-
 def _population_quantities(model, spec, slope, sigma, m_max, cov):
-    """Per-dimension population quadratic forms up to m_max."""
+    """Var(y), the quadratic forms g_m' Gamma_m^-1 g_m and the running
+    maxima V_m of l_m' Gamma_m^-1 l_m for m = 1..m_max, with g = Gamma phi."""
     J = slope.dim
     if m_max > J:
         raise ValueError(f"m_max = {m_max} exceeds slope truncation {J}")
@@ -195,54 +184,27 @@ def _population_quantities(model, spec, slope, sigma, m_max, cov):
         raise ValueError("covariance construction does not match model/slope")
     phi = slope.coeffs
     ell = functionals.coefficients(spec, m_max)
-    if cov.is_diagonal:
-        gam = cov.eigenvalues()
-        gphi2 = gam * phi ** 2
-        sig_y2 = sigma ** 2 + math.fsum(gphi2.tolist())
-        quad = np.cumsum(gphi2)[:m_max]
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = np.cumsum(np.where(ell == 0.0, 0.0, ell ** 2 / gam[:m_max]))
-        rho2 = sigma ** 2 + (math.fsum(gphi2.tolist()) - quad)
-        return sig_y2, quad, v, rho2
     mat = cov.matrix()
     g = mat @ phi
     sig_y2 = sigma ** 2 + float(phi @ g)
     quad = np.empty(m_max)
     v = np.empty(m_max)
-    rho2 = np.empty(m_max)
     running_v = -math.inf
     for m in range(1, m_max + 1):
         block = mat[:m, :m]
-        sol_g = np.linalg.solve(block, g[:m])
-        quad[m - 1] = float(g[:m] @ sol_g)
+        quad[m - 1] = float(g[:m] @ np.linalg.solve(block, g[:m]))
         running_v = max(running_v, float(ell[:m] @ np.linalg.solve(block, ell[:m])))
         v[m - 1] = running_v
-        resid = phi.copy()
-        resid[:m] -= sol_g
-        rho2[m - 1] = sigma ** 2 + float(resid @ (mat @ resid))
-    return sig_y2, quad, v, rho2
-
-
-def theoretical_penalty(model, spec, slope, sigma: float, n: int, m: int,
-                        cov: Optional[simulate.Covariance] = None) -> TheoreticalPenalty:
-    """Population penalty p_m = 100 sigma_m^2 V_m (1 + log n) / n together
-    with its ingredients, for the diagonal or rotated-diagonal covariance."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    sig_y2, quad, v, rho2 = _population_quantities(model, spec, slope, sigma, m, cov)
-    sigma_m_sq = 2.0 * (sig_y2 + float(quad[m - 1]))
-    v_m = float(v[m - 1])
-    p_m = (THEORETICAL_PENALTY_CONSTANT * sigma_m_sq * v_m
-           * (1.0 + math.log(n)) / n)
-    return TheoreticalPenalty(m=m, n=n, sigma_m_sq=sigma_m_sq, v_m=v_m,
-                              p_m=p_m, rho_m_sq=float(rho2[m - 1]))
+    return sig_y2, quad, v
 
 
 def theoretical_penalty_curve(model, spec, slope, sigma: float, n: int,
                               m_max: int,
                               cov: Optional[simulate.Covariance] = None) -> np.ndarray:
-    """p_1..p_{m_max} in one pass."""
-    sig_y2, quad, v, _ = _population_quantities(model, spec, slope, sigma, m_max, cov)
+    """Population penalties p_m = 100 sigma_m^2 V_m (1 + log n) / n for
+    m = 1..m_max, with sigma_m^2 = 2 (Var(y) + g_m' Gamma_m^-1 g_m), for the
+    diagonal or rotated-diagonal covariance."""
+    sig_y2, quad, v = _population_quantities(model, spec, slope, sigma, m_max, cov)
     factor = THEORETICAL_PENALTY_CONSTANT * (1.0 + math.log(n)) / n
     return factor * 2.0 * (sig_y2 + quad) * v
 

@@ -4,8 +4,10 @@ Regressors are generated directly as truncated coefficient vectors: the j-th
 coefficient is sqrt(lambda_j) times a standard normal, with lambda_j equal to
 the eigenvalue weight gamma_j.  An optional Givens rotation of adjacent
 coefficient pairs produces a non-diagonal covariance with the same spectrum.
-Responses follow y_i = <slope, x_i> + sigma * eps_i with independent standard
-normal noise.
+That rotation is one rule in :class:`Covariance`: the sampler applies it to
+the drawn rows, and ``Covariance.matrix`` and ``Covariance.effective_d`` read
+the 2x2 blocks it produces.  Responses follow y_i = <slope, x_i> + sigma * eps_i
+with independent standard normal noise.
 """
 from __future__ import annotations
 
@@ -20,6 +22,12 @@ from . import functionals, sequences
 from ._util import floor_fourth_root, fmt
 
 DEFAULT_SLOPE_SCALE = 0.9
+
+
+def check_mixing(theta: float) -> None:
+    """Reject a non-finite Givens mixing angle."""
+    if not math.isfinite(theta):
+        raise ValueError(f"mixing angle theta must be finite, got {theta}")
 
 
 def default_truncation(n: int) -> int:
@@ -43,8 +51,7 @@ class Covariance:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        check_mixing(self.theta)
 
     @property
     def is_diagonal(self) -> bool:
@@ -53,20 +60,50 @@ class Covariance:
     def eigenvalues(self) -> np.ndarray:
         return sequences.gamma_array(self.model, self.dim)
 
+    def _pairs(self, v: np.ndarray) -> tuple:
+        """Views of the first and the second member of every coefficient
+        pair (2k-1, 2k) on the last axis of ``v``."""
+        stop = 2 * (self.dim // 2)
+        return v[..., 0:stop:2], v[..., 1:stop:2]
+
+    def rotate(self, x: np.ndarray) -> np.ndarray:
+        """Rotate every coefficient pair on the last axis of ``x`` in place
+        and return ``x``: (a, b) becomes (c a - s b, s a + c b) with
+        c = cos(theta), s = sin(theta).  An unpaired last coefficient (odd
+        dim) is left as is; theta = 0 returns ``x`` untouched.
+        """
+        if self.is_diagonal:
+            return x
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        even, odd = self._pairs(x)
+        a = even.copy()
+        np.multiply(a, c, out=even)
+        even -= s * odd
+        odd *= c
+        a *= s
+        odd += a
+        return x
+
+    def pair_blocks(self, weights: np.ndarray) -> np.ndarray:
+        """Rotated 2x2 diagonal blocks R diag(w_{2k-1}, w_{2k}) R^T, shape
+        (dim // 2, 2, 2), for rows rotated by :meth:`rotate`.  The two
+        off-diagonal entries are one number, so every block is exactly
+        symmetric."""
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        w1, w2 = self._pairs(weights)
+        blocks = np.empty((self.dim // 2, 2, 2))
+        blocks[:, 0, 0] = c * c * w1 + s * s * w2
+        blocks[:, 1, 1] = s * s * w1 + c * c * w2
+        blocks[:, 0, 1] = blocks[:, 1, 0] = c * s * (w1 - w2)
+        return blocks
+
     def matrix(self) -> np.ndarray:
         lam = self.eigenvalues()
-        if self.is_diagonal:
-            return np.diag(lam)
-        g = np.diag(lam)
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        rot = np.eye(self.dim)
-        for k in range(self.dim // 2):
-            i = 2 * k
-            rot[i, i] = c
-            rot[i, i + 1] = -s
-            rot[i + 1, i] = s
-            rot[i + 1, i + 1] = c
-        return rot @ g @ rot.T
+        mat = np.diag(lam)
+        # row and column indices of each pair's 2x2 block on the diagonal
+        pair = np.arange(0, 2 * (self.dim // 2), 2)[:, None, None]
+        mat[pair + [[0], [1]], pair + [[0, 1]]] = self.pair_blocks(lam)
+        return mat
 
     def effective_d(self) -> float:
         """Smallest link constant for which the quadratic-form sandwich
@@ -75,18 +112,13 @@ class Covariance:
         Computed per rotated pair from the generalized eigenvalues of the
         squared-weight forms; 1 for the diagonal construction.
         """
-        if self.is_diagonal:
+        if self.is_diagonal or self.dim < 2:
             return 1.0
         lam2 = self.eigenvalues() ** 2
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        rot2 = np.array([[c, -s], [s, c]])
-        d = 1.0
-        for k in range(self.dim // 2):
-            w = np.diag(lam2[2 * k : 2 * k + 2])
-            b = rot2.T @ w @ rot2
-            mu = np.linalg.eigvals(np.linalg.solve(b, w)).real
-            d = max(d, math.sqrt(max(mu.max(), 1.0 / mu.min())))
-        return float(d)
+        # eigenvalues of diag(w)^-1 B for each rotated block B of diag(lam^2)
+        w = np.stack(self._pairs(lam2), axis=-1)
+        mu = np.linalg.eigvals(self.pair_blocks(lam2) / w[..., None]).real
+        return float(max(1.0, math.sqrt(max(mu.max(), 1.0 / mu.min()))))
 
 
 @dataclass(frozen=True)
@@ -110,6 +142,7 @@ class SimConfig:
             raise ValueError("sigma must be a non-negative real")
         if not (0.0 <= self.slope_scale <= 1.0):
             raise ValueError("slope_scale must lie in [0, 1]")
+        check_mixing(self.mixing)
         if self.J is None:
             object.__setattr__(self, "J", default_truncation(self.n))
         if self.J < 4 * floor_fourth_root(self.n):
@@ -199,15 +232,8 @@ def draw_dataset(config: SimConfig, slope: SlopeSpec) -> Dataset:
             f"slope has {slope.dim} coefficients, config expects {config.J}"
         )
     rng = np.random.default_rng(config.seed)
-    lam = sequences.gamma_array(config.model, config.J)
-    x = rng.standard_normal((config.n, config.J)) * np.sqrt(lam)
-    if config.mixing != 0.0:
-        c, s = math.cos(config.mixing), math.sin(config.mixing)
-        for k in range(config.J // 2):
-            i = 2 * k
-            a, b = x[:, i].copy(), x[:, i + 1].copy()
-            x[:, i] = c * a - s * b
-            x[:, i + 1] = s * a + c * b
+    cov = config.covariance()
+    x = cov.rotate(rng.standard_normal((config.n, config.J)) * np.sqrt(cov.eigenvalues()))
     eps = rng.standard_normal(config.n)
     y = x @ slope.coeffs + config.sigma * eps
     return Dataset(y=y, x=x, config=config)

@@ -270,3 +270,40 @@ class TestMcStudy:
         assert run(capsys, *args)[0] == 0
         doc = json.loads((tmp_path / "study_report.json").read_text())
         assert doc["config"]["base_seed"] == 1
+
+
+class TestMixingAngle:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_theta_rejected_by_simulate(self, tmp_path, capsys, value):
+        data = tmp_path / "data.csv"
+        code, _, err = run(
+            capsys, "simulate", "--regime", "pp", "--p", "1", "--a", "1",
+            "--n", "50", "--theta", value, "--out", str(data),
+        )
+        assert code == 1
+        assert "mixing angle theta must be finite" in err
+        assert not data.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_theta_rejected_by_mc_study(self, tmp_path, capsys, value):
+        out_dir = tmp_path / "study"
+        code, _, err = run(
+            capsys, "mc-study", "--regime", "pp", "--p", "1", "--a", "1",
+            "--functional", "point:0.3", "--n-grid", "64,128,256",
+            "--replicates", "3", "--theta", value, "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert "mixing angle theta must be finite" in err
+        assert not out_dir.exists()
+
+    def test_rotated_study_runs(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "mc-study", "--regime", "pp", "--p", "1", "--a", "1",
+            "--functional", "point:0.3", "--n-grid", "64,128,256",
+            "--replicates", "3", "--theta", "0.3", "--out-dir", str(tmp_path),
+        )
+        assert code == 0, err
+        doc = json.loads((tmp_path / "study_report.json").read_text())
+        assert doc["config"]["mixing"] == 0.3
+        # the sandwich check needs the diagonal covariance
+        assert all(row["sandwich_frequency"] is None for row in doc["per_n"])

@@ -55,6 +55,13 @@ class TestFitRate:
             fit_rate([100, 200, 400], [1, 1, 1], "log_n")
 
 
+class TestStudyConfig:
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_nonfinite_mixing_rejected(self, theta):
+        with pytest.raises(ValueError, match="mixing angle theta"):
+            small_config(mixing=theta)
+
+
 class TestRunStudy:
     def test_deterministic_replay(self):
         r1 = run_study(small_config(replicates=2))

@@ -11,7 +11,7 @@ from flradapt.oracle import (
     minimax_dimension,
     rate_exponent,
     risk_curve,
-    theoretical_penalty,
+    theoretical_penalty_curve,
 )
 from flradapt.sequences import Regime, SequenceModel
 from flradapt.simulate import Covariance
@@ -115,40 +115,55 @@ class TestMinimaxDimension:
         assert r1 <= r2 <= r3
 
 
+def population_ingredients(spec, slope, sigma, m, cov=None):
+    """sigma_m^2 and V_m of the population penalty at dimension m."""
+    sig_y2, quad, v = oracle._population_quantities(PP, spec, slope, sigma, m, cov)
+    return 2.0 * (sig_y2 + float(quad[m - 1])), float(v[m - 1])
+
+
 class TestTheoreticalPenalty:
     def test_zero_slope(self):
         slope = simulate.SlopeSpec(coeffs=np.zeros(16),
                                    true_norm_beta_sq=0.0, model=PP)
-        pen = theoretical_penalty(PP, E1, slope, sigma=1.3, n=100, m=4)
-        assert pen.sigma_m_sq == pytest.approx(2 * 1.3 ** 2, rel=1e-14)
-        assert pen.rho_m_sq == pytest.approx(1.3 ** 2, rel=1e-14)
+        sigma_m_sq, _ = population_ingredients(E1, slope, 1.3, 4)
+        assert sigma_m_sq == pytest.approx(2 * 1.3 ** 2, rel=1e-14)
 
     def test_diagonal_quadratic_form_identity(self):
         slope = simulate.make_slope(PP, 32)
         spec = PointEval(t0=0.3)
         gam = sequences.gamma_array(PP, 32)
         for m in (1, 5, 12):
-            pen = theoretical_penalty(PP, spec, slope, sigma=1.0, n=500, m=m)
+            sigma_m_sq, _ = population_ingredients(spec, slope, 1.0, m)
             direct = float(np.sum(gam[:m] * slope.coeffs[:m] ** 2))
             sig_y2 = 1.0 + float(np.sum(gam * slope.coeffs ** 2))
-            assert pen.sigma_m_sq == pytest.approx(2 * (sig_y2 + direct), rel=1e-12)
+            assert sigma_m_sq == pytest.approx(2 * (sig_y2 + direct), rel=1e-12)
 
     def test_unit_coordinate_v_term(self):
         slope = simulate.make_slope(PP, 16)
         for m in (1, 4, 9):
-            pen = theoretical_penalty(PP, E1, slope, sigma=1.0, n=200, m=m)
-            assert pen.v_m == 1.0
+            _, v_m = population_ingredients(E1, slope, 1.0, m)
+            assert v_m == 1.0
 
-    def test_residual_variance_below_sigma_m(self):
+    def test_curve_entry_is_population_penalty(self):
         slope = simulate.make_slope(PP, 32)
-        for m in (1, 3, 8):
-            pen = theoretical_penalty(PP, PointEval(t0=0.3), slope,
-                                      sigma=1.0, n=500, m=m)
-            assert pen.rho_m_sq <= pen.sigma_m_sq
+        spec = PointEval(t0=0.3)
+        curve = theoretical_penalty_curve(PP, spec, slope, sigma=1.0, n=500, m_max=12)
+        for m in (1, 5, 12):
+            sigma_m_sq, v_m = population_ingredients(spec, slope, 1.0, m)
+            p_m = 100.0 * sigma_m_sq * v_m * (1.0 + math.log(500)) / 500
+            assert curve[m - 1] == pytest.approx(p_m, rel=1e-14)
+
+    def test_unit_coordinate_penalty(self):
+        slope = simulate.SlopeSpec(coeffs=np.zeros(16),
+                                   true_norm_beta_sq=0.0, model=PP)
+        curve = theoretical_penalty_curve(PP, E1, slope, sigma=1.0, n=100, m_max=4)
+        # sigma_m^2 = 2 and V_m = 1 at every m
+        expected = 100.0 * 2.0 * (1.0 + math.log(100)) / 100
+        np.testing.assert_allclose(curve, expected, rtol=1e-14)
 
     def test_penalty_curve_nondecreasing(self):
         slope = simulate.make_slope(PP, 32)
-        curve = oracle.theoretical_penalty_curve(
+        curve = theoretical_penalty_curve(
             PP, PointEval(t0=0.3), slope, sigma=1.0, n=500, m_max=12
         )
         assert np.all(np.diff(curve) >= 0)
@@ -157,18 +172,18 @@ class TestTheoreticalPenalty:
         cov = Covariance(PP, 16, theta=0.5)
         slope = simulate.make_slope(PP, 16)
         spec = PointEval(t0=0.3)
-        pen = theoretical_penalty(PP, spec, slope, sigma=1.0, n=300, m=4, cov=cov)
+        sigma_m_sq, _ = population_ingredients(spec, slope, 1.0, 4, cov=cov)
         mat = cov.matrix()
         g = mat @ slope.coeffs
         quad = float(g[:4] @ np.linalg.solve(mat[:4, :4], g[:4]))
         sig_y2 = 1.0 + float(slope.coeffs @ g)
-        assert pen.sigma_m_sq == pytest.approx(2 * (sig_y2 + quad), rel=1e-12)
+        assert sigma_m_sq == pytest.approx(2 * (sig_y2 + quad), rel=1e-12)
 
     def test_mismatched_covariance_rejected(self):
         slope = simulate.make_slope(PP, 16)
         with pytest.raises(ValueError):
-            theoretical_penalty(PP, E1, slope, sigma=1.0, n=100, m=2,
-                                cov=Covariance(PP, 8, 0.0))
+            theoretical_penalty_curve(PP, E1, slope, sigma=1.0, n=100, m_max=2,
+                                      cov=Covariance(PP, 8, 0.0))
 
 
 class TestRateExponent:

@@ -24,6 +24,18 @@ def zero_slope(model, J):
     return SlopeSpec(coeffs=np.zeros(J), true_norm_beta_sq=0.0, model=model)
 
 
+def rotate_pairs_reference(x, theta):
+    """Slow reference for the pair rotation: one loop step per pair."""
+    x = x.copy()
+    c, s = math.cos(theta), math.sin(theta)
+    for k in range(x.shape[1] // 2):
+        i = 2 * k
+        a, b = x[:, i].copy(), x[:, i + 1].copy()
+        x[:, i] = c * a - s * b
+        x[:, i + 1] = s * a + c * b
+    return x
+
+
 def unit_slope(model, J, k):
     coeffs = np.zeros(J)
     coeffs[k - 1] = 1.0
@@ -122,6 +134,35 @@ class TestDrawDataset:
             s1 = d1.x[:, i] ** 2 + d1.x[:, i + 1] ** 2
             np.testing.assert_allclose(s0, s1, rtol=1e-12)
 
+    @pytest.mark.parametrize("J", [None, 129])
+    def test_rotation_matches_reference_loop(self, J):
+        base = SimConfig(n=200, sigma=1.0, seed=31, model=PP, J=J)
+        mixed = SimConfig(n=200, sigma=1.0, seed=31, model=PP, J=J, mixing=0.7)
+        slope = make_slope(PP, base.J)
+        d0 = draw_dataset(base, slope)
+        d1 = draw_dataset(mixed, slope)
+        expected = rotate_pairs_reference(d0.x, 0.7)
+        assert np.array_equal(d1.x, expected)
+        if base.J % 2:
+            assert np.array_equal(d1.x[:, -1], d0.x[:, -1])
+
+    def test_rotated_sample_covariance_matches_matrix(self):
+        # 9 fixed-seed 3-sigma checks on the first three coefficient pairs
+        n = 10 ** 5
+        cfg = SimConfig(n=n, sigma=1.0, seed=41, model=PP, J=68, mixing=0.7)
+        data = draw_dataset(cfg, zero_slope(PP, cfg.J))
+        x = data.x[:, :6]
+        cov = cfg.covariance()
+        mat, lam = cov.matrix()[:6, :6], cov.eigenvalues()
+        c, s = math.cos(0.7), math.sin(0.7)
+        assert mat[0, 1] == pytest.approx(c * s * (lam[0] - lam[1]), rel=1e-15)
+        assert mat[0, 1] > 0
+        for k in range(3):
+            for i, j in ((2 * k, 2 * k), (2 * k, 2 * k + 1), (2 * k + 1, 2 * k + 1)):
+                sample = float(np.mean(x[:, i] * x[:, j]))
+                se = math.sqrt((mat[i, i] * mat[j, j] + mat[i, j] ** 2) / n)
+                assert abs(sample - mat[i, j]) < 3 * se, (i, j)
+
     def test_slope_dimension_mismatch_rejected(self):
         cfg = SimConfig(n=50, sigma=1.0, seed=1, model=PP)
         with pytest.raises(ValueError):
@@ -152,6 +193,17 @@ class TestCovariance:
             den = float(h @ (g2 * h))
             ratio = num / den
             assert d ** -2 * (1 - 1e-12) <= ratio <= d ** 2 * (1 + 1e-12)
+
+    @pytest.mark.parametrize("dim", [8, 16, 129])
+    @pytest.mark.parametrize("theta", [0.5, 0.6, math.pi / 2])
+    def test_rotated_matrix_is_exactly_symmetric(self, dim, theta):
+        mat = Covariance(PP, dim, theta).matrix()
+        assert np.array_equal(mat, mat.T)
+
+    def test_rotate_leaves_unrotated_input_alone(self):
+        x = np.arange(12.0).reshape(2, 6)
+        assert Covariance(PP, 6).rotate(x) is x
+        np.testing.assert_array_equal(x, np.arange(12.0).reshape(2, 6))
 
     def test_quarter_turn_d_is_weight_ratio(self):
         cov = Covariance(PP, 4, theta=math.pi / 2)
@@ -201,6 +253,13 @@ class TestConfigValidation:
             SimConfig(n=50, sigma=-1.0, seed=0, model=PP)
         with pytest.raises(ValueError):
             SimConfig(n=50, sigma=1.0, seed=0, model=PP, slope_scale=1.5)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_mixing_rejected(self, theta):
+        with pytest.raises(ValueError, match="mixing angle theta"):
+            SimConfig(n=50, sigma=1.0, seed=0, model=PP, mixing=theta)
+        with pytest.raises(ValueError, match="mixing angle theta"):
+            Covariance(PP, 8, theta)
 
     def test_nonfinite_entries_rejected(self):
         with pytest.raises(ValueError):
