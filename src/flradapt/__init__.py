@@ -52,11 +52,9 @@ from .adaptive import (
     selection_bound_suite,
 )
 from .oracle import (
-    OracleRisk,
     RateDescriptor,
     DivergentTailError,
     RegimeConditionError,
-    risk_profile,
     minimax_dimension,
     rate_exponent,
     check_link_bounds,

@@ -33,10 +33,6 @@ class DegenerateFunctionalWarning(RuntimeWarning):
 class AdaptiveEstimationError(RuntimeError):
     """Estimation could not produce a usable candidate set."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
 
 @dataclass(eq=False)
 class AdaptiveResult:
@@ -96,17 +92,21 @@ def cap_m_ell(spec, n: int) -> int:
 
 
 def cap_m_hat(inv_norms, gram_prefix, n: int, m_ell: int) -> int:
-    """Random dimension bound: one below the first m >= 2 at which the
-    inverse-norm times coefficient-mass product exceeds n / (1 + log n);
-    equal to the deterministic cap ``m_ell`` when no such m exists.
+    """Random dimension bound: one below the first m >= 2 at which the moment
+    block is singular or the inverse-norm times coefficient-mass product
+    exceeds n / (1 + log n); equal to the deterministic cap ``m_ell`` when no
+    such m exists.
 
     ``inv_norms[m - 1]`` is the spectral norm of the inverse moment block at
     dimension m (infinite when singular) and ``gram_prefix[m - 1]`` the
-    coefficient mass up to m.
+    coefficient mass up to m.  A singular block ends the candidate set
+    whatever the mass, so every candidate has an invertible block; the block
+    at m = 1 is the caller's to check.
     """
     threshold = n / (1.0 + math.log(n))
     for m in range(2, m_ell + 1):
-        if inv_norms[m - 1] * gram_prefix[m - 1] > threshold:
+        norm = inv_norms[m - 1]
+        if math.isinf(norm) or norm * gram_prefix[m - 1] > threshold:
             return m - 1
     return m_ell
 
@@ -132,8 +132,7 @@ def penalties(mom: estimator.Moments, spec, n, m_max: int) -> np.ndarray:
         if sol_g is None:
             raise AdaptiveEstimationError(
                 f"moment block at dimension {m} is numerically singular; "
-                f"penalties are unavailable past {m - 1}",
-                diagnostics={"last_invertible": m - 1},
+                f"penalties are unavailable past {m - 1}"
             )
         sol_ell = estimator.solve_block(mom, m, ell)
         quad_g[m - 1] = float(mom.ghat[:m] @ sol_g)
@@ -168,10 +167,12 @@ def select(contrasts, penalties) -> int:
 def adaptive_estimate(data, spec) -> AdaptiveResult:
     """Run the full data-driven pipeline on one dataset.
 
-    Deterministic given the data: moments up to the deterministic cap, the
-    random bound, penalties, per-dimension thresholded estimates, contrasts,
-    and the selected value.  Failures below dimension one surface as
-    :class:`AdaptiveEstimationError` carrying partial diagnostics.
+    Deterministic given the data: moments up to the deterministic cap,
+    per-dimension thresholded estimates, the random bound, penalties,
+    contrasts, and the selected value.  The random bound stops below the
+    first singular moment block, so the penalties see invertible blocks
+    only; a singular block already at dimension one raises
+    :class:`AdaptiveEstimationError`.
     """
     n = data.n
     if n < 2:
@@ -188,20 +189,11 @@ def adaptive_estimate(data, spec) -> AdaptiveResult:
         fit = estimator.galerkin_estimate(mom, m)
         inv_norms[m - 1] = fit.inv_spectral_norm
         est_all[m - 1] = estimator.plug_in(spec, fit)
+    if math.isinf(inv_norms[0]):
+        raise AdaptiveEstimationError("no invertible moment block at any dimension")
     prefix = functionals.gram_prefix(spec, m_ell)
     m_hat = cap_m_hat(inv_norms, prefix, n, m_ell)
-    try:
-        pen = penalties(mom, spec, n, m_hat)
-    except AdaptiveEstimationError as err:
-        last_ok = err.diagnostics.get("last_invertible", 0)
-        if last_ok < 1:
-            raise AdaptiveEstimationError(
-                "no invertible moment block at any dimension",
-                diagnostics={"inv_spectral_norms": inv_norms, **diagnostics},
-            ) from err
-        diagnostics["penalty_truncated_at"] = last_ok
-        m_hat = last_ok
-        pen = penalties(mom, spec, n, m_hat)
+    pen = penalties(mom, spec, n, m_hat)
     est = est_all[:m_hat]
     kap = contrasts(est, pen)
     chosen = select(kap, pen)

@@ -260,19 +260,19 @@ def _cmd_rates(args):
         raise ValueError(f"--m-search must be >= 1, got {m_search}")
     x_minimax = 1.0 / n
     x_adaptive = (1.0 + math.log(n)) / n
-    prof_minimax = oracle.risk_profile(model, spec, x_minimax, m_search)
-    prof_adaptive = oracle.risk_profile(model, spec, x_adaptive, m_search)
+    m_star, r_minimax = oracle.minimax_dimension(model, spec, x_minimax, m_search)
+    m_diamond, r_adaptive = oracle.minimax_dimension(model, spec, x_adaptive, m_search)
     out = {
         "n": n,
         "m_search": m_search,
-        "m_star": prof_minimax.minimizer,
-        "r_star_minimax": prof_minimax.minimum,
-        "m_diamond": prof_adaptive.minimizer,
-        "r_star_adaptive": prof_adaptive.minimum,
-        "side_condition_ratio": oracle.side_condition_ratio(
-            model, spec, n, prof_adaptive.minimizer
-        ),
-        "risk_curve_minimax": [float(v) for v in prof_minimax.risks],
+        "m_star": m_star,
+        "r_star_minimax": r_minimax,
+        "m_diamond": m_diamond,
+        "r_star_adaptive": r_adaptive,
+        "side_condition_ratio": oracle.side_condition_ratio(model, spec, n, m_diamond),
+        "risk_curve_minimax": [
+            float(v) for v in oracle.risk_curve(model, spec, x_minimax, m_search)
+        ],
     }
     for mode in ("minimax", "adaptive"):
         try:

@@ -61,9 +61,10 @@ class StudyConfig:
             raise ValueError("all sample sizes must be >= 16")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be non-negative")
-        simulate.check_mixing(self.mixing)
+        # every replicate samples with these settings; check them once here
+        simulate.SimConfig(n=self.n_grid[0], sigma=self.sigma, seed=self.base_seed,
+                           model=self.model, slope_scale=self.slope_scale,
+                           mixing=self.mixing)
 
 
 @dataclass(eq=False)

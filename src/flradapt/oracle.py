@@ -115,31 +115,6 @@ def risk_curve(model, spec, x: float, m_max: int) -> np.ndarray:
     return np.maximum(tail, np.maximum(ratio, x) * head)
 
 
-@dataclass(frozen=True, eq=False)
-class OracleRisk:
-    """Risk curve over 1..M with its smallest minimizer."""
-
-    x: float
-    risks: np.ndarray
-    minimizer: int
-    minimum: float
-    on_boundary: bool
-
-
-def risk_profile(model, spec, x: float, m_max: int) -> OracleRisk:
-    risks = risk_curve(model, spec, x, m_max)
-    idx = int(np.argmin(risks))
-    on_boundary = idx == m_max - 1 and m_max > 1
-    if on_boundary:
-        warnings.warn(
-            f"risk minimizer sits on the search boundary m = {m_max}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return OracleRisk(x=x, risks=risks, minimizer=idx + 1,
-                      minimum=float(risks[idx]), on_boundary=on_boundary)
-
-
 def default_search_bound(model, n: float) -> int:
     """Search range bracketing the optimal dimension with margin."""
     log_n = max(math.log(max(n, 2.0)), 1.0)
@@ -152,11 +127,19 @@ def default_search_bound(model, n: float) -> int:
 
 def minimax_dimension(model, spec, x: float,
                       m_search: Optional[int] = None) -> tuple[int, float]:
-    """Smallest minimizer of R_m[x] over 1..m_search and its value."""
+    """Smallest minimizer of R_m[x] over 1..m_search and its value; warns
+    when the minimizer sits on the search boundary."""
     if m_search is None:
         m_search = default_search_bound(model, 1.0 / x)
-    prof = risk_profile(model, spec, x, m_search)
-    return prof.minimizer, prof.minimum
+    risks = risk_curve(model, spec, x, m_search)
+    idx = int(np.argmin(risks))
+    if idx == m_search - 1 and m_search > 1:
+        warnings.warn(
+            f"risk minimizer sits on the search boundary m = {m_search}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return idx + 1, float(risks[idx])
 
 
 def side_condition_ratio(model, spec, n: int, m: int) -> float:
@@ -170,6 +153,12 @@ def side_condition_ratio(model, spec, n: int, m: int) -> float:
     mass = functionals.gram(spec, m)
     inv_gamma = math.exp(-sequences.log_gamma_array(model, m)[-1])
     return (mass * inv_gamma) / (n / (1.0 + math.log(n)))
+
+
+def _nested_quadratic_forms(mat, vec, m_max: int) -> np.ndarray:
+    """vec_m' mat_m^-1 vec_m over the leading blocks m = 1..m_max."""
+    return np.array([float(vec[:m] @ np.linalg.solve(mat[:m, :m], vec[:m]))
+                     for m in range(1, m_max + 1)])
 
 
 def _population_quantities(model, spec, slope, sigma, m_max, cov):
@@ -187,14 +176,8 @@ def _population_quantities(model, spec, slope, sigma, m_max, cov):
     mat = cov.matrix()
     g = mat @ phi
     sig_y2 = sigma ** 2 + float(phi @ g)
-    quad = np.empty(m_max)
-    v = np.empty(m_max)
-    running_v = -math.inf
-    for m in range(1, m_max + 1):
-        block = mat[:m, :m]
-        quad[m - 1] = float(g[:m] @ np.linalg.solve(block, g[:m]))
-        running_v = max(running_v, float(ell[:m] @ np.linalg.solve(block, ell[:m])))
-        v[m - 1] = running_v
+    quad = _nested_quadratic_forms(mat, g, m_max)
+    v = np.maximum.accumulate(_nested_quadratic_forms(mat, ell, m_max))
     return sig_y2, quad, v
 
 
@@ -347,21 +330,16 @@ def check_link_bounds(model, spec, m_max: int,
     with np.errstate(over="ignore", invalid="ignore"):
         v_gamma = np.cumsum(np.where(ell == 0.0, 0.0, ell ** 2 / gam))
     gamma_inv_norm = np.empty(m_max)
-    v_ratio = np.empty(m_max)
     mat = cov.matrix()
-    running_v = -math.inf
     for m in range(1, m_max + 1):
-        block = mat[:m, :m]
-        lam_min = float(np.linalg.eigvalsh(block)[0])
+        lam_min = float(np.linalg.eigvalsh(mat[:m, :m])[0])
         gamma_inv_norm[m - 1] = gam[m - 1] / lam_min
-        if cov.is_diagonal:
-            # diagonal blocks: the quadratic form equals the weighted prefix
-            # sum term for term, so the ratio is one identically
-            v_ratio[m - 1] = 1.0
-        else:
-            running_v = max(running_v,
-                            float(ell[:m] @ np.linalg.solve(block, ell[:m])))
-            v_ratio[m - 1] = running_v / v_gamma[m - 1] if v_gamma[m - 1] > 0 else 1.0
+    # diagonal blocks: the quadratic form equals the weighted prefix sum term
+    # for term, so the ratio is one identically
+    v_ratio = np.ones(m_max)
+    if not cov.is_diagonal:
+        v = np.maximum.accumulate(_nested_quadratic_forms(mat, ell, m_max))
+        np.divide(v, v_gamma, out=v_ratio, where=v_gamma > 0)
     d = cov.effective_d()
     return LinkBoundsReport(d=d, lower=1.0 / d, upper=4.0 * d ** 3,
                             gamma_inv_norm=gamma_inv_norm, v_ratio=v_ratio)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,9 @@ class TestCapMHat:
         n = 100
         mom = injected(np.outer([1, 0], [1, 0]), [0.5, 0.5], n=n)
         assert cap_from_moments(mom, Custom(coeffs=(1.0, 1.0)), n) == 1
+
+    def test_singular_block_ends_set_whatever_the_mass(self):
+        assert cap_m_hat([1.0, math.inf, 1.0], [0.0, 0.0, 1.0], 100, 3) == 1
 
     def test_agrees_with_pipeline_on_simulated_draws(self):
         for seed in range(3):
@@ -150,6 +154,16 @@ class TestContrastsAndSelect:
         assert 1 <= select(kap, pen) <= m
 
 
+def collinear_data():
+    """16 draws whose first two columns coincide: the block at m = 2 is
+    singular."""
+    rng = np.random.default_rng(9)
+    col = rng.standard_normal(16)
+    x = np.column_stack([col, col, rng.standard_normal(16)])
+    y = col + 0.1 * rng.standard_normal(16)
+    return simulate.Dataset(y=y, x=x)
+
+
 class TestAdaptiveEstimate:
     def test_zero_response_gives_zero_value(self):
         rng = np.random.default_rng(8)
@@ -159,15 +173,28 @@ class TestAdaptiveEstimate:
         assert np.all(result.estimates == 0.0)
 
     def test_collinear_columns_collapse_candidate_set(self):
-        rng = np.random.default_rng(9)
-        col = rng.standard_normal(16)
-        x = np.column_stack([col, col, rng.standard_normal(16)])
-        y = col + 0.1 * rng.standard_normal(16)
-        data = simulate.Dataset(y=y, x=x)
-        result = adaptive.adaptive_estimate(data, Custom(coeffs=(1.0, 1.0)))
+        result = adaptive.adaptive_estimate(collinear_data(), Custom(coeffs=(1.0, 1.0)))
         assert result.m_hat_cap == 1
         assert result.selected == 1
         assert result.value == result.estimates[0]
+
+    def test_singular_block_without_mass_ends_candidate_set(self):
+        # zero coefficient mass at the singular block: the bound must not
+        # hinge on inf * 0, and no second pass over the penalties is needed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = adaptive.adaptive_estimate(collinear_data(),
+                                                Custom(coeffs=(0.0, 0.0, 1.0)))
+        assert result.m_hat_cap == 1
+        assert "penalty_truncated_at" not in result.diagnostics
+
+    def test_singular_first_block_raises(self):
+        rng = np.random.default_rng(4)
+        x = np.column_stack([np.zeros(16), rng.standard_normal((16, 2))])
+        data = simulate.Dataset(y=rng.standard_normal(16), x=x)
+        with pytest.raises(adaptive.AdaptiveEstimationError,
+                           match="no invertible moment block"):
+            adaptive.adaptive_estimate(data, PointEval(t0=0.3))
 
     def test_cap_chain_on_simulated_draws(self):
         from flradapt._util import floor_fourth_root

@@ -6,6 +6,8 @@ import pytest
 from flradapt import cli
 from flradapt.cli import main, parse_functional
 from flradapt.functionals import Custom, DerivativeEval, LocalAverage, PointEval
+from flradapt.harness import StudyConfig, run_study
+from flradapt.sequences import Regime, SequenceModel
 
 
 def run(capsys, *argv):
@@ -240,6 +242,22 @@ class TestRates:
         assert "error: usage" in err
 
 
+    def test_matches_study_row(self, capsys):
+        code, out, err = run(
+            capsys, "rates", "--regime", "pp", "--p", "1", "--a", "1",
+            "--functional", "point:0.3", "--n", "256",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        row = run_study(StudyConfig(
+            model=SequenceModel(regime=Regime.PP, p=1.0, a=1.0), spec=PointEval(t0=0.3),
+            sigma=1.0, n_grid=(256,), replicates=2, base_seed=0,
+        )).rows[0]
+        for key in ("m_star", "m_diamond", "r_star_minimax", "r_star_adaptive",
+                    "side_condition_ratio"):
+            assert doc[key] == row[key], key
+
+
 class TestCheckLemma:
     def test_default_suite_passes(self, capsys):
         code, out, _ = run(capsys, "check-lemma", "--instances", "2000", "--seed", "7")
@@ -270,6 +288,22 @@ class TestMcStudy:
         assert run(capsys, *args)[0] == 0
         doc = json.loads((tmp_path / "study_report.json").read_text())
         assert doc["config"]["base_seed"] == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sigma", "inf", "sigma"),
+        ("--slope-scale", "2", "slope_scale"),
+    ])
+    def test_bad_sampling_settings_fail_before_any_work(self, tmp_path, capsys,
+                                                        flag, value, message):
+        out_dir = tmp_path / "study"
+        code, _, err = run(
+            capsys, "mc-study", "--regime", "pp", "--p", "1", "--a", "1",
+            "--functional", "point:0.3", "--n-grid", "64,128,256",
+            "--replicates", "3", flag, value, "--out-dir", str(out_dir),
+        )
+        assert code == 1
+        assert message in err
+        assert not out_dir.exists()
 
 
 class TestMixingAngle:

@@ -61,6 +61,15 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="mixing angle theta"):
             small_config(mixing=theta)
 
+    @pytest.mark.parametrize("setting, match", [
+        ({"sigma": math.inf}, "sigma"),
+        ({"slope_scale": 2.0}, "slope_scale"),
+        ({"slope_scale": math.nan}, "slope_scale"),
+    ])
+    def test_sampling_settings_rejected(self, setting, match):
+        with pytest.raises(ValueError, match=match):
+            small_config(**setting)
+
 
 class TestRunStudy:
     def test_deterministic_replay(self):
