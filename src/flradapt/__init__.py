@@ -11,7 +11,6 @@ from .sequences import (
     SequenceModel,
     SaturationError,
     UnderflowWarning,
-    check_assumption,
 )
 from .functionals import (
     PointEval,

@@ -76,66 +76,54 @@ class Custom:
 FunctionalSpec = PointEval | DerivativeEval | LocalAverage | Custom
 
 
-def basis_values(t: float, m: int) -> np.ndarray:
-    """Values (psi_1(t), ..., psi_m(t))."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    out = np.empty(m)
-    out[0] = 1.0
-    j = np.arange(2, m + 1)
-    k = j // 2
-    arg = 2.0 * np.pi * k * t
-    out[1:] = np.where(j % 2 == 0, SQRT2 * np.cos(arg), SQRT2 * np.sin(arg))
-    return out
+def coefficients_at(spec: FunctionalSpec, j: np.ndarray) -> np.ndarray:
+    """Coefficients [l]_j at every index of the integer array ``j`` (all >= 1).
 
-
-def coefficients(spec: FunctionalSpec, m: int) -> np.ndarray:
-    """Coefficient vector ([l]_1, ..., [l]_m) of the functional.
-
-    Point evaluation returns the basis values at t0.  Derivatives use the
+    Point evaluation gives the basis values psi_j(t0).  Derivatives use the
     phase-shift identities
     (d/ds)^q cos(w s) = w^q cos(w s + q pi/2),
     (d/ds)^q sin(w s) = w^q sin(w s + q pi/2).
     Local averages integrate each basis function over [0, b] in closed form
-    and divide by b.
+    and divide by b.  Each entry depends on its own index only, so any block
+    of indices gives the same bits as the corresponding slice of the prefix.
     """
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if isinstance(spec, PointEval):
-        return basis_values(spec.t0, m)
-    if isinstance(spec, DerivativeEval):
-        if spec.q == 0:
-            return basis_values(spec.t0, m)
-        out = np.zeros(m)
-        if m == 1:
-            return out
-        j = np.arange(2, m + 1)
-        k = j // 2
+    j = np.asarray(j)
+    if isinstance(spec, Custom):
+        out = np.zeros(j.shape)
+        inside = j <= len(spec.coeffs)
+        out[inside] = np.asarray(spec.coeffs)[j[inside] - 1]
+        return out
+    k = j // 2
+    even = j % 2 == 0
+    if isinstance(spec, LocalAverage):
+        wb = 2.0 * np.pi * k * spec.b
+        # wb = 0 only at j = 1, overwritten below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(even, SQRT2 * np.sin(wb) / wb,
+                           SQRT2 * (1.0 - np.cos(wb)) / wb)
+        first = 1.0
+    elif isinstance(spec, DerivativeEval) and spec.q > 0:
         w = 2.0 * np.pi * k
         arg = w * spec.t0 + spec.q * np.pi / 2.0
         amp = SQRT2 * w ** spec.q
-        out[1:] = np.where(j % 2 == 0, amp * np.cos(arg), amp * np.sin(arg))
-        return out
-    if isinstance(spec, LocalAverage):
-        out = np.empty(m)
-        out[0] = 1.0
-        if m == 1:
-            return out
-        j = np.arange(2, m + 1)
-        k = j // 2
-        wb = 2.0 * np.pi * k * spec.b
-        out[1:] = np.where(
-            j % 2 == 0,
-            SQRT2 * np.sin(wb) / wb,
-            SQRT2 * (1.0 - np.cos(wb)) / wb,
-        )
-        return out
-    if isinstance(spec, Custom):
-        out = np.zeros(m)
-        upto = min(m, len(spec.coeffs))
-        out[:upto] = spec.coeffs[:upto]
-        return out
-    raise TypeError(f"unknown functional spec {spec!r}")
+        out = np.where(even, amp * np.cos(arg), amp * np.sin(arg))
+        first = 0.0
+    elif isinstance(spec, (PointEval, DerivativeEval)):
+        arg = 2.0 * np.pi * k * spec.t0
+        out = np.where(even, SQRT2 * np.cos(arg), SQRT2 * np.sin(arg))
+        first = 1.0
+    else:
+        raise TypeError(f"unknown functional spec {spec!r}")
+    # psi_1 = 1 is constant: its average is 1 and its derivatives vanish
+    out[j == 1] = first
+    return out
+
+
+def coefficients(spec: FunctionalSpec, m: int) -> np.ndarray:
+    """Coefficient vector ([l]_1, ..., [l]_m) of the functional."""
+    if not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise ValueError(f"m must be a positive integer, got {m!r}")
+    return coefficients_at(spec, np.arange(1, m + 1))
 
 
 def gram(spec: FunctionalSpec, m: int) -> float:

@@ -143,8 +143,11 @@ def _run_single_n(cfg: StudyConfig, n: int):
                 n=n, sigma=cfg.sigma, seed=seed, model=cfg.model,
                 J=j_dim, slope_scale=cfg.slope_scale, mixing=cfg.mixing,
             )
-            data = simulate.draw_dataset(config, slope)
-            result = adaptive.adaptive_estimate(data, cfg.spec)
+            # the dataset is bound to no name: it is freed when the estimate
+            # returns, so a study never holds two n x J matrices at once
+            result = adaptive.adaptive_estimate(
+                simulate.draw_dataset(config, slope), cfg.spec
+            )
             est_all = result.diagnostics["estimates_all"]
             record["sq_err_adaptive"] = (result.value - target) ** 2
             record["sq_err_best_fixed"] = float(np.min((est_all - target) ** 2))

@@ -28,6 +28,9 @@ THEORETICAL_PENALTY_CONSTANT = 100.0
 # terminate by underflow long before the cap
 TAIL_HORIZON_POLY = 1_000_000
 TAIL_HORIZON_EXP = 65_536
+# indices per block of the tail fill: keeps each temporary at 64 KiB, so the
+# fill allocates little beyond the retained cumulative sums
+TAIL_BLOCK = 8192
 
 
 class DivergentTailError(ValueError):
@@ -46,28 +49,23 @@ def _tail_data(model, spec):
     the total adds a midpoint-rule integral of the mean-square envelope past
     it, accurate to a relative O(1/horizon); exponential weights make the
     remainder past TAIL_HORIZON_EXP vanish by underflow (a crude
-    doubled-last-term bound covers the cut).
+    doubled-last-term bound covers the cut).  A finitely supported
+    functional sums to its support and has no remainder.
+
+    The terms are evaluated TAIL_BLOCK indices at a time into the one
+    retained array, each block's running sum starting from the last sum of
+    the block before, so the sums are the same sequential sums as one
+    ``np.cumsum`` over all terms, bit for bit.
     """
     support = functionals.coefficient_support(spec)
-    if support is not None:
-        ell2 = functionals.coefficients(spec, support) ** 2
-        with np.errstate(under="ignore"):
-            terms = np.where(
-                ell2 == 0.0, 0.0,
-                ell2 * np.exp(-sequences.log_beta_array(model, support)),
-            )
-        cum = np.cumsum(terms)
-        return cum, float(cum[-1])
     exponential = model.regime is sequences.Regime.EP
-    horizon = TAIL_HORIZON_EXP if exponential else TAIL_HORIZON_POLY
-    ell2 = functionals.coefficients(spec, horizon) ** 2
-    log_beta = sequences.log_beta_array(model, horizon)
-    with np.errstate(under="ignore", invalid="ignore"):
-        terms = np.where(ell2 == 0.0, 0.0, ell2 * np.exp(-log_beta))
-    cum = np.cumsum(terms)
-    if exponential:
-        remainder = 2.0 * float(terms[-1])
+    remainder = 0.0
+    if support is not None:
+        horizon = support
+    elif exponential:
+        horizon = TAIL_HORIZON_EXP
     else:
+        horizon = TAIL_HORIZON_POLY
         amp, power = functionals.mean_square_density(spec)
         decay = 2.0 * model.p - 2.0 * power
         if decay <= 1.0:
@@ -77,6 +75,23 @@ def _tail_data(model, spec):
             )
         edge = horizon + 0.5
         remainder = amp * edge ** (1.0 - decay) / (decay - 1.0)
+    cum = np.empty(horizon)
+    for lo in range(0, horizon, TAIL_BLOCK):
+        hi = min(lo + TAIL_BLOCK, horizon)
+        j = np.arange(lo + 1, hi + 1)
+        # the first block is the prefix 1..hi, which `coefficients` evaluates
+        ell = (functionals.coefficients(spec, hi) if lo == 0
+               else functionals.coefficients_at(spec, j))
+        ell2 = ell ** 2
+        with np.errstate(under="ignore", invalid="ignore"):
+            terms = np.where(ell2 == 0.0, 0.0,
+                             ell2 * np.exp(-sequences.log_beta_at(model, j)))
+        last = float(terms[-1])
+        if lo:
+            terms[0] += cum[lo - 1]
+        np.cumsum(terms, out=cum[lo:hi])
+    if exponential and support is None:
+        remainder = 2.0 * last
     return cum, float(cum[-1] + remainder)
 
 

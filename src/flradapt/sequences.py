@@ -1,4 +1,4 @@
-"""Weight sequences of the three decay regimes and their standing checks.
+"""Weight sequences of the three decay regimes.
 
 Two positive weight sequences drive everything downstream: ``beta`` grows
 with the index and encodes the smoothness of the unknown slope, ``gamma``
@@ -9,7 +9,10 @@ regimes pair polynomial and exponential behaviour:
 * ``pe`` -- beta_j = j^(2p), gamma_j = exp(-j^(2a)+1)  (a > 0)
 * ``ep`` -- beta_j = exp(j^(2p)-1), gamma_j = j^(-2a)  (a > 1/2)
 
-All regimes satisfy beta_1 = gamma_1 = 1.
+All regimes satisfy beta_1 = gamma_1 = 1, beta is non-decreasing and gamma
+non-increasing by construction; :class:`SequenceModel` rejects parameters
+with a non-summable eigenvalue sequence, and ``oracle.ell_weight_tail``
+raises ``DivergentTailError`` for a divergent functional tail.
 """
 from __future__ import annotations
 
@@ -80,12 +83,17 @@ class SequenceModel:
             raise ValueError(f"r must be a positive real, got {self.r}")
 
 
-def log_beta_array(model, j_max: int) -> np.ndarray:
-    """log beta_j for j = 1..j_max."""
-    j = np.arange(1, j_max + 1, dtype=np.float64)
+def log_beta_at(model, j: np.ndarray) -> np.ndarray:
+    """log beta_j at every index of the array ``j``."""
+    j = np.asarray(j, dtype=np.float64)
     if model.regime is Regime.EP:
         return j ** (2.0 * model.p) - 1.0
     return 2.0 * model.p * np.log(j)
+
+
+def log_beta_array(model, j_max: int) -> np.ndarray:
+    """log beta_j for j = 1..j_max."""
+    return log_beta_at(model, np.arange(1, j_max + 1, dtype=np.float64))
 
 
 def log_gamma_array(model, j_max: int) -> np.ndarray:
@@ -126,93 +134,3 @@ def beta_array(model, j_max: int) -> np.ndarray:
             f"beta_{j_max} exceeds double range; use log_beta_array"
         )
     return out
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Numeric diagnostics for the standing summability assumptions."""
-
-    beta_first_is_one: bool
-    gamma_first_is_one: bool
-    beta_nondecreasing: bool
-    gamma_nonincreasing: bool
-    functional_sum_convergent: bool
-    eigenvalue_sum_convergent: bool
-    functional_partial_sum: float
-    eigenvalue_partial_sum: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.beta_first_is_one
-            and self.gamma_first_is_one
-            and self.beta_nondecreasing
-            and self.gamma_nonincreasing
-            and self.functional_sum_convergent
-            and self.eigenvalue_sum_convergent
-        )
-
-
-# Partial-sum increments below this (relative to the accumulated sum) count as
-# numerically Cauchy; polynomial-rate sums are instead judged by dyadic block
-# decay, since their raw increments shrink too slowly to hit any fixed cut.
-CAUCHY_TOL = 1e-12
-_BLOCK_DECAY = 0.95
-
-
-def _numerically_convergent(terms: np.ndarray) -> bool:
-    """Convergence diagnostic for a series of non-negative terms.
-
-    Accepts either (a) a final increment below CAUCHY_TOL relative to the
-    running total, or (b) geometric decay of the last few dyadic block sums
-    (a condensation-style test that certifies sums like j^-2 from a finite
-    window, where the raw increment criterion cannot).
-    """
-    terms = np.asarray(terms, dtype=np.float64)
-    total = float(np.sum(terms))
-    if terms[-1] <= CAUCHY_TOL * max(total, 1.0):
-        return True
-    n = len(terms)
-    k_max = int(math.floor(math.log2(n)))
-    if k_max < 4:
-        return False
-    blocks = []
-    for k in range(k_max - 3, k_max + 1):
-        lo, hi = 2 ** (k - 1), 2 ** k
-        blocks.append(float(np.sum(terms[lo:hi])))
-    return all(
-        blocks[i + 1] <= _BLOCK_DECAY * blocks[i] for i in range(len(blocks) - 1)
-    )
-
-
-def check_assumption(model, ell, J: int) -> AssumptionReport:
-    """Report-only check of the standing assumptions on (beta, gamma, ell).
-
-    Parameters
-    ----------
-    model : SequenceModel
-    ell : array_like
-        Functional coefficients [l]_1..[l]_J in the fixed basis.
-    J : int
-        Horizon of the partial sums; J >= 1.
-    """
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    ell = np.asarray(ell, dtype=np.float64)[:J]
-    if len(ell) < J:
-        raise ValueError(f"ell provides {len(ell)} coefficients, needs {J}")
-    lb = log_beta_array(model, J)
-    lg = log_gamma_array(model, J)
-    with np.errstate(under="ignore", over="ignore"):
-        gam = np.exp(lg)
-        func_terms = np.where(ell == 0.0, 0.0, ell ** 2 * np.exp(-lb))
-    return AssumptionReport(
-        beta_first_is_one=(lb[0] == 0.0),
-        gamma_first_is_one=(lg[0] == 0.0),
-        beta_nondecreasing=bool(np.all(np.diff(lb) >= 0)),
-        gamma_nonincreasing=bool(np.all(np.diff(lg) <= 0)),
-        functional_sum_convergent=_numerically_convergent(func_terms),
-        eigenvalue_sum_convergent=_numerically_convergent(gam),
-        functional_partial_sum=float(np.sum(func_terms)),
-        eigenvalue_partial_sum=float(np.sum(gam)),
-    )

@@ -5,9 +5,10 @@ coefficient is sqrt(lambda_j) times a standard normal, with lambda_j equal to
 the eigenvalue weight gamma_j.  An optional Givens rotation of adjacent
 coefficient pairs produces a non-diagonal covariance with the same spectrum.
 That rotation is one rule in :class:`Covariance`: the sampler applies it to
-the drawn rows, and ``Covariance.matrix`` and ``Covariance.effective_d`` read
-the 2x2 blocks it produces.  Responses follow y_i = <slope, x_i> + sigma * eps_i
-with independent standard normal noise.
+the drawn rows in place, ``Covariance.matrix`` reads the 2x2 blocks it
+produces, and ``Covariance.effective_d`` their generalized eigenvalues in
+closed form.  Responses follow y_i = <slope, x_i> + sigma * eps_i with
+independent standard normal noise.
 """
 from __future__ import annotations
 
@@ -22,6 +23,11 @@ from . import functionals, sequences
 from ._util import floor_fourth_root, fmt
 
 DEFAULT_SLOPE_SCALE = 0.9
+
+# rows per step of the pair rotation: at the default truncation J = 128 its
+# two half-row temporaries take 64 KiB each, below glibc's 128 KiB mmap
+# threshold, so every step reuses heap memory instead of mapping fresh pages
+ROTATE_ROWS = 128
 
 
 def check_mixing(theta: float) -> None:
@@ -70,18 +76,21 @@ class Covariance:
         """Rotate every coefficient pair on the last axis of ``x`` in place
         and return ``x``: (a, b) becomes (c a - s b, s a + c b) with
         c = cos(theta), s = sin(theta).  An unpaired last coefficient (odd
-        dim) is left as is; theta = 0 returns ``x`` untouched.
+        dim) is left as is; theta = 0 returns ``x`` untouched.  The leading
+        axis is worked through ROTATE_ROWS rows at a time.
         """
         if self.is_diagonal:
             return x
         c, s = math.cos(self.theta), math.sin(self.theta)
-        even, odd = self._pairs(x)
-        a = even.copy()
-        np.multiply(a, c, out=even)
-        even -= s * odd
-        odd *= c
-        a *= s
-        odd += a
+        rows = x[np.newaxis] if x.ndim == 1 else x
+        for lo in range(0, len(rows), ROTATE_ROWS):
+            even, odd = self._pairs(rows[lo:lo + ROTATE_ROWS])
+            a = even.copy()
+            np.multiply(a, c, out=even)
+            even -= s * odd
+            odd *= c
+            a *= s
+            odd += a
         return x
 
     def pair_blocks(self, weights: np.ndarray) -> np.ndarray:
@@ -109,16 +118,23 @@ class Covariance:
         """Smallest link constant for which the quadratic-form sandwich
         d^-2 ||h||^2_{gamma^2} <= ||T h||^2 <= d^2 ||h||^2_{gamma^2} holds.
 
-        Computed per rotated pair from the generalized eigenvalues of the
-        squared-weight forms; 1 for the diagonal construction.
+        Per rotated pair, with w = gamma^2 and B its rotated block, the
+        eigenvalues of diag(w)^-1 B are mu and 1/mu (the determinant is 1)
+        and their sum is t = 2 c^2 + s^2 (rho + 1/rho), rho = w_{2k-1} / w_{2k},
+        so mu_max = t/2 + sqrt(t^2/4 - 1).  rho comes from the log weights,
+        so no weight underflows; 1 for the diagonal construction.
         """
         if self.is_diagonal or self.dim < 2:
             return 1.0
-        lam2 = self.eigenvalues() ** 2
-        # eigenvalues of diag(w)^-1 B for each rotated block B of diag(lam^2)
-        w = np.stack(self._pairs(lam2), axis=-1)
-        mu = np.linalg.eigvals(self.pair_blocks(lam2) / w[..., None]).real
-        return float(max(1.0, math.sqrt(max(mu.max(), 1.0 / mu.min()))))
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        first, second = self._pairs(sequences.log_gamma_array(self.model, self.dim))
+        log_rho = 2.0 * (first - second)
+        with np.errstate(over="ignore"):
+            half_t = c * c + s * s * np.cosh(log_rho)
+        # t/2 >= 1 exactly; the clamp keeps a rounded c^2 + s^2 < 1 from a
+        # NaN, and two square roots keep t^2 from overflowing
+        mu_max = half_t + np.sqrt(np.maximum(half_t - 1.0, 0.0)) * np.sqrt(half_t + 1.0)
+        return float(max(1.0, math.sqrt(mu_max.max())))
 
 
 @dataclass(frozen=True)
@@ -233,7 +249,9 @@ def draw_dataset(config: SimConfig, slope: SlopeSpec) -> Dataset:
         )
     rng = np.random.default_rng(config.seed)
     cov = config.covariance()
-    x = cov.rotate(rng.standard_normal((config.n, config.J)) * np.sqrt(cov.eigenvalues()))
+    x = rng.standard_normal((config.n, config.J))
+    x *= np.sqrt(cov.eigenvalues())
+    cov.rotate(x)
     eps = rng.standard_normal(config.n)
     y = x @ slope.coeffs + config.sigma * eps
     return Dataset(y=y, x=x, config=config)

@@ -11,8 +11,8 @@ from flradapt.functionals import (
     DerivativeEval,
     LocalAverage,
     PointEval,
-    basis_values,
     coefficients,
+    coefficients_at,
     gram,
 )
 
@@ -38,8 +38,10 @@ class TestCoefficientValues:
         )
 
     def test_point_eval_matches_basis(self):
-        np.testing.assert_array_equal(
-            coefficients(PointEval(t0=0.37), 9), basis_values(0.37, 9)
+        np.testing.assert_allclose(
+            coefficients(PointEval(t0=0.37), 9),
+            [psi(j, 0.37) for j in range(1, 10)],
+            rtol=0.0, atol=1e-15,
         )
 
     def test_full_interval_average_first_coefficient(self):
@@ -83,6 +85,44 @@ class TestCoefficientValues:
             DerivativeEval(t0=0.5, q=-1)
         with pytest.raises(ValueError):
             Custom(coeffs=(1.0, float("inf")))
+
+
+ALL_KINDS = [
+    PointEval(t0=0.37),
+    DerivativeEval(t0=0.37, q=0),
+    DerivativeEval(t0=0.37, q=1),
+    DerivativeEval(t0=0.37, q=2),
+    LocalAverage(b=0.3),
+    LocalAverage(b=1.0),
+    Custom(coeffs=(1.0, -2.0, 3.0)),
+]
+
+
+@pytest.mark.parametrize("spec", ALL_KINDS)
+class TestIndexBlocks:
+    """The prefix form and every block of indices evaluate each entry alike,
+    bit for bit, which the blocked oracle tail sums rely on."""
+
+    def test_prefix_is_slice_of_longer_prefix(self, spec):
+        full = coefficients(spec, 10 ** 4)
+        for m in (1, 2, 3, 4, 7, 64, 9999):
+            assert np.array_equal(coefficients(spec, m), full[:m])
+
+    def test_block_is_slice_of_prefix(self, spec):
+        full = coefficients(spec, 10 ** 4)
+        for lo, hi in ((0, 1), (1, 2), (2, 5), (0, 8192), (8192, 10 ** 4), (3, 9999)):
+            block = coefficients_at(spec, np.arange(lo + 1, hi + 1))
+            assert np.array_equal(block, full[lo:hi])
+            assert not np.any(np.signbit(block[block == 0.0]))
+
+    def test_first_coefficient(self, spec):
+        first = coefficients_at(spec, np.array([1]))[0]
+        if isinstance(spec, DerivativeEval) and spec.q > 0:
+            assert first == 0.0
+        elif isinstance(spec, Custom):
+            assert first == spec.coeffs[0]
+        else:
+            assert first == 1.0
 
 
 class TestGram:

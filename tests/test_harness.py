@@ -142,6 +142,31 @@ class TestRunStudy:
         bad = [rec for rec in report.raw_records if rec["error"] is not None]
         assert len(bad) == 1 and "synthetic failure" in bad[0]["error"]
 
+    def test_no_dataset_outlives_its_replicate(self, monkeypatch):
+        # a study holds one n x J regressor matrix at a time: each replicate's
+        # dataset is freed before the next one is drawn, after a failed
+        # replicate too
+        import weakref
+
+        drawn = []
+        draw, estimate = simulate.draw_dataset, adaptive.adaptive_estimate
+
+        def tracked_draw(config, slope):
+            assert all(ref() is None for ref in drawn), "previous dataset alive"
+            data = draw(config, slope)
+            drawn.append(weakref.ref(data))
+            return data
+
+        def fail_third(data, spec):
+            if len(drawn) == 3:
+                raise adaptive.AdaptiveEstimationError("synthetic failure")
+            return estimate(data, spec)
+
+        monkeypatch.setattr(harness.simulate, "draw_dataset", tracked_draw)
+        monkeypatch.setattr(harness.adaptive, "adaptive_estimate", fail_third)
+        report = run_study(small_config(replicates=40))
+        assert len(drawn) == 120 and report.total_errors == 1
+
     def test_unexpected_exception_propagates(self, monkeypatch):
         # only the expected numerical failures are recorded; a bug surfaces
         def broken(data, spec):

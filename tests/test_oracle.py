@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flradapt import oracle, sequences, simulate
+from flradapt import functionals, oracle, sequences, simulate
 from flradapt.functionals import Custom, DerivativeEval, LocalAverage, PointEval
 from flradapt.oracle import (
     RateDescriptor,
@@ -35,6 +35,86 @@ def brute_force_risk(model, spec, m, x, horizon=2_000_000):
         head = float(np.sum(np.where(ell == 0, 0, ell ** 2 * np.exp(-lg))[:m]))
     ratio = math.exp(lg[m - 1] - lb[m - 1])
     return max(tail, max(ratio, x) * head)
+
+
+def tail_data_reference(model, spec):
+    """One-shot tail fill: every term of the horizon in one array and one
+    ``np.cumsum``; the blocked fill must reproduce it bit for bit."""
+    support = functionals.coefficient_support(spec)
+    if support is not None:
+        ell2 = functionals.coefficients(spec, support) ** 2
+        with np.errstate(under="ignore"):
+            terms = np.where(
+                ell2 == 0.0, 0.0,
+                ell2 * np.exp(-sequences.log_beta_array(model, support)),
+            )
+        cum = np.cumsum(terms)
+        return cum, float(cum[-1])
+    exponential = model.regime is Regime.EP
+    horizon = oracle.TAIL_HORIZON_EXP if exponential else oracle.TAIL_HORIZON_POLY
+    ell2 = functionals.coefficients(spec, horizon) ** 2
+    log_beta = sequences.log_beta_array(model, horizon)
+    with np.errstate(under="ignore", invalid="ignore"):
+        terms = np.where(ell2 == 0.0, 0.0, ell2 * np.exp(-log_beta))
+    cum = np.cumsum(terms)
+    if exponential:
+        remainder = 2.0 * float(terms[-1])
+    else:
+        amp, power = functionals.mean_square_density(spec)
+        decay = 2.0 * model.p - 2.0 * power
+        if decay <= 1.0:
+            raise oracle.DivergentTailError("diverges")
+        edge = horizon + 0.5
+        remainder = amp * edge ** (1.0 - decay) / (decay - 1.0)
+    return cum, float(cum[-1] + remainder)
+
+
+# smooth enough (p = 2) that the first derivative has a convergent tail too
+TAIL_MODELS = [
+    SequenceModel(regime=Regime.PP, p=2.0, a=1.0),
+    SequenceModel(regime=Regime.PE, p=2.0, a=0.5),
+    SequenceModel(regime=Regime.EP, p=0.5, a=1.0),
+]
+TAIL_SPECS = [
+    PointEval(t0=0.3),
+    DerivativeEval(t0=0.3, q=1),
+    LocalAverage(b=0.2),
+    Custom(coeffs=tuple(np.linspace(-1.0, 1.0, 20_001))),
+]
+
+
+class TestBlockedTailSums:
+    # 1000 leaves a partial last block on the exponential horizon 65,536 and
+    # on the custom support 20,001; the default block does on 10^6
+    @pytest.mark.parametrize("block", [None, 1000])
+    @pytest.mark.parametrize("model", TAIL_MODELS)
+    @pytest.mark.parametrize("spec", TAIL_SPECS)
+    def test_matches_one_shot_fill(self, monkeypatch, model, spec, block):
+        if block is not None:
+            monkeypatch.setattr(oracle, "TAIL_BLOCK", block)
+        cum, total = oracle._tail_data.__wrapped__(model, spec)
+        want_cum, want_total = tail_data_reference(model, spec)
+        assert np.array_equal(cum, want_cum)
+        assert total == want_total
+
+    def test_divergent_tail_raises(self):
+        model = SequenceModel(regime=Regime.PP, p=1.0, a=1.0)
+        with pytest.raises(oracle.DivergentTailError):
+            tail_data_reference(model, DerivativeEval(t0=0.3, q=1))
+        with pytest.raises(oracle.DivergentTailError):
+            oracle._tail_data.__wrapped__(model, DerivativeEval(t0=0.3, q=1))
+
+    def test_cold_fill_allocates_little_beyond_its_result(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            cum, _ = oracle._tail_data.__wrapped__(PP, PointEval(t0=0.3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cum) == oracle.TAIL_HORIZON_POLY
+        assert peak <= cum.nbytes + 8 * 2 ** 20
 
 
 class TestRiskTerm:

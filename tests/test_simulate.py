@@ -36,6 +36,27 @@ def rotate_pairs_reference(x, theta):
     return x
 
 
+def draw_dataset_reference(config, slope):
+    """Out-of-place sampler: scaled normals as a new array, then the pair
+    rotation loop; ``draw_dataset`` must reproduce it bit for bit."""
+    rng = np.random.default_rng(config.seed)
+    lam = sequences.gamma_array(config.model, config.J)
+    x = rng.standard_normal((config.n, config.J)) * np.sqrt(lam)
+    if config.mixing != 0.0:
+        x = rotate_pairs_reference(x, config.mixing)
+    y = x @ slope.coeffs + config.sigma * rng.standard_normal(config.n)
+    return x, y
+
+
+def effective_d_reference(cov):
+    """Link constant from the numerical eigenvalues of diag(w)^-1 B for each
+    rotated block B of diag(gamma^2), w = gamma^2."""
+    lam2 = cov.eigenvalues() ** 2
+    w = np.stack([lam2[0:2 * (cov.dim // 2):2], lam2[1:2 * (cov.dim // 2):2]], axis=-1)
+    mu = np.linalg.eigvals(cov.pair_blocks(lam2) / w[..., None]).real
+    return float(max(1.0, math.sqrt(max(mu.max(), 1.0 / mu.min()))))
+
+
 def unit_slope(model, J, k):
     coeffs = np.zeros(J)
     coeffs[k - 1] = 1.0
@@ -146,6 +167,31 @@ class TestDrawDataset:
         if base.J % 2:
             assert np.array_equal(d1.x[:, -1], d0.x[:, -1])
 
+    # n = 1000 is not a multiple of the 128 rows the rotation steps through
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    @pytest.mark.parametrize("J", [128, 129])
+    def test_matches_out_of_place_reference(self, theta, J):
+        cfg = SimConfig(n=1000, sigma=0.5, seed=41, model=PP, J=J, mixing=theta)
+        slope = make_slope(PP, J)
+        data = draw_dataset(cfg, slope)
+        x, y = draw_dataset_reference(cfg, slope)
+        assert np.array_equal(data.x, x)
+        assert np.array_equal(data.y, y)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    def test_peak_memory_is_one_regressor_matrix(self, theta):
+        import tracemalloc
+
+        cfg = SimConfig(n=8000, sigma=1.0, seed=3, model=PP, mixing=theta)
+        slope = make_slope(PP, cfg.J)
+        tracemalloc.start()
+        try:
+            data = draw_dataset(cfg, slope)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * data.x.nbytes
+
     def test_rotated_sample_covariance_matches_matrix(self):
         # 9 fixed-seed 3-sigma checks on the first three coefficient pairs
         n = 10 ** 5
@@ -204,6 +250,21 @@ class TestCovariance:
         x = np.arange(12.0).reshape(2, 6)
         assert Covariance(PP, 6).rotate(x) is x
         np.testing.assert_array_equal(x, np.arange(12.0).reshape(2, 6))
+
+    @pytest.mark.parametrize("model", [PP, SequenceModel(regime=Regime.PE, p=1.0, a=0.5)])
+    @pytest.mark.parametrize("theta", [0.3, 0.7])
+    @pytest.mark.parametrize("dim", [8, 16, 40])
+    def test_closed_form_d_matches_pair_eigenvalues(self, model, theta, dim):
+        cov = Covariance(model, dim, theta)
+        assert cov.effective_d() == pytest.approx(effective_d_reference(cov), rel=1e-15)
+
+    @pytest.mark.parametrize("dim", [8, 40])
+    def test_d_finite_for_steep_exponential_weights(self, dim):
+        # pe with a = 1: the last pair's weight ratio is e^30 at dim 8 and
+        # e^158 at dim 40, where gamma_40^2 = exp(-2 * 1599) has underflowed
+        model = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
+        d = Covariance(model, dim, 0.3).effective_d()
+        assert math.isfinite(d) and d > 1.0
 
     def test_quarter_turn_d_is_weight_ratio(self):
         cov = Covariance(PP, 4, theta=math.pi / 2)
