@@ -9,7 +9,6 @@ rates at desk scale.
 from .sequences import (
     Regime,
     SequenceModel,
-    SaturationError,
     UnderflowWarning,
 )
 from .functionals import (

@@ -75,31 +75,35 @@ def _load_config(path):
     return cfg
 
 
-def _section(cfg, name):
-    return dict(cfg.get(name, {}))
-
-
-def _build_model(cfg, args):
-    sec = _section(cfg, "model")
-    for key in ("regime", "p", "a", "r"):
-        val = getattr(args, key, None)
-        if val is not None:
-            sec[key] = val
-    regime = sec.get("regime")
-    if regime is None:
-        raise ConfigError("model regime missing (set model.regime or --regime)")
-    missing = [k for k in ("p", "a") if sec.get(k) is None]
-    if missing:
-        raise ConfigError(f"model parameters missing: {', '.join(missing)}")
+def _pick(cfg, section, key, flag_value, default=None, cast=None):
+    """The flag value if given, else the config's ``section.key``, else
+    ``default``; a key set to null counts as absent.  A value ``cast``
+    refuses is a config error naming the key."""
+    val = flag_value
+    if val is None:
+        val = cfg.get(section, {}).get(key)
+    if val is None:
+        val = default
+    if val is None or cast is None:
+        return val
     try:
-        return sequences.SequenceModel(
-            regime=sequences.Regime(regime),
-            p=float(sec["p"]),
-            a=float(sec["a"]),
-            r=float(sec.get("r", 1.0)),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+        return cast(val)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{section}.{key}: {err}") from err
+
+
+def _int(value) -> int:
+    """Strict integer cast: refuses booleans and non-integral numbers."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _ints(value):
+    """Integer list from ``n1,n2,..`` text or a YAML sequence."""
+    if isinstance(value, str):
+        value = value.split(",")
+    return tuple(_int(v) for v in value)
 
 
 def _floats(value):
@@ -109,12 +113,27 @@ def _floats(value):
     return tuple(float(v) for v in value)
 
 
+def _build_model(cfg, args):
+    regime = _pick(cfg, "model", "regime", args.regime)
+    if regime is None:
+        raise ConfigError("model regime missing (set model.regime or --regime)")
+    p, a = (_pick(cfg, "model", key, getattr(args, key), cast=float) for key in ("p", "a"))
+    missing = [k for k, v in (("p", p), ("a", a)) if v is None]
+    if missing:
+        raise ConfigError(f"model parameters missing: {', '.join(missing)}")
+    r = _pick(cfg, "model", "r", args.r, default=1.0, cast=float)
+    try:
+        return sequences.SequenceModel(regime=sequences.Regime(regime), p=p, a=a, r=r)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
 # functional kind -> (constructor, ordered (field, cast) pairs); the ordered
 # fields are the colon-separated values of the ``--functional`` text and the
 # keys of the ``functional:`` config section
 _FUNCTIONAL_KINDS = {
     "point": (functionals.PointEval, (("t0", float),)),
-    "deriv": (functionals.DerivativeEval, (("t0", float), ("q", int))),
+    "deriv": (functionals.DerivativeEval, (("t0", float), ("q", _int))),
     "avg": (functionals.LocalAverage, (("b", float),)),
     "custom": (functionals.Custom, (("coeffs", _floats),)),
 }
@@ -147,37 +166,29 @@ def parse_functional(text):
 def _build_functional(cfg, args):
     if getattr(args, "functional", None) is not None:
         return parse_functional(args.functional)
-    sec = _section(cfg, "functional")
+    sec = cfg.get("functional", {})
     if sec.get("kind") is None:
         raise ConfigError("functional missing (set functional.kind or --functional)")
     return _make_functional(sec["kind"], sec, "config section 'functional'")
 
 
-def _pick(sec, key, flag_value, default=None, cast=None):
-    val = flag_value if flag_value is not None else sec.get(key, default)
-    if val is None:
-        return None
-    return cast(val) if cast else val
-
-
 def _cmd_simulate(args):
     cfg = _load_config(args.config)
     model = _build_model(cfg, args)
-    sec = _section(cfg, "simulate")
-    n = _pick(sec, "n", args.n, cast=int)
-    sigma = _pick(sec, "sigma", args.sigma, default=1.0, cast=float)
-    seed = _pick(sec, "seed", args.seed, default=0, cast=int)
+    n = _pick(cfg, "simulate", "n", args.n, cast=_int)
+    sigma = _pick(cfg, "simulate", "sigma", args.sigma, default=1.0, cast=float)
+    seed = _pick(cfg, "simulate", "seed", args.seed, default=0, cast=_int)
     if n is None:
         raise ConfigError("sample size missing (simulate.n or --n)")
     config = simulate.SimConfig(
         n=n, sigma=sigma, seed=seed, model=model,
-        slope_scale=_pick(sec, "slope_scale", args.slope_scale,
+        slope_scale=_pick(cfg, "simulate", "slope_scale", args.slope_scale,
                           default=simulate.DEFAULT_SLOPE_SCALE, cast=float),
-        mixing=_pick(sec, "theta", args.theta, default=0.0, cast=float),
+        mixing=_pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=float),
     )
     slope = simulate.make_slope(model, config.J, config.slope_scale)
     data = simulate.draw_dataset(config, slope)
-    out = _pick(_section(cfg, "output"), "dataset", args.out)
+    out = _pick(cfg, "output", "dataset", args.out, cast=os.fspath)
     if out is None:
         raise ConfigError("output path missing (output.dataset or --out)")
     simulate.save_dataset_csv(data, out)
@@ -188,7 +199,7 @@ def _cmd_simulate(args):
 def _cmd_estimate(args):
     cfg = _load_config(args.config)
     spec = _build_functional(cfg, args)
-    data_path = _pick(_section(cfg, "output"), "dataset", args.data)
+    data_path = _pick(cfg, "output", "dataset", args.data, cast=os.fspath)
     if data_path is None:
         raise ConfigError("dataset path missing (--data)")
     if not os.path.exists(data_path):
@@ -208,28 +219,28 @@ def _cmd_mc_study(args):
     cfg = _load_config(args.config)
     model = _build_model(cfg, args)
     spec = _build_functional(cfg, args)
-    sec = _section(cfg, "study")
-    sim_sec = _section(cfg, "simulate")
-    out_sec = _section(cfg, "output")
-    n_grid = args.n_grid or sec.get("n_grid")
+    n_grid = _pick(cfg, "study", "n_grid", args.n_grid, cast=_ints)
     if n_grid is None:
         raise ConfigError("study n_grid missing (study.n_grid or --n-grid)")
-    if isinstance(n_grid, str):
-        n_grid = [int(v) for v in n_grid.split(",")]
-    out_dir = args.out_dir or out_sec.get("dir", ".")
+    out_dir = _pick(cfg, "output", "dir", args.out_dir, default=".", cast=os.fspath)
+
+    def out_file(key, default):
+        return os.path.join(out_dir, _pick(cfg, "output", key, None, default, os.fspath))
+
     study = harness.StudyConfig(
         model=model,
         spec=spec,
-        sigma=_pick(sim_sec, "sigma", args.sigma, default=1.0, cast=float),
-        n_grid=tuple(int(v) for v in n_grid),
-        replicates=_pick(sec, "replicates", args.replicates, default=100, cast=int),
-        base_seed=_pick(sec, "base_seed", args.base_seed, default=0, cast=int),
-        slope_scale=_pick(sim_sec, "slope_scale", args.slope_scale,
+        sigma=_pick(cfg, "simulate", "sigma", args.sigma, default=1.0, cast=float),
+        n_grid=n_grid,
+        replicates=_pick(cfg, "study", "replicates", args.replicates, default=100,
+                         cast=_int),
+        base_seed=_pick(cfg, "study", "base_seed", args.base_seed, default=0, cast=_int),
+        slope_scale=_pick(cfg, "simulate", "slope_scale", args.slope_scale,
                           default=simulate.DEFAULT_SLOPE_SCALE, cast=float),
-        mixing=_pick(sim_sec, "theta", args.theta, default=0.0, cast=float),
-        report_path=os.path.join(out_dir, out_sec.get("report", "study_report.json")),
-        raw_path=os.path.join(out_dir, out_sec.get("raw", "study_raw.csv")),
-        curves_path=os.path.join(out_dir, out_sec.get("curves", "study_curves.csv")),
+        mixing=_pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=float),
+        report_path=out_file("report", "study_report.json"),
+        raw_path=out_file("raw", "study_raw.csv"),
+        curves_path=out_file("curves", "study_curves.csv"),
     )
     os.makedirs(out_dir, exist_ok=True)
     report = harness.run_study(study)
@@ -250,7 +261,7 @@ def _cmd_rates(args):
     cfg = _load_config(args.config)
     model = _build_model(cfg, args)
     spec = _build_functional(cfg, args)
-    n = _pick(_section(cfg, "study"), "n", args.n, default=10000, cast=int)
+    n = _pick(cfg, "study", "n", args.n, default=10000, cast=_int)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     m_search = args.m_search
@@ -382,7 +393,6 @@ def main(argv=None) -> int:
         adaptive.AdaptiveEstimationError,
         harness.StudyError,
         oracle.DivergentTailError,
-        sequences.SaturationError,
         np.linalg.LinAlgError,
         ArithmeticError,
     ) as err:

@@ -84,13 +84,6 @@ def _is_singular(eigenvalues: np.ndarray, trace: float, m: int) -> bool:
     return not eigenvalues[0] > SINGULARITY_RTOL * max(trace, 0.0) / m
 
 
-def block_spectrum(mom: Moments, m: int):
-    """Eigendecomposition of the leading m x m moment block."""
-    a = mom.gammahat[:m, :m]
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
 def galerkin_estimate(mom: Moments, m: int) -> GalerkinFit:
     """Thresholded projection solve at dimension m.
 
@@ -100,7 +93,7 @@ def galerkin_estimate(mom: Moments, m: int) -> GalerkinFit:
     """
     if not (1 <= m <= mom.dim):
         raise ValueError(f"m must lie in 1..{mom.dim}, got {m}")
-    w, v = block_spectrum(mom, m)
+    w, v = np.linalg.eigh(mom.gammahat[:m, :m])
     trace = float(np.trace(mom.gammahat[:m, :m]))
     if _is_singular(w, trace, m):
         return GalerkinFit(m=m, coeffs=np.zeros(m), thresholded=True,
@@ -123,7 +116,7 @@ def solve_block(mom: Moments, m: int, rhs: np.ndarray):
     """
     if not (1 <= m <= mom.dim):
         raise ValueError(f"m must lie in 1..{mom.dim}, got {m}")
-    w, v = block_spectrum(mom, m)
+    w, v = np.linalg.eigh(mom.gammahat[:m, :m])
     if _is_singular(w, float(np.trace(mom.gammahat[:m, :m])), m):
         return None
     return v @ ((v.T @ np.asarray(rhs, dtype=np.float64)[:m]) / w)

@@ -233,20 +233,6 @@ class RateDescriptor:
         return " * ".join(parts) if parts else "1"
 
 
-def _coefficient_decay_exponent(spec) -> float:
-    """Exponent s with l_j^2 of order j^(-2s) for the closed-form families."""
-    if isinstance(spec, functionals.PointEval):
-        return 0.0
-    if isinstance(spec, functionals.DerivativeEval):
-        return -float(spec.q)
-    if isinstance(spec, functionals.LocalAverage):
-        return 1.0
-    raise RegimeConditionError(
-        "closed-form rate orders exist only for point evaluation, "
-        "derivative evaluation, and local averages"
-    )
-
-
 def _require(condition: bool, description: str) -> None:
     if not condition:
         raise RegimeConditionError(f"rate formula requires {description}")
@@ -293,7 +279,13 @@ def rate_exponent(model, spec, mode: str) -> RateDescriptor:
     ``mode`` is "minimax" (best non-adaptive dimension, accuracy level 1/n)
     or "adaptive" (data-driven dimension, accuracy level (1+log n)/n).
     """
-    s = _coefficient_decay_exponent(spec)
+    if isinstance(spec, functionals.Custom):
+        raise RegimeConditionError(
+            "closed-form rate orders exist only for point evaluation, "
+            "derivative evaluation, and local averages"
+        )
+    # squared coefficients of order j^(-2s): minus the envelope's growth power
+    s = -functionals.mean_square_density(spec)[1]
     p, a = model.p, model.a
     regime = model.regime
     if isinstance(spec, functionals.PointEval):

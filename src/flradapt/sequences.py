@@ -10,9 +10,12 @@ regimes pair polynomial and exponential behaviour:
 * ``ep`` -- beta_j = exp(j^(2p)-1), gamma_j = j^(-2a)  (a > 1/2)
 
 All regimes satisfy beta_1 = gamma_1 = 1, beta is non-decreasing and gamma
-non-increasing by construction; :class:`SequenceModel` rejects parameters
-with a non-summable eigenvalue sequence, and ``oracle.ell_weight_tail``
-raises ``DivergentTailError`` for a divergent functional tail.
+non-increasing by construction.  beta exists in log space only
+(``log_beta_at``, ``log_beta_array``), because the exponential weights
+overflow a double once j^(2p) passes about 709.  :class:`SequenceModel`
+rejects parameters with a non-summable eigenvalue sequence, and
+``oracle.ell_weight_tail`` raises ``DivergentTailError`` for a divergent
+functional tail.
 """
 from __future__ import annotations
 
@@ -31,10 +34,6 @@ class Regime(str, Enum):
     PP = "pp"
     PE = "pe"
     EP = "ep"
-
-
-class SaturationError(OverflowError):
-    """A weight exceeds the double-precision range; use the log-space API."""
 
 
 class UnderflowWarning(RuntimeWarning):
@@ -120,17 +119,4 @@ def gamma_array(model, j_max: int) -> np.ndarray:
             stacklevel=2,
         )
         out = np.maximum(out, MIN_NORMAL)
-    return out
-
-
-def beta_array(model, j_max: int) -> np.ndarray:
-    """beta_1..beta_{j_max}; raises :class:`SaturationError` on overflow."""
-    lb = log_beta_array(model, j_max)
-    j = np.arange(1, j_max + 1, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        out = np.exp(lb) if model.regime is Regime.EP else j ** (2.0 * model.p)
-    if not np.all(np.isfinite(out)):
-        raise SaturationError(
-            f"beta_{j_max} exceeds double range; use log_beta_array"
-        )
     return out

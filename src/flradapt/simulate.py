@@ -8,7 +8,9 @@ That rotation is one rule in :class:`Covariance`: the sampler applies it to
 the drawn rows in place, ``Covariance.matrix`` reads the 2x2 blocks it
 produces, and ``Covariance.effective_d`` their generalized eigenvalues in
 closed form.  Responses follow y_i = <slope, x_i> + sigma * eps_i with
-independent standard normal noise.
+independent standard normal noise.  :func:`true_value` is the functional
+evaluated on the slope's stored coefficients, the target every estimate is
+scored against.
 """
 from __future__ import annotations
 
@@ -177,7 +179,6 @@ class SlopeSpec:
 
     coeffs: np.ndarray
     true_norm_beta_sq: float
-    model: sequences.SequenceModel
 
     @property
     def dim(self) -> int:
@@ -190,7 +191,6 @@ class Dataset:
 
     y: np.ndarray
     x: np.ndarray
-    config: Optional[SimConfig] = None
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.float64)
@@ -199,9 +199,6 @@ class Dataset:
             raise ValueError("y must be (n,), x must be (n, J)")
         if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.x))):
             raise ValueError("dataset entries must all be finite")
-        if self.config is not None:
-            if len(self.y) != self.config.n or self.x.shape[1] != self.config.J:
-                raise ValueError("dataset shape does not match its config")
 
     @property
     def n(self) -> int:
@@ -238,7 +235,7 @@ def make_slope(model, J: int, slope_scale: float = DEFAULT_SLOPE_SCALE) -> Slope
     scale = math.sqrt(slope_scale * model.r / total)
     coeffs = scale * raw
     norm_sq = math.fsum((weights * scale * scale).tolist())
-    return SlopeSpec(coeffs=coeffs, true_norm_beta_sq=norm_sq, model=model)
+    return SlopeSpec(coeffs=coeffs, true_norm_beta_sq=norm_sq)
 
 
 def draw_dataset(config: SimConfig, slope: SlopeSpec) -> Dataset:
@@ -254,32 +251,12 @@ def draw_dataset(config: SimConfig, slope: SlopeSpec) -> Dataset:
     cov.rotate(x)
     eps = rng.standard_normal(config.n)
     y = x @ slope.coeffs + config.sigma * eps
-    return Dataset(y=y, x=x, config=config)
+    return Dataset(y=y, x=x)
 
 
-@dataclass(frozen=True)
-class TrueValue:
-    """Functional value on the truncated slope plus a truncation-tail bound."""
-
-    value: float
-    tail_bound: float
-
-
-def true_value(spec, slope: SlopeSpec) -> TrueValue:
-    """Evaluate the functional on the slope's stored coefficients.
-
-    The tail bound is Cauchy-Schwarz against the ellipsoid:
-    sqrt(r) * sqrt(sum_{j > J} [l]_j^2 / beta_j), infinite when that sum
-    diverges for the regime in force.
-    """
-    from . import oracle  # deferred: oracle depends on this module's types
-
-    val = float(functionals.coefficients(spec, slope.dim) @ slope.coeffs)
-    try:
-        tail = oracle.ell_weight_tail(slope.model, spec, slope.dim)
-    except oracle.DivergentTailError:
-        return TrueValue(value=val, tail_bound=math.inf)
-    return TrueValue(value=val, tail_bound=math.sqrt(slope.model.r * max(tail, 0.0)))
+def true_value(spec, slope: SlopeSpec) -> float:
+    """The functional evaluated on the slope's stored coefficients."""
+    return float(functionals.coefficients(spec, slope.dim) @ slope.coeffs)
 
 
 def save_dataset_csv(data: Dataset, path) -> None:
@@ -302,4 +279,4 @@ def load_dataset_csv(path) -> Dataset:
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != len(header):
         raise ValueError(f"{path}: ragged or empty dataset")
-    return Dataset(y=arr[:, 0], x=arr[:, 1:], config=None)
+    return Dataset(y=arr[:, 0], x=arr[:, 1:])

@@ -282,7 +282,7 @@ class TestSelectionBound:
         checked = violations = 0
         for n in (256, 1024, 4096):
             slope = simulate.make_slope(PP, simulate.default_truncation(n))
-            target = simulate.true_value(spec, slope).value
+            target = simulate.true_value(spec, slope)
             for rep in range(10):
                 data = simulate.draw_dataset(
                     simulate.SimConfig(n=n, sigma=1.0, seed=500 + rep, model=PP), slope

@@ -1,7 +1,9 @@
+import copy
 import json
 import pathlib
 
 import pytest
+import yaml
 
 from flradapt import cli
 from flradapt.cli import main, parse_functional
@@ -165,6 +167,59 @@ class TestConfigKeys:
         code, _, err = run(capsys, "mc-study", "--config", shipped, "--n-grid", "64,128,256",
                            "--replicates", "3", "--out-dir", str(tmp_path))
         assert code == 0, err
+
+
+# a valid config for both ``simulate`` and ``mc-study``; sigma and r differ
+# from their defaults so that a fallback shows in the outputs
+VALUES_BASE = {
+    "model": {"regime": "pp", "p": 1.0, "a": 1.0, "r": 2.0},
+    "functional": {"kind": "point", "t0": 0.3},
+    "simulate": {"n": 64, "sigma": 0.5},
+    "study": {"n_grid": [64], "replicates": 2},
+    "output": {"report": "report.json"},
+}
+
+
+class TestConfigValues:
+    def run_config(self, capsys, work, command, cfg):
+        work.mkdir()
+        path = work / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out_dir = work / "out"
+        out = (("--out-dir", str(out_dir)) if command == "mc-study"
+               else ("--out", str(work / "data.csv")))
+        code, _, err = run(capsys, command, "--config", str(path), *out)
+        return code, err, out_dir
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("mc-study", "study", "replicates", 2.7),
+        ("mc-study", "study", "replicates", True),
+        ("mc-study", "study", "n_grid", [64, 128.9, 256]),
+        ("mc-study", "study", "n_grid", 5),
+        ("mc-study", "study", "base_seed", 1.5),
+        ("simulate", "simulate", "n", 64.9),
+        ("mc-study", "model", "p", [1]),
+        ("mc-study", "simulate", "sigma", None),
+        ("mc-study", "model", "r", None),
+        ("mc-study", "output", "report", None),
+    ])
+    def test_bad_value_is_a_config_error_and_null_is_absent(self, tmp_path, capsys,
+                                                            command, section, key, value):
+        cfg = copy.deepcopy(VALUES_BASE)
+        cfg[section][key] = value
+        code, err, out_dir = self.run_config(capsys, tmp_path / "given", command, cfg)
+        if value is not None:
+            assert code == 1
+            assert f"error: config: {section}.{key}: " in err
+            return
+        assert code == 0, err
+        del cfg[section][key]
+        code, err, absent_dir = self.run_config(capsys, tmp_path / "absent", command, cfg)
+        assert code == 0, err
+        names = sorted(path.name for path in out_dir.iterdir())
+        assert names == sorted(path.name for path in absent_dir.iterdir())
+        for name in names:
+            assert (out_dir / name).read_bytes() == (absent_dir / name).read_bytes()
 
 
 class TestFunctionalConfig:

@@ -129,6 +129,12 @@ class TestRiskTerm:
         ratio = (2.0 ** -2.0) / (2.0 ** 2.0)
         assert got == pytest.approx(max(ratio, x) * head, rel=1e-14)
 
+    def test_tail_vanishes_past_custom_support(self):
+        spec = Custom(coeffs=(0.5, -0.5, 0.25))
+        assert oracle.ell_weight_tail(PP, spec, 2) == pytest.approx(0.0625 / 9.0, rel=1e-15)
+        for m in (3, 4, 1000):
+            assert oracle.ell_weight_tail(PP, spec, m) == 0.0
+
     def test_tail_term_nonincreasing_in_m(self):
         spec = PointEval(t0=0.3)
         tails = [oracle.ell_weight_tail(PP, spec, m) for m in range(1, 30)]
@@ -203,8 +209,7 @@ def population_ingredients(spec, slope, sigma, m, cov=None):
 
 class TestTheoreticalPenalty:
     def test_zero_slope(self):
-        slope = simulate.SlopeSpec(coeffs=np.zeros(16),
-                                   true_norm_beta_sq=0.0, model=PP)
+        slope = simulate.SlopeSpec(coeffs=np.zeros(16), true_norm_beta_sq=0.0)
         sigma_m_sq, _ = population_ingredients(E1, slope, 1.3, 4)
         assert sigma_m_sq == pytest.approx(2 * 1.3 ** 2, rel=1e-14)
 
@@ -234,8 +239,7 @@ class TestTheoreticalPenalty:
             assert curve[m - 1] == pytest.approx(p_m, rel=1e-14)
 
     def test_unit_coordinate_penalty(self):
-        slope = simulate.SlopeSpec(coeffs=np.zeros(16),
-                                   true_norm_beta_sq=0.0, model=PP)
+        slope = simulate.SlopeSpec(coeffs=np.zeros(16), true_norm_beta_sq=0.0)
         curve = theoretical_penalty_curve(PP, E1, slope, sigma=1.0, n=100, m_max=4)
         # sigma_m^2 = 2 and V_m = 1 at every m
         expected = 100.0 * 2.0 * (1.0 + math.log(100)) / 100

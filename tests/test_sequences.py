@@ -6,7 +6,7 @@ import pytest
 
 from flradapt import oracle, sequences
 from flradapt.functionals import DerivativeEval, PointEval
-from flradapt.sequences import Regime, SequenceModel, beta_array, gamma_array
+from flradapt.sequences import Regime, SequenceModel, gamma_array, log_beta_array
 
 
 PP = SequenceModel(regime=Regime.PP, p=1.0, a=1.0)
@@ -18,10 +18,10 @@ WINDOW = 10 ** 6
 
 class TestWeightFormulas:
     def test_pp_beta_is_polynomial(self):
-        assert beta_array(PP, 3)[2] == 9.0
+        assert log_beta_array(PP, 3)[2] == 2.0 * math.log(3.0)
 
     def test_ep_beta_exponential(self):
-        assert beta_array(EP, 4)[3] == pytest.approx(math.exp(3.0), rel=1e-15)
+        assert log_beta_array(EP, 4)[3] == 3.0
 
     def test_pp_gamma_is_polynomial(self):
         assert gamma_array(PP, 4)[3] == 1.0 / 16.0
@@ -31,38 +31,32 @@ class TestWeightFormulas:
 
     @pytest.mark.parametrize("model", [PP, PE, EP])
     def test_first_weights_are_one(self, model):
-        assert beta_array(model, 1)[0] == 1.0
+        assert log_beta_array(model, 1)[0] == 0.0
         assert gamma_array(model, 1)[0] == 1.0
 
     @pytest.mark.parametrize("model", [PP, PE, EP])
     def test_monotonicity_on_window(self, model):
-        lb = sequences.log_beta_array(model, 1000)
+        lb = log_beta_array(model, 1000)
         lg = sequences.log_gamma_array(model, 1000)
         assert np.all(np.diff(lb) >= 0)
         assert np.all(np.diff(lg) <= 0)
 
     def test_deterministic(self):
-        betas = [beta_array(PE, 17) for _ in range(5)]
+        betas = [log_beta_array(PE, 17) for _ in range(5)]
         gammas = [gamma_array(PE, 17) for _ in range(5)]
         assert all(np.array_equal(b, betas[0]) for b in betas)
         assert all(np.array_equal(g, gammas[0]) for g in gammas)
 
     def test_pp_product_cancels_when_p_equals_a(self):
-        # pow is not guaranteed correctly rounded, so allow one ulp
-        prod = beta_array(PP, 199) * gamma_array(PP, 199)
-        assert np.all(np.abs(prod - 1.0) <= 2.0 ** -52)
+        # with p = a the two logs are +-2 p log j, so they cancel exactly
+        total = log_beta_array(PP, 199) + sequences.log_gamma_array(PP, 199)
+        assert np.all(total == 0.0)
 
     def test_bounds(self):
-        # every index of the window 1..10^6: beta >= 1 where it is finite
-        # (in log space where it saturates), 0 < gamma <= 1 after clamping
+        # every index of the window 1..10^6: log beta >= 0, so beta >= 1,
+        # and 0 < gamma <= 1 after clamping
         for model in (PP, PE, EP):
-            assert np.all(sequences.log_beta_array(model, WINDOW) >= 0.0)
-            try:
-                b = beta_array(model, WINDOW)
-            except sequences.SaturationError:
-                assert model is EP
-            else:
-                assert np.all(b >= 1.0)
+            assert np.all(log_beta_array(model, WINDOW) >= 0.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", sequences.UnderflowWarning)
                 g = gamma_array(model, WINDOW)
@@ -70,28 +64,16 @@ class TestWeightFormulas:
 
 
 class TestSaturationAndUnderflow:
-    def test_ep_overflow_is_reported(self):
-        with pytest.raises(sequences.SaturationError):
-            beta_array(EP, 10 ** 6)
-        # log-space access still works
-        assert sequences.log_beta_array(EP, 10 ** 6)[-1] == 10 ** 6 - 1.0
-
-    def test_polynomial_overflow_is_reported(self):
-        # j^(2p) passes the double range at j = 100 when p = 200
-        steep = SequenceModel(regime=Regime.PP, p=200.0, a=1.0)
-        with pytest.raises(sequences.SaturationError):
-            beta_array(steep, 100)
-        with pytest.raises(sequences.SaturationError):
-            beta_array(EP, 10 ** 4)
-
     def test_pe_underflow_flagged_and_clamped(self):
         with pytest.warns(sequences.UnderflowWarning):
             g = gamma_array(PE, 1000)
         assert g[-1] == sequences.MIN_NORMAL
 
     def test_array_values_match_closed_forms(self):
-        lb = sequences.log_beta_array(EP, 50)
+        lb = log_beta_array(EP, 50)
         assert lb[3] == 4.0 ** (2.0 * EP.p) - 1.0
+        # log space holds weights far past the double range: beta_{10^6} = e^(10^6 - 1)
+        assert log_beta_array(EP, 10 ** 6)[-1] == 10 ** 6 - 1.0
         ga = gamma_array(PP, 50)
         assert ga[7] == 8.0 ** (-2.0 * PP.a)
 

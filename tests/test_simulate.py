@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flradapt import functionals, sequences, simulate
+from flradapt import sequences, simulate
 from flradapt.functionals import Custom, LocalAverage, PointEval
 from flradapt.sequences import Regime, SequenceModel
 from flradapt.simulate import (
@@ -20,8 +20,8 @@ PP = SequenceModel(regime=Regime.PP, p=1.0, a=1.0)
 EP = SequenceModel(regime=Regime.EP, p=0.5, a=1.0)
 
 
-def zero_slope(model, J):
-    return SlopeSpec(coeffs=np.zeros(J), true_norm_beta_sq=0.0, model=model)
+def zero_slope(J):
+    return SlopeSpec(coeffs=np.zeros(J), true_norm_beta_sq=0.0)
 
 
 def rotate_pairs_reference(x, theta):
@@ -60,8 +60,8 @@ def effective_d_reference(cov):
 def unit_slope(model, J, k):
     coeffs = np.zeros(J)
     coeffs[k - 1] = 1.0
-    return SlopeSpec(coeffs=coeffs, true_norm_beta_sq=sequences.beta_array(model, k)[-1],
-                     model=model)
+    return SlopeSpec(coeffs=coeffs,
+                     true_norm_beta_sq=math.exp(sequences.log_beta_at(model, k)))
 
 
 class TestMakeSlope:
@@ -103,7 +103,7 @@ class TestDrawDataset:
     def test_noise_variance_with_zero_slope(self):
         n = 10 ** 5
         cfg = SimConfig(n=n, sigma=1.0, seed=7, model=PP)
-        data = draw_dataset(cfg, zero_slope(PP, cfg.J))
+        data = draw_dataset(cfg, zero_slope(cfg.J))
         s2 = float(np.var(data.y, ddof=1))
         se = math.sqrt(2.0 / n)
         assert abs(s2 - 1.0) < 3 * se
@@ -112,7 +112,7 @@ class TestDrawDataset:
     def test_column_variances_match_eigenvalues(self, j):
         n = 10 ** 5
         cfg = SimConfig(n=n, sigma=1.0, seed=11, model=PP)
-        data = draw_dataset(cfg, zero_slope(PP, cfg.J))
+        data = draw_dataset(cfg, zero_slope(cfg.J))
         lam = j ** -2.0
         s2 = float(np.var(data.x[:, j - 1], ddof=1))
         assert abs(s2 - lam) < 3 * lam * math.sqrt(2.0 / n)
@@ -121,7 +121,7 @@ class TestDrawDataset:
     def test_standardized_columns_look_gaussian(self, j):
         n = 10 ** 5
         cfg = SimConfig(n=n, sigma=1.0, seed=13, model=PP)
-        data = draw_dataset(cfg, zero_slope(PP, cfg.J))
+        data = draw_dataset(cfg, zero_slope(cfg.J))
         z = data.x[:, j - 1] * j
         z = (z - z.mean()) / z.std()
         skew = float(np.mean(z ** 3))
@@ -145,7 +145,7 @@ class TestDrawDataset:
         n = 4 * 10 ** 4
         base = SimConfig(n=n, sigma=1.0, seed=23, model=PP)
         mixed = SimConfig(n=n, sigma=1.0, seed=23, model=PP, mixing=0.7)
-        slope = zero_slope(PP, base.J)
+        slope = zero_slope(base.J)
         d0 = draw_dataset(base, slope)
         d1 = draw_dataset(mixed, slope)
         # Givens rotations preserve the per-pair sum of squares row by row
@@ -196,7 +196,7 @@ class TestDrawDataset:
         # 9 fixed-seed 3-sigma checks on the first three coefficient pairs
         n = 10 ** 5
         cfg = SimConfig(n=n, sigma=1.0, seed=41, model=PP, J=68, mixing=0.7)
-        data = draw_dataset(cfg, zero_slope(PP, cfg.J))
+        data = draw_dataset(cfg, zero_slope(cfg.J))
         x = data.x[:, :6]
         cov = cfg.covariance()
         mat, lam = cov.matrix()[:6, :6], cov.eigenvalues()
@@ -212,7 +212,7 @@ class TestDrawDataset:
     def test_slope_dimension_mismatch_rejected(self):
         cfg = SimConfig(n=50, sigma=1.0, seed=1, model=PP)
         with pytest.raises(ValueError):
-            draw_dataset(cfg, zero_slope(PP, cfg.J - 1))
+            draw_dataset(cfg, zero_slope(cfg.J - 1))
 
 
 class TestCovariance:
@@ -274,27 +274,15 @@ class TestCovariance:
 
 class TestTrueValue:
     def test_point_mass_on_first_coefficient(self):
-        tv = true_value(PointEval(t0=0.0), unit_slope(PP, 50, 1))
-        assert tv.value == 1.0
-        assert tv.tail_bound < math.inf
+        assert true_value(PointEval(t0=0.0), unit_slope(PP, 50, 1)) == 1.0
 
     def test_full_average_of_pure_cosine_vanishes(self):
-        tv = true_value(LocalAverage(b=1.0), unit_slope(PP, 50, 2))
-        assert abs(tv.value) < 1e-15
+        assert abs(true_value(LocalAverage(b=1.0), unit_slope(PP, 50, 2))) < 1e-15
 
     def test_custom_coordinate_projection(self):
         slope = make_slope(PP, 64)
         spec = Custom(coeffs=(0.0, 0.0, 1.0))
-        assert true_value(spec, slope).value == pytest.approx(
-            float(slope.coeffs[2]), rel=1e-15
-        )
-        # finitely supported functional: no truncation remainder at all
-        assert true_value(spec, slope).tail_bound == 0.0
-
-    def test_divergent_tail_reported_infinite(self):
-        spec = functionals.DerivativeEval(t0=0.3, q=1)
-        tv = true_value(spec, make_slope(PP, 64))  # q >= p - 1/2: divergent
-        assert tv.tail_bound == math.inf
+        assert true_value(spec, slope) == pytest.approx(float(slope.coeffs[2]), rel=1e-15)
 
 
 class TestConfigValidation:
@@ -339,7 +327,7 @@ class TestCsvRoundTrip:
 
     def test_header_shape(self, tmp_path):
         cfg = SimConfig(n=5, sigma=1.0, seed=3, model=PP)
-        data = draw_dataset(cfg, zero_slope(PP, cfg.J))
+        data = draw_dataset(cfg, zero_slope(cfg.J))
         path = tmp_path / "data.csv"
         simulate.save_dataset_csv(data, path)
         header = path.read_text().splitlines()[0].split(",")
