@@ -11,6 +11,7 @@ at the bottom verifies it by brute force on arbitrary inputs.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -143,16 +144,27 @@ def penalties(mom: estimator.Moments, spec, n, m_max: int) -> np.ndarray:
     return factor * (2.0 * mom.sigma2_y_hat + 2.0 * quad_g) * quad_ell
 
 
+@functools.lru_cache(maxsize=64)
+def _below_diagonal(size: int) -> np.ndarray:
+    """Read-only mask of the entries (m, k) with k < m of a size x size matrix."""
+    mask = np.tri(size, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def contrasts(estimates, penalties) -> np.ndarray:
-    """kappa_m = max over k in [m, M] of (estimate_k - estimate_m)^2 - p_k."""
+    """kappa_m = max over k in [m, M] of (estimate_k - estimate_m)^2 - p_k.
+
+    Row m of one (M, M) broadcast holds the terms for every k; the entries
+    k < m are set to -inf before the row maxima are taken.
+    """
     est = np.asarray(estimates, dtype=np.float64)
     pen = np.asarray(penalties, dtype=np.float64)
     if est.shape != pen.shape or est.ndim != 1 or len(est) == 0:
         raise ValueError("estimates and penalties must be equal-length 1-d")
-    out = np.empty(len(est))
-    for m in range(len(est)):
-        out[m] = np.max((est[m:] - est[m]) ** 2 - pen[m:])
-    return out
+    terms = (est[None, :] - est[:, None]) ** 2 - pen[None, :]
+    terms[_below_diagonal(len(est))] = -np.inf
+    return terms.max(axis=1)
 
 
 def select(contrasts, penalties) -> int:
@@ -161,7 +173,7 @@ def select(contrasts, penalties) -> int:
     pen = np.asarray(penalties, dtype=np.float64)
     if kap.shape != pen.shape or kap.ndim != 1 or len(kap) == 0:
         raise ValueError("contrasts and penalties must be equal-length 1-d")
-    return int(np.argmin(kap + pen)) + 1
+    return int((kap + pen).argmin()) + 1
 
 
 def adaptive_estimate(data, spec) -> AdaptiveResult:

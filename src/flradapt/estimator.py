@@ -35,16 +35,17 @@ class Moments:
     def __post_init__(self):
         self.ghat = np.asarray(self.ghat, dtype=np.float64)
         self.gammahat = np.asarray(self.gammahat, dtype=np.float64)
+        gam = self.gammahat
         m = len(self.ghat)
-        if self.gammahat.shape != (m, m):
+        if gam.shape != (m, m):
             raise ValueError("gammahat must be square and match ghat")
-        asym = np.max(np.abs(self.gammahat - self.gammahat.T))
-        scale = max(np.max(np.abs(self.gammahat)), 1e-300)
+        asym = np.abs(gam - gam.T).max()
+        scale = max(np.abs(gam).max(), 1e-300)
         if asym > 1e-12 * scale:
             raise ValueError(f"gammahat asymmetric beyond tolerance ({asym:.3g})")
         if m:
-            w = np.linalg.eigvalsh(self.gammahat)
-            if w[0] < -1e-10 * max(np.trace(self.gammahat), 0.0):
+            w = np.linalg.eigvalsh(gam)
+            if w[0] < -1e-10 * max(gam.trace(), 0.0):
                 raise ValueError("gammahat is not positive semi-definite")
         if self.sigma2_y_hat < 0:
             raise ValueError("sigma2_y_hat must be non-negative")
@@ -76,7 +77,7 @@ def empirical_moments(data, M: int) -> Moments:
     gam = xm.T @ xm / data.n
     gam = (gam + gam.T) / 2.0
     ghat = xm.T @ data.y / data.n
-    s2 = float(np.mean(data.y ** 2))
+    s2 = float((data.y ** 2).mean())
     return Moments(ghat=ghat, gammahat=gam, sigma2_y_hat=s2, n=data.n)
 
 
@@ -93,9 +94,9 @@ def galerkin_estimate(mom: Moments, m: int) -> GalerkinFit:
     """
     if not (1 <= m <= mom.dim):
         raise ValueError(f"m must lie in 1..{mom.dim}, got {m}")
-    w, v = np.linalg.eigh(mom.gammahat[:m, :m])
-    trace = float(np.trace(mom.gammahat[:m, :m]))
-    if _is_singular(w, trace, m):
+    block = mom.gammahat[:m, :m]
+    w, v = np.linalg.eigh(block)
+    if _is_singular(w, float(block.trace()), m):
         return GalerkinFit(m=m, coeffs=np.zeros(m), thresholded=True,
                            inv_spectral_norm=math.inf)
     inv_norm = 1.0 / float(w[0])
@@ -116,8 +117,9 @@ def solve_block(mom: Moments, m: int, rhs: np.ndarray):
     """
     if not (1 <= m <= mom.dim):
         raise ValueError(f"m must lie in 1..{mom.dim}, got {m}")
-    w, v = np.linalg.eigh(mom.gammahat[:m, :m])
-    if _is_singular(w, float(np.trace(mom.gammahat[:m, :m])), m):
+    block = mom.gammahat[:m, :m]
+    w, v = np.linalg.eigh(block)
+    if _is_singular(w, float(block.trace()), m):
         return None
     return v @ ((v.T @ np.asarray(rhs, dtype=np.float64)[:m]) / w)
 

@@ -4,15 +4,24 @@ The fixed orthonormal basis is psi_1 = 1, psi_{2k}(s) = sqrt(2) cos(2 pi k s),
 psi_{2k+1}(s) = sqrt(2) sin(2 pi k s).  Each functional is represented by the
 vector of its values on the basis functions; everything downstream works with
 those coefficient vectors only.
+
+``coefficients`` and ``gram_prefix`` are memoized per (spec, m) and return
+read-only arrays.  Every spec stores its real parameters with signed zeros
+mapped to +0.0, so equal specs have bitwise equal coefficients and the cache
+key can be the spec itself.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
+
+# (spec, m) pairs kept per cache; a benchmark study touches fewer than ten
+_CACHE_SIZE = 64
 
 
 def _finite_unit(value: float, name: str, low: float, high: float, strict_low=False):
@@ -25,6 +34,11 @@ def _finite_unit(value: float, name: str, low: float, high: float, strict_low=Fa
         raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
 
 
+def _unsigned(value):
+    """``value`` with -0.0 mapped to +0.0 (x + 0.0 changes no other value)."""
+    return value + 0.0
+
+
 @dataclass(frozen=True)
 class PointEval:
     """h -> h(t0)."""
@@ -33,6 +47,7 @@ class PointEval:
 
     def __post_init__(self):
         _finite_unit(self.t0, "t0", 0.0, 1.0)
+        object.__setattr__(self, "t0", _unsigned(self.t0))
 
 
 @dataclass(frozen=True)
@@ -44,7 +59,10 @@ class DerivativeEval:
 
     def __post_init__(self):
         _finite_unit(self.t0, "t0", 0.0, 1.0)
-        if not (isinstance(self.q, int) and self.q >= 0):
+        object.__setattr__(self, "t0", _unsigned(self.t0))
+        # bool is an int subclass, and True == 1 would share q = 1's cache entry
+        if not (isinstance(self.q, int) and not isinstance(self.q, bool)
+                and self.q >= 0):
             raise ValueError(f"q must be a non-negative integer, got {self.q!r}")
 
 
@@ -65,7 +83,7 @@ class Custom:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(_unsigned(float(c)) for c in self.coeffs)
         if len(coeffs) == 0:
             raise ValueError("Custom needs at least one coefficient")
         if not all(math.isfinite(c) for c in coeffs):
@@ -119,11 +137,27 @@ def coefficients_at(spec: FunctionalSpec, j: np.ndarray) -> np.ndarray:
     return out
 
 
-def coefficients(spec: FunctionalSpec, m: int) -> np.ndarray:
-    """Coefficient vector ([l]_1, ..., [l]_m) of the functional."""
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _check_dimension(m) -> None:
+    # before any cache lookup: m = 3.0 equals, and hashes like, a cached 3
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValueError(f"m must be a positive integer, got {m!r}")
-    return coefficients_at(spec, np.arange(1, m + 1))
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _coefficient_prefix(spec: FunctionalSpec, m: int) -> np.ndarray:
+    return _read_only(coefficients_at(spec, np.arange(1, m + 1)))
+
+
+def coefficients(spec: FunctionalSpec, m: int) -> np.ndarray:
+    """Coefficient vector ([l]_1, ..., [l]_m) of the functional (read-only,
+    shared between calls)."""
+    _check_dimension(m)
+    return _coefficient_prefix(spec, m)
 
 
 def gram(spec: FunctionalSpec, m: int) -> float:
@@ -135,10 +169,17 @@ def gram(spec: FunctionalSpec, m: int) -> float:
     return math.fsum(float(v) * float(v) for v in c)
 
 
-def gram_prefix(spec: FunctionalSpec, m: int) -> np.ndarray:
-    """Cumulative sums of squared coefficients for dimensions 1..m."""
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _gram_prefix(spec: FunctionalSpec, m: int) -> np.ndarray:
     c = coefficients(spec, m)
-    return np.cumsum(c * c)
+    return _read_only(np.cumsum(c * c))
+
+
+def gram_prefix(spec: FunctionalSpec, m: int) -> np.ndarray:
+    """Cumulative sums of squared coefficients for dimensions 1..m (read-only,
+    shared between calls)."""
+    _check_dimension(m)
+    return _gram_prefix(spec, m)
 
 
 def coefficient_support(spec: FunctionalSpec):

@@ -327,12 +327,24 @@ class LinkBoundsReport:
 
 def check_link_bounds(model, spec, m_max: int,
                       cov: Optional[simulate.Covariance] = None) -> LinkBoundsReport:
-    """Verify the weight/inverse-norm link bounds for m = 1..m_max."""
+    """Verify the weight/inverse-norm link bounds for m = 1..m_max.
+
+    Raises ValueError when some gamma_j with j <= m_max is clamped to the
+    smallest normal double: past that index the products and the quadratic
+    forms no longer describe the model (the solves overflow to NaN).
+    """
     if cov is None:
         cov = simulate.Covariance(model, m_max, 0.0)
     if cov.dim < m_max:
         raise ValueError("covariance dimension below m_max")
     gam = sequences.gamma_array(model, m_max)
+    clamped = np.flatnonzero(gam == sequences.MIN_NORMAL)
+    if len(clamped):
+        first = int(clamped[0]) + 1
+        raise ValueError(
+            f"gamma_j is clamped to the smallest normal double from j = {first}; "
+            f"link bounds need m_max <= {first - 1}, got {m_max}"
+        )
     ell = functionals.coefficients(spec, m_max)
     with np.errstate(over="ignore", invalid="ignore"):
         v_gamma = np.cumsum(np.where(ell == 0.0, 0.0, ell ** 2 / gam))

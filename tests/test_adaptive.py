@@ -112,7 +112,43 @@ class TestPenalties:
             penalties(mom, Custom(coeffs=(1.0, 1.0)), 50, 2)
 
 
+def contrasts_reference(estimates, penalties) -> np.ndarray:
+    """The per-m loop that ``contrasts`` replaces by one broadcast."""
+    est = np.asarray(estimates, dtype=np.float64)
+    pen = np.asarray(penalties, dtype=np.float64)
+    out = np.empty(len(est))
+    for m in range(len(est)):
+        out[m] = np.max((est[m:] - est[m]) ** 2 - pen[m:])
+    return out
+
+
+# finite estimates, many of them drawn from a small pool so that ties and
+# repeated values are common; |x| <= 1e150 keeps every squared gap finite
+ESTIMATE = st.floats(-1e150, 1e150, allow_nan=False)
+PENALTY = st.floats(0.0, 1e300, allow_nan=False)
+
+
+@st.composite
+def contrast_inputs(draw):
+    size = draw(st.integers(1, 100))
+    if draw(st.booleans()):
+        pool = draw(st.lists(ESTIMATE, min_size=1, max_size=4))
+        est = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    else:
+        est = draw(st.lists(ESTIMATE, min_size=size, max_size=size))
+    pen = sorted(draw(st.lists(PENALTY, min_size=size, max_size=size)))
+    return np.array(est), np.array(pen)
+
+
 class TestContrastsAndSelect:
+    @given(contrast_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_broadcast_matches_reference_bit_for_bit(self, inputs):
+        est, pen = inputs
+        got = contrasts(est, pen)
+        want = contrasts_reference(est, pen)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_constant_estimates(self):
         pen = np.array([0.5, 1.0, 2.0])
         kap = contrasts(np.array([3.0, 3.0, 3.0]), pen)

@@ -14,6 +14,7 @@ from flradapt.functionals import (
     coefficients,
     coefficients_at,
     gram,
+    gram_prefix,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -83,6 +84,10 @@ class TestCoefficientValues:
             LocalAverage(b=float("nan"))
         with pytest.raises(ValueError):
             DerivativeEval(t0=0.5, q=-1)
+        with pytest.raises(ValueError, match="q must be a non-negative integer"):
+            DerivativeEval(t0=0.3, q=True)
+        with pytest.raises(ValueError, match="q must be a non-negative integer"):
+            DerivativeEval(t0=0.3, q=False)
         with pytest.raises(ValueError):
             Custom(coeffs=(1.0, float("inf")))
 
@@ -123,6 +128,61 @@ class TestIndexBlocks:
             assert first == spec.coeffs[0]
         else:
             assert first == 1.0
+
+
+def bits(array: np.ndarray) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+class TestMemoized:
+    """coefficients and gram_prefix hand out one read-only array per (spec, m)
+    holding exactly the bits of an uncached evaluation."""
+
+    @pytest.mark.parametrize("spec", ALL_KINDS)
+    def test_read_only(self, spec):
+        for array in (coefficients(spec, 5), gram_prefix(spec, 5)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+            with pytest.raises(ValueError):
+                array *= 2.0
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 64, 9000])
+    def test_bitwise_equal_to_uncached(self, m):
+        specs = ALL_KINDS + [PointEval(t0=0.0), PointEval(t0=-0.0),
+                             DerivativeEval(t0=0.0, q=0), DerivativeEval(t0=-0.0, q=0),
+                             Custom(coeffs=(0.0, -0.0, 1.0))]
+        for spec in specs:
+            want = coefficients_at(spec, np.arange(1, m + 1))
+            for _ in range(2):  # cold, then cached
+                assert bits(coefficients(spec, m)) == bits(want)
+                assert bits(gram_prefix(spec, m)) == bits(np.cumsum(want * want))
+
+    def test_equal_specs_share_bits(self):
+        # -0.0 == 0.0 and the two specs hash alike, so they must not differ in
+        # the sign of a zero coefficient either (j = 3, 5, ... at t0 = 0)
+        assert PointEval(t0=-0.0) == PointEval(t0=0.0)
+        assert not np.signbit(PointEval(t0=-0.0).t0)
+        assert not np.signbit(DerivativeEval(t0=-0.0, q=0).t0)
+        assert not np.signbit(Custom(coeffs=(-0.0, 1.0)).coeffs[0])
+        cold = coefficients_at(PointEval(t0=-0.0), np.arange(1, 8))
+        assert bits(coefficients(PointEval(t0=0.0), 7)) == bits(cold)
+        assert bits(coefficients(PointEval(t0=-0.0), 7)) == bits(cold)
+
+    def test_one_array_per_spec_and_dimension(self):
+        spec = LocalAverage(b=0.45)
+        assert coefficients(spec, 6) is coefficients(LocalAverage(b=0.45), 6)
+        assert gram_prefix(spec, 6) is gram_prefix(spec, 6)
+
+    def test_dimension_checked_before_the_cache(self):
+        spec = PointEval(t0=0.3)
+        gram_prefix(spec, 3)
+        coefficients(spec, 3)
+        # 3.0 == 3 and hashes alike, but is not an integer dimension
+        with pytest.raises(ValueError):
+            gram_prefix(spec, 3.0)
+        with pytest.raises(ValueError):
+            coefficients(spec, 3.0)
 
 
 class TestGram:

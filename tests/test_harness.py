@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from flradapt import adaptive, harness, oracle, simulate
+from flradapt import adaptive, functionals, harness, oracle, simulate
 from flradapt.estimator import Moments
 from flradapt.functionals import PointEval
 from flradapt.harness import StudyConfig, fit_rate, run_study
@@ -197,6 +197,21 @@ class TestOutputs:
         run_study(small_config(replicates=3, **paths))
         second = {k: open(v, "rb").read() for k, v in paths.items()}
         assert first == second
+
+    def test_warm_coefficient_cache_writes_identical_files(self, tmp_path):
+        # the first study fills the memoized coefficient vectors from cold,
+        # the second reads every one of them back from the cache
+        functionals._coefficient_prefix.cache_clear()
+        functionals._gram_prefix.cache_clear()
+        outputs = []
+        for run in ("cold", "warm"):
+            paths = {key: str(tmp_path / f"{run}_{key}")
+                     for key in ("report_path", "raw_path", "curves_path")}
+            run_study(small_config(replicates=3, **paths))
+            outputs.append({key: open(path, "rb").read()
+                            for key, path in paths.items()})
+        assert functionals._coefficient_prefix.cache_info().hits > 0
+        assert outputs[0] == outputs[1]
 
     def test_curves_columns(self, tmp_path):
         path = tmp_path / "curves.csv"

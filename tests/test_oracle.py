@@ -373,3 +373,16 @@ class TestLinkBounds:
         cov = Covariance(PP, 16, theta=math.pi / 2)
         report = check_link_bounds(PP, PointEval(t0=0.3), 16, cov=cov)
         assert report.ok
+
+    def test_clamped_gamma_raises_instead_of_nan(self):
+        # exp(-(j^2 - 1)) falls below the smallest normal double from j = 27
+        pe = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
+        cov = Covariance(pe, 40, theta=0.3)
+        for m_max in (27, 40):
+            with pytest.warns(sequences.UnderflowWarning), \
+                    pytest.raises(ValueError, match="from j = 27"):
+                check_link_bounds(pe, PointEval(t0=0.3), m_max, cov=cov)
+        with pytest.warns(sequences.UnderflowWarning):  # from cov.matrix()
+            report = check_link_bounds(pe, PointEval(t0=0.3), 26, cov=cov)
+        assert np.all(np.isfinite(report.gamma_inv_norm))
+        assert np.all(np.isfinite(report.v_ratio))
