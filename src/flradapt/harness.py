@@ -8,12 +8,21 @@ infeasible oracle) and the fixed theoretically-optimal dimension.  Aggregates
 include theoretical risk levels, a log-log rate fit, the selected-dimension
 histogram, and for diagonal covariances the frequency of the penalty
 sandwich event.
+
+Replicates are drawn on one sampler thread per usable CPU, a bounded number
+ahead of the calling thread, which estimates them in replicate order; each
+replicate has its own seed, so the records do not depend on the thread
+count.  A drawn dataset keeps only the regressor columns the estimator
+reads.
 """
 from __future__ import annotations
 
+import contextvars
 import csv
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -32,8 +41,120 @@ _EXPECTED_FAILURES = (
 )
 
 
+# a study's dataset keeps max(m_ell, MIN_KEPT_COLUMNS) regressor columns:
+# the moments of a C-contiguous n x m matrix with m < 4 take another BLAS
+# path than those of a wider row stride and can differ in the last bits
+MIN_KEPT_COLUMNS = 4
+
+# replicates are drawn on sampler threads only from this many normals per
+# replicate (n * J) on: below it the Python work around a draw, which holds
+# the interpreter lock, outweighs the lock-free normal fill, and handing the
+# lock between the sampler and the estimator costs more than it overlaps
+# (on a 2-vCPU VM at n = 256 threads were slower, at n = 500 even, at
+# n = 1000 a third faster)
+THREADED_MIN_NORMALS = 2 ** 16
+
+
 class StudyError(RuntimeError):
     """Too many replicate failures, or an unusable configuration."""
+
+
+def _sampler_threads() -> int:
+    """One sampler thread per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Sampler:
+    """Draws replicates 0..count-1 on ``threads`` worker threads while the
+    caller takes them in order with :meth:`take`; with no threads,
+    :meth:`take` draws each replicate itself.
+
+    At most ``threads + 1`` replicates are claimed and not yet taken, so
+    memory does not grow with the replicate count.  A draw's exception is
+    handed to the caller and raised by the :meth:`take` of its replicate.
+    Each worker runs in a copy of the creating thread's context, so the
+    caller's numpy error state applies to the draws; leaving the ``with``
+    block joins every worker, after the draw it is in.
+    """
+
+    def __init__(self, draw, count: int, threads: int):
+        self._draw = draw
+        self._count = count
+        self._ahead = threads + 1
+        self._ready = threading.Condition()
+        self._claimed = 0
+        self._taken = 0
+        self._done = {}
+        self._closed = False
+        self._threads = [
+            threading.Thread(target=contextvars.copy_context().run,
+                             args=(self._work,), daemon=True)
+            for _ in range(threads)
+        ]
+
+    def __enter__(self):
+        for thread in self._threads:
+            thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        with self._ready:
+            self._closed = True
+            self._done.clear()
+            self._ready.notify_all()
+        for thread in self._threads:
+            thread.join()
+
+    def take(self):
+        """The next replicate's draw; raises what the draw raised."""
+        if self._threads:
+            with self._ready:
+                while self._taken not in self._done:
+                    self._ready.wait()
+                data, error = self._done.pop(self._taken)
+                self._taken += 1
+                self._ready.notify_all()
+        else:
+            data, error = self._attempt(self._taken)
+            self._taken += 1
+        if error is None:
+            return data
+        try:
+            raise error
+        finally:
+            # the traceback holds this frame: break the cycle through it
+            del error
+
+    def _work(self):
+        # the draw's outcome goes straight into _finish, so no local of
+        # this loop keeps a dataset alive after the caller has taken it
+        while (index := self._claim()) is not None:
+            self._finish(index, self._attempt(index))
+
+    def _claim(self):
+        with self._ready:
+            while (not self._closed and self._claimed < self._count
+                   and self._claimed - self._taken >= self._ahead):
+                self._ready.wait()
+            if self._closed or self._claimed == self._count:
+                return None
+            self._claimed += 1
+            return self._claimed - 1
+
+    def _attempt(self, index: int) -> tuple:
+        # everything a draw raises is re-raised in the caller by take()
+        try:
+            return self._draw(index), None
+        except BaseException as err:
+            return None, err
+
+    def _finish(self, index: int, outcome: tuple) -> None:
+        with self._ready:
+            if not self._closed:
+                self._done[index] = outcome
+            self._ready.notify_all()
 
 
 @dataclass(frozen=True)
@@ -128,44 +249,50 @@ def _run_single_n(cfg: StudyConfig, n: int):
             cfg.model, cfg.spec, slope, cfg.sigma, n, m_ell
         )
         mu_n = _lower_dimension_bound(cfg, n, m_ell)
+    columns = max(m_ell, MIN_KEPT_COLUMNS)
+
+    def draw(rep):
+        config = simulate.SimConfig(
+            n=n, sigma=cfg.sigma, seed=cfg.base_seed + rep, model=cfg.model,
+            J=j_dim, slope_scale=cfg.slope_scale, mixing=cfg.mixing,
+        )
+        return simulate.draw_dataset(config, slope, columns)
+
     records = []
-    for rep in range(cfg.replicates):
-        seed = cfg.base_seed + rep
-        record = {
-            "n": n, "replicate": rep, "seed": seed,
-            "sq_err_adaptive": None, "sq_err_best_fixed": None,
-            "sq_err_mstar": None, "m_hat": None, "m_hat_cap": None,
-            "m_ell_cap": None, "sandwich_ok": None, "error": None,
-        }
-        try:
-            config = simulate.SimConfig(
-                n=n, sigma=cfg.sigma, seed=seed, model=cfg.model,
-                J=j_dim, slope_scale=cfg.slope_scale, mixing=cfg.mixing,
-            )
-            # the dataset is bound to no name: it is freed when the estimate
-            # returns, so a study never holds two n x J matrices at once
-            result = adaptive.adaptive_estimate(
-                simulate.draw_dataset(config, slope), cfg.spec
-            )
-            est_all = result.diagnostics["estimates_all"]
-            record["sq_err_adaptive"] = (result.value - target) ** 2
-            record["sq_err_best_fixed"] = float(np.min((est_all - target) ** 2))
-            m_fixed = min(m_star, result.m_ell_cap)
-            record["sq_err_mstar"] = float((est_all[m_fixed - 1] - target) ** 2)
-            record["m_hat"] = result.selected
-            record["m_hat_cap"] = result.m_hat_cap
-            record["m_ell_cap"] = result.m_ell_cap
-            if diagonal:
-                k_max = min(result.m_hat_cap, mu_n)
-                p_hat = result.penalties[:k_max]
-                p_pop = p_theo[:k_max]
-                record["sandwich_ok"] = bool(
-                    np.all(p_pop <= p_hat)
-                    and np.all(p_hat <= SANDWICH_UPPER_FACTOR * p_pop)
-                )
-        except _EXPECTED_FAILURES as err:
-            record["error"] = f"{type(err).__name__}: {err}"
-        records.append(record)
+    threads = 0
+    if n * j_dim >= THREADED_MIN_NORMALS:
+        threads = min(_sampler_threads(), cfg.replicates)
+    with _Sampler(draw, cfg.replicates, threads) as sampler:
+        for rep in range(cfg.replicates):
+            record = {
+                "n": n, "replicate": rep, "seed": cfg.base_seed + rep,
+                "sq_err_adaptive": None, "sq_err_best_fixed": None,
+                "sq_err_mstar": None, "m_hat": None, "m_hat_cap": None,
+                "m_ell_cap": None, "sandwich_ok": None, "error": None,
+            }
+            try:
+                # the dataset is bound to no name: it is freed when the
+                # estimate returns, before the next replicate is taken
+                result = adaptive.adaptive_estimate(sampler.take(), cfg.spec)
+                est_all = result.diagnostics["estimates_all"]
+                record["sq_err_adaptive"] = (result.value - target) ** 2
+                record["sq_err_best_fixed"] = float(np.min((est_all - target) ** 2))
+                m_fixed = min(m_star, result.m_ell_cap)
+                record["sq_err_mstar"] = float((est_all[m_fixed - 1] - target) ** 2)
+                record["m_hat"] = result.selected
+                record["m_hat_cap"] = result.m_hat_cap
+                record["m_ell_cap"] = result.m_ell_cap
+                if diagonal:
+                    k_max = min(result.m_hat_cap, mu_n)
+                    p_hat = result.penalties[:k_max]
+                    p_pop = p_theo[:k_max]
+                    record["sandwich_ok"] = bool(
+                        np.all(p_pop <= p_hat)
+                        and np.all(p_hat <= SANDWICH_UPPER_FACTOR * p_pop)
+                    )
+            except _EXPECTED_FAILURES as err:
+                record["error"] = f"{type(err).__name__}: {err}"
+            records.append(record)
     theory = {
         "m_ell_cap": m_ell,
         "m_star": m_star,

@@ -28,8 +28,9 @@ THEORETICAL_PENALTY_CONSTANT = 100.0
 # terminate by underflow long before the cap
 TAIL_HORIZON_POLY = 1_000_000
 TAIL_HORIZON_EXP = 65_536
-# indices per block of the tail fill: keeps each temporary at 64 KiB, so the
-# fill allocates little beyond the retained cumulative sums
+# indices per block of the tail sums: each temporary of the fill takes
+# 64 KiB, and only the first block of sums and each block's last sum are
+# kept (TailSums)
 TAIL_BLOCK = 8192
 
 
@@ -41,8 +42,65 @@ class RegimeConditionError(ValueError):
     """Rate formulas require a parameter condition that does not hold."""
 
 
+def _block_sums(model, spec, lo: int, hi: int, start) -> tuple:
+    """Running sums of l_j^2 / beta_j over j = lo+1..hi, continued from
+    ``start``, the sum of every term before j = lo+1; returns them with the
+    last term."""
+    j = np.arange(lo + 1, hi + 1)
+    # the first block is the prefix 1..hi, which `coefficients` evaluates
+    ell = (functionals.coefficients(spec, hi) if lo == 0
+           else functionals.coefficients_at(spec, j))
+    ell2 = ell ** 2
+    with np.errstate(under="ignore", invalid="ignore"):
+        terms = np.where(ell2 == 0.0, 0.0,
+                         ell2 * np.exp(-sequences.log_beta_at(model, j)))
+    last = float(terms[-1])
+    if lo:
+        terms[0] += start
+    return np.cumsum(terms), last
+
+
+class TailSums:
+    """Cumulative sums of l_j^2 / beta_j over j = 1..length and the completed
+    total.
+
+    Only the first block of ``block_size`` sums, the sum that ends each
+    block, and the total are kept.  :meth:`block` recomputes any other block
+    from the sum that ends the block before it, the arithmetic of the fill,
+    so every sum is bit for bit that of one ``np.cumsum`` over all terms.
+    (A plain class: a dataclass would add about 1 ms to ``import flradapt``.)
+    """
+
+    __slots__ = ("model", "spec", "length", "block_size", "head", "ends", "total")
+
+    def __init__(self, model, spec, length, block_size, head, ends, total):
+        self.model, self.spec = model, spec
+        self.length, self.block_size = length, block_size
+        self.head, self.ends, self.total = head, ends, total
+
+    def block(self, k: int) -> np.ndarray:
+        """The cumulative sums at j = k * block_size + 1 .. (k + 1) * block_size."""
+        if k == 0:
+            return self.head
+        lo = k * self.block_size
+        hi = min(lo + self.block_size, self.length)
+        return _block_sums(self.model, self.spec, lo, hi, self.ends[k - 1])[0]
+
+    def at(self, idx) -> np.ndarray:
+        """The cumulative sums at the 0-based indices ``idx`` (the sum of
+        the first i + 1 terms at index i), each block recomputed once."""
+        idx = np.asarray(idx)
+        out = np.empty(idx.shape)
+        blocks = idx // self.block_size
+        # a set, not np.unique: its first call imports numpy modules (20 ms)
+        for k in set(blocks.tolist()):
+            mask = blocks == k
+            out[mask] = self.block(k)[idx[mask] - k * self.block_size]
+        return out
+
+
 @functools.lru_cache(maxsize=32)
-def _tail_data(model, spec):
+def _tail_data(model, spec) -> TailSums:
     """Cumulative sums of l_j^2 / beta_j and the completed total.
 
     For polynomial regularity weights the sum runs to TAIL_HORIZON_POLY and
@@ -52,10 +110,10 @@ def _tail_data(model, spec):
     doubled-last-term bound covers the cut).  A finitely supported
     functional sums to its support and has no remainder.
 
-    The terms are evaluated TAIL_BLOCK indices at a time into the one
-    retained array, each block's running sum starting from the last sum of
-    the block before, so the sums are the same sequential sums as one
-    ``np.cumsum`` over all terms, bit for bit.
+    The terms are evaluated TAIL_BLOCK indices at a time, each block's
+    running sum starting from the last sum of the block before, so the sums
+    are the same sequential sums as one ``np.cumsum`` over all terms, bit
+    for bit; :class:`TailSums` keeps the first block and the block ends.
     """
     support = functionals.coefficient_support(spec)
     exponential = model.regime is sequences.Regime.EP
@@ -75,36 +133,31 @@ def _tail_data(model, spec):
             )
         edge = horizon + 0.5
         remainder = amp * edge ** (1.0 - decay) / (decay - 1.0)
-    cum = np.empty(horizon)
-    for lo in range(0, horizon, TAIL_BLOCK):
-        hi = min(lo + TAIL_BLOCK, horizon)
-        j = np.arange(lo + 1, hi + 1)
-        # the first block is the prefix 1..hi, which `coefficients` evaluates
-        ell = (functionals.coefficients(spec, hi) if lo == 0
-               else functionals.coefficients_at(spec, j))
-        ell2 = ell ** 2
-        with np.errstate(under="ignore", invalid="ignore"):
-            terms = np.where(ell2 == 0.0, 0.0,
-                             ell2 * np.exp(-sequences.log_beta_at(model, j)))
-        last = float(terms[-1])
-        if lo:
-            terms[0] += cum[lo - 1]
-        np.cumsum(terms, out=cum[lo:hi])
+    block = TAIL_BLOCK
+    starts = range(0, horizon, block)
+    ends = np.empty(len(starts))
+    end = 0.0
+    for k, lo in enumerate(starts):
+        sums, last = _block_sums(model, spec, lo, min(lo + block, horizon), end)
+        if k == 0:
+            head = sums
+        end = ends[k] = sums[-1]
     if exponential and support is None:
         remainder = 2.0 * last
-    return cum, float(cum[-1] + remainder)
+    return TailSums(model=model, spec=spec, length=horizon, block_size=block,
+                    head=head, ends=ends, total=float(ends[-1] + remainder))
 
 
 def ell_weight_tail(model, spec, m: int) -> float:
     """sum_{j > m} l_j^2 / beta_j, to about 1e-6 relative accuracy."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    cum, total = _tail_data(model, spec)
+    tails = _tail_data(model, spec)
     if m == 0:
-        return total
-    if m >= len(cum):
-        return max(total - float(cum[-1]), 0.0)
-    return max(total - float(cum[m - 1]), 0.0)
+        return tails.total
+    if m >= tails.length:
+        return max(tails.total - float(tails.ends[-1]), 0.0)
+    return max(tails.total - float(tails.at([m - 1])[0]), 0.0)
 
 
 def risk_curve(model, spec, x: float, m_max: int) -> np.ndarray:
@@ -114,12 +167,12 @@ def risk_curve(model, spec, x: float, m_max: int) -> np.ndarray:
         raise ValueError(f"x must lie in (0, 1], got {x}")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    cum, total = _tail_data(model, spec)
-    if functionals.coefficient_support(spec) is None and m_max > len(cum):
-        raise ValueError(f"m_max = {m_max} exceeds the tail horizon {len(cum)}")
+    tails = _tail_data(model, spec)
+    if functionals.coefficient_support(spec) is None and m_max > tails.length:
+        raise ValueError(f"m_max = {m_max} exceeds the tail horizon {tails.length}")
     # finitely supported functionals have zero tail past their support
-    idx = np.minimum(np.arange(1, m_max + 1), len(cum)) - 1
-    tail = np.maximum(total - cum[idx], 0.0)
+    idx = np.minimum(np.arange(1, m_max + 1), tails.length) - 1
+    tail = np.maximum(tails.total - tails.at(idx), 0.0)
     ell2 = functionals.coefficients(spec, m_max) ** 2
     log_gamma = sequences.log_gamma_array(model, m_max)
     log_beta = sequences.log_beta_array(model, m_max)
@@ -329,6 +382,9 @@ def check_link_bounds(model, spec, m_max: int,
                       cov: Optional[simulate.Covariance] = None) -> LinkBoundsReport:
     """Verify the weight/inverse-norm link bounds for m = 1..m_max.
 
+    The smallest eigenvalue of each leading block comes in closed form from
+    ``Covariance.leading_min_eigenvalues``: a numerical eigensolver loses it
+    once the weights span hundreds of decades (rotated ``pe``, a = 1).
     Raises ValueError when some gamma_j with j <= m_max is clamped to the
     smallest normal double: past that index the products and the quadratic
     forms no longer describe the model (the solves overflow to NaN).
@@ -348,16 +404,12 @@ def check_link_bounds(model, spec, m_max: int,
     ell = functionals.coefficients(spec, m_max)
     with np.errstate(over="ignore", invalid="ignore"):
         v_gamma = np.cumsum(np.where(ell == 0.0, 0.0, ell ** 2 / gam))
-    gamma_inv_norm = np.empty(m_max)
-    mat = cov.matrix()
-    for m in range(1, m_max + 1):
-        lam_min = float(np.linalg.eigvalsh(mat[:m, :m])[0])
-        gamma_inv_norm[m - 1] = gam[m - 1] / lam_min
+    gamma_inv_norm = gam / cov.leading_min_eigenvalues(m_max)
     # diagonal blocks: the quadratic form equals the weighted prefix sum term
     # for term, so the ratio is one identically
     v_ratio = np.ones(m_max)
     if not cov.is_diagonal:
-        v = np.maximum.accumulate(_nested_quadratic_forms(mat, ell, m_max))
+        v = np.maximum.accumulate(_nested_quadratic_forms(cov.matrix(), ell, m_max))
         np.divide(v, v_gamma, out=v_ratio, where=v_gamma > 0)
     d = cov.effective_d()
     return LinkBoundsReport(d=d, lower=1.0 / d, upper=4.0 * d ** 3,

@@ -6,8 +6,9 @@ the eigenvalue weight gamma_j.  An optional Givens rotation of adjacent
 coefficient pairs produces a non-diagonal covariance with the same spectrum.
 That rotation is one rule in :class:`Covariance`: the sampler applies it to
 the drawn rows in place, ``Covariance.matrix`` reads the 2x2 blocks it
-produces, and ``Covariance.effective_d`` their generalized eigenvalues in
-closed form.  Responses follow y_i = <slope, x_i> + sigma * eps_i with
+produces, and ``Covariance.effective_d`` and
+``Covariance.leading_min_eigenvalues`` take their eigenvalues in closed
+form.  Responses follow y_i = <slope, x_i> + sigma * eps_i with
 independent standard normal noise.  :func:`true_value` is the functional
 evaluated on the slope's stored coefficients, the target every estimate is
 scored against.
@@ -26,10 +27,12 @@ from ._util import floor_fourth_root, fmt
 
 DEFAULT_SLOPE_SCALE = 0.9
 
-# rows per step of the pair rotation: at the default truncation J = 128 its
-# two half-row temporaries take 64 KiB each, below glibc's 128 KiB mmap
-# threshold, so every step reuses heap memory instead of mapping fresh pages
-ROTATE_ROWS = 128
+# normals per row block of the sampler (1 MiB; 1024 rows at the default
+# truncation J = 128).  Longer blocks cost a sampler thread fewer
+# interpreter-lock round trips per draw.  A block's product with the slope
+# gave the bits of one BLAS thread with OpenBLAS on two threads too, which
+# the product over all rows of a long draw did not (n = 8003)
+SAMPLE_BLOCK = 2 ** 17
 
 
 def check_mixing(theta: float) -> None:
@@ -78,22 +81,42 @@ class Covariance:
         """Rotate every coefficient pair on the last axis of ``x`` in place
         and return ``x``: (a, b) becomes (c a - s b, s a + c b) with
         c = cos(theta), s = sin(theta).  An unpaired last coefficient (odd
-        dim) is left as is; theta = 0 returns ``x`` untouched.  The leading
-        axis is worked through ROTATE_ROWS rows at a time.
+        dim) is left as is; theta = 0 returns ``x`` untouched.  Two
+        temporaries of half the size of ``x`` are allocated, so the sampler
+        hands in one row block at a time.
         """
         if self.is_diagonal:
             return x
         c, s = math.cos(self.theta), math.sin(self.theta)
-        rows = x[np.newaxis] if x.ndim == 1 else x
-        for lo in range(0, len(rows), ROTATE_ROWS):
-            even, odd = self._pairs(rows[lo:lo + ROTATE_ROWS])
-            a = even.copy()
-            np.multiply(a, c, out=even)
-            even -= s * odd
-            odd *= c
-            a *= s
-            odd += a
+        even, odd = self._pairs(x)
+        a = even.copy()
+        np.multiply(a, c, out=even)
+        even -= s * odd
+        odd *= c
+        a *= s
+        odd += a
         return x
+
+    def leading_min_eigenvalues(self, m_max: int) -> np.ndarray:
+        """Smallest eigenvalue of each leading m x m block of :meth:`matrix`,
+        m = 1..m_max, in closed form.
+
+        A leading block is block-diagonal: each complete rotated pair keeps
+        its two weights gamma_{2k-1}, gamma_{2k} as eigenvalues, and a pair
+        cut by the block's edge (odd m with m + 1 paired) leaves the one
+        diagonal entry c^2 gamma_m + s^2 gamma_{m+1}.
+        """
+        if not 1 <= m_max <= self.dim:
+            raise ValueError(f"m_max must lie in 1..{self.dim}, got {m_max}")
+        lam = self.eigenvalues()
+        lam_min = np.minimum.accumulate(lam[:m_max])
+        if not self.is_diagonal:
+            # the 0-based index 2k is the first member of pair k; the block
+            # of size 2k + 1 cuts that pair
+            cut = self.pair_blocks(lam)[:, 0, 0][:(m_max + 1) // 2]
+            whole = np.concatenate(([np.inf], lam_min[1:2 * len(cut) - 1:2]))
+            lam_min[0:2 * len(cut):2] = np.minimum(whole, cut)
+        return lam_min
 
     def pair_blocks(self, weights: np.ndarray) -> np.ndarray:
         """Rotated 2x2 diagonal blocks R diag(w_{2k-1}, w_{2k}) R^T, shape
@@ -238,19 +261,55 @@ def make_slope(model, J: int, slope_scale: float = DEFAULT_SLOPE_SCALE) -> Slope
     return SlopeSpec(coeffs=coeffs, true_norm_beta_sq=norm_sq)
 
 
-def draw_dataset(config: SimConfig, slope: SlopeSpec) -> Dataset:
-    """One i.i.d. sample of size n, fully determined by ``config.seed``."""
+def _row_blocks(n: int, J: int) -> list:
+    """(lo, hi) row ranges of SAMPLE_BLOCK // J rows covering 0..n.  A
+    one-row remainder joins the block before it: the product of a one-row
+    block with the slope takes another BLAS path than the rows of a longer
+    block and can differ in the last bits."""
+    bounds = list(range(0, n, max(SAMPLE_BLOCK // J, 1))) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def draw_dataset(config: SimConfig, slope: SlopeSpec,
+                 columns: Optional[int] = None) -> Dataset:
+    """One i.i.d. sample of size n, fully determined by ``config.seed``.
+
+    The n x J standard normals are drawn SAMPLE_BLOCK at a time; each
+    block is scaled, rotated and multiplied into its rows of y, and the
+    noise is drawn after the last block.  Chunked fills continue one
+    stream, so the sample is bit for bit that of one n x J draw.  With
+    ``columns`` the regressors keep only their first ``columns``
+    coefficients: the blocks pass through one scratch block, and x is
+    n x columns while y still sees all J.
+    """
     if slope.dim != config.J:
         raise ValueError(
             f"slope has {slope.dim} coefficients, config expects {config.J}"
         )
+    width = config.J if columns is None else columns
+    if not 1 <= width <= config.J:
+        raise ValueError(f"columns must lie in 1..{config.J}, got {columns}")
     rng = np.random.default_rng(config.seed)
     cov = config.covariance()
-    x = rng.standard_normal((config.n, config.J))
-    x *= np.sqrt(cov.eigenvalues())
-    cov.rotate(x)
-    eps = rng.standard_normal(config.n)
-    y = x @ slope.coeffs + config.sigma * eps
+    scale = np.sqrt(cov.eigenvalues())
+    x = np.empty((config.n, width))
+    y = np.empty(config.n)
+    blocks = _row_blocks(config.n, config.J)
+    scratch = None
+    if width < config.J:
+        scratch = np.empty((max(hi - lo for lo, hi in blocks), config.J))
+    for lo, hi in blocks:
+        block = x[lo:hi] if scratch is None else scratch[:hi - lo]
+        rng.standard_normal(out=block)
+        block *= scale
+        cov.rotate(block)
+        y[lo:hi] = block @ slope.coeffs
+        if scratch is not None:
+            x[lo:hi] = block[:, :width]
+    del block, scratch
+    y += config.sigma * rng.standard_normal(config.n)
     return Dataset(y=y, x=x)
 
 

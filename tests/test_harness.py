@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from flradapt import adaptive, functionals, harness, oracle, simulate
+from flradapt import adaptive, functionals, harness, oracle, sequences, simulate
 from flradapt.estimator import Moments
 from flradapt.functionals import PointEval
 from flradapt.harness import StudyConfig, fit_rate, run_study
@@ -21,6 +25,27 @@ def small_config(**overrides):
     )
     kwargs.update(overrides)
     return StudyConfig(**kwargs)
+
+
+@pytest.fixture
+def sampler_threads(monkeypatch):
+    """Draw every grid point on sampler threads, however small its draws;
+    the returned function sets how many threads the CPU count gives."""
+    monkeypatch.setattr(harness, "THREADED_MIN_NORMALS", 0)
+
+    def use(threads):
+        monkeypatch.setattr(harness, "_sampler_threads", lambda: threads)
+
+    use(2)
+    return use
+
+
+def study_files(tmp_path, name, cfg):
+    """The bytes of the three files a study of ``cfg`` writes."""
+    paths = {key: tmp_path / f"{name}_{key}"
+             for key in ("report_path", "raw_path", "curves_path")}
+    run_study(dataclasses.replace(cfg, **{key: str(path) for key, path in paths.items()}))
+    return {key: path.read_bytes() for key, path in paths.items()}
 
 
 class TestFitRate:
@@ -142,23 +167,30 @@ class TestRunStudy:
         bad = [rec for rec in report.raw_records if rec["error"] is not None]
         assert len(bad) == 1 and "synthetic failure" in bad[0]["error"]
 
-    def test_no_dataset_outlives_its_replicate(self, monkeypatch):
-        # a study holds one n x J regressor matrix at a time: each replicate's
-        # dataset is freed before the next one is drawn, after a failed
-        # replicate too
-        import weakref
-
-        drawn = []
+    def test_no_dataset_outlives_its_replicate(self, monkeypatch, sampler_threads):
+        # the study never builds an n x J matrix: each dataset keeps the
+        # max(m_ell, 4) columns the estimator reads; when a draw starts, at
+        # most threads + 1 datasets are alive (those drawn ahead and the one
+        # being estimated); a failed replicate is still recorded
+        threads = 3
+        sampler_threads(threads)
+        lock = threading.Lock()
+        drawn, alive_at_draw = [], []
         draw, estimate = simulate.draw_dataset, adaptive.adaptive_estimate
 
-        def tracked_draw(config, slope):
-            assert all(ref() is None for ref in drawn), "previous dataset alive"
-            data = draw(config, slope)
-            drawn.append(weakref.ref(data))
+        def tracked_draw(config, slope, columns=None):
+            with lock:
+                alive_at_draw.append(sum(ref() is not None for ref, _ in drawn))
+            data = draw(config, slope, columns)
+            with lock:
+                drawn.append((weakref.ref(data), (config.n, data.dim)))
             return data
 
+        estimated = []
+
         def fail_third(data, spec):
-            if len(drawn) == 3:
+            estimated.append(data.n)
+            if len(estimated) == 3:
                 raise adaptive.AdaptiveEstimationError("synthetic failure")
             return estimate(data, spec)
 
@@ -166,6 +198,77 @@ class TestRunStudy:
         monkeypatch.setattr(harness.adaptive, "adaptive_estimate", fail_third)
         report = run_study(small_config(replicates=40))
         assert len(drawn) == 120 and report.total_errors == 1
+        assert report.raw_records[2]["error"] == (
+            "AdaptiveEstimationError: synthetic failure")
+        assert max(alive_at_draw) <= threads + 1
+        for _, (n, width) in drawn:
+            assert width == max(adaptive.cap_m_ell(SPEC, n), harness.MIN_KEPT_COLUMNS)
+            assert width < simulate.default_truncation(n)
+
+    def test_thread_count_leaves_files_unchanged(self, tmp_path, sampler_threads):
+        # more sampler threads than cores, switching every microsecond:
+        # the replicates still land in their order with their own seeds
+        cfg = small_config(n_grid=(16, 64, 256), replicates=12)
+        sampler_threads(1)
+        one = study_files(tmp_path, "one", cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sampler_threads(4)
+            four = study_files(tmp_path, "four", cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert one == four
+
+    def test_default_threshold_uses_threads_for_long_draws_only(self, monkeypatch):
+        # n * J = 2^15 at n = 256 draws inline, 2^16 at n = 512 on threads
+        main = threading.main_thread()
+        threads_by_n = {}
+        draw = simulate.draw_dataset
+
+        def tracked_draw(config, slope, columns=None):
+            threads_by_n.setdefault(config.n, set()).add(
+                threading.current_thread() is main)
+            return draw(config, slope, columns)
+
+        monkeypatch.setattr(harness, "_sampler_threads", lambda: 2)
+        monkeypatch.setattr(harness.simulate, "draw_dataset", tracked_draw)
+        run_study(small_config(n_grid=(256, 512), replicates=4))
+        assert threads_by_n == {256: {True}, 512: {False}}
+
+    def test_draw_error_propagates_and_threads_end(self, monkeypatch, sampler_threads):
+        # a bug in a draw surfaces from run_study as it is, and no sampler
+        # thread outlives the study
+        sampler_threads(3)
+        before = threading.active_count()
+        draw = simulate.draw_dataset
+
+        def broken_draw(config, slope, columns=None):
+            if config.n == 128 and config.seed == 101 + 5:
+                raise TypeError("synthetic draw bug")
+            return draw(config, slope, columns)
+
+        monkeypatch.setattr(harness.simulate, "draw_dataset", broken_draw)
+        with pytest.raises(TypeError, match="synthetic draw bug"):
+            run_study(small_config(replicates=20))
+        assert threading.active_count() == before
+
+    def test_sampler_warnings_reach_the_caller(self, monkeypatch, sampler_threads):
+        # rotated pe with a = 1: gamma_j underflows below j = 27 < J, and
+        # only the draws call gamma_array, all of them on sampler threads
+        pe = SequenceModel(regime=Regime.PE, p=2.0, a=1.0)
+        main = threading.main_thread()
+        on_main = []
+        draw = simulate.draw_dataset
+
+        def tracked_draw(config, slope, columns=None):
+            on_main.append(threading.current_thread() is main)
+            return draw(config, slope, columns)
+
+        monkeypatch.setattr(harness.simulate, "draw_dataset", tracked_draw)
+        with pytest.warns(sequences.UnderflowWarning):
+            run_study(small_config(model=pe, mixing=0.3, n_grid=(64,), replicates=4))
+        assert on_main and not any(on_main)
 
     def test_unexpected_exception_propagates(self, monkeypatch):
         # only the expected numerical failures are recorded; a bug surfaces
@@ -203,15 +306,10 @@ class TestOutputs:
         # the second reads every one of them back from the cache
         functionals._coefficient_prefix.cache_clear()
         functionals._gram_prefix.cache_clear()
-        outputs = []
-        for run in ("cold", "warm"):
-            paths = {key: str(tmp_path / f"{run}_{key}")
-                     for key in ("report_path", "raw_path", "curves_path")}
-            run_study(small_config(replicates=3, **paths))
-            outputs.append({key: open(path, "rb").read()
-                            for key, path in paths.items()})
+        cold = study_files(tmp_path, "cold", small_config(replicates=3))
+        warm = study_files(tmp_path, "warm", small_config(replicates=3))
         assert functionals._coefficient_prefix.cache_info().hits > 0
-        assert outputs[0] == outputs[1]
+        assert cold == warm
 
     def test_curves_columns(self, tmp_path):
         path = tmp_path / "curves.csv"

@@ -92,10 +92,22 @@ class TestBlockedTailSums:
     def test_matches_one_shot_fill(self, monkeypatch, model, spec, block):
         if block is not None:
             monkeypatch.setattr(oracle, "TAIL_BLOCK", block)
-        cum, total = oracle._tail_data.__wrapped__(model, spec)
+        tails = oracle._tail_data.__wrapped__(model, spec)
         want_cum, want_total = tail_data_reference(model, spec)
-        assert np.array_equal(cum, want_cum)
-        assert total == want_total
+        # every index through the accessor: the kept first block and the
+        # block ends, and every other block recomputed from its start sum
+        assert np.array_equal(tails.at(np.arange(tails.length)), want_cum)
+        block_ends = np.arange(1, len(tails.ends) + 1) * tails.block_size
+        assert np.array_equal(tails.ends, want_cum[np.minimum(block_ends, tails.length) - 1])
+        assert tails.total == want_total
+
+    @pytest.mark.parametrize("model", TAIL_MODELS)
+    def test_tail_values_match_one_shot_fill(self, model):
+        spec = PointEval(t0=0.3)
+        cum, total = tail_data_reference(model, spec)
+        for m in (0, 1, 8191, 8192, 8193, 50_000, len(cum) - 1, len(cum), len(cum) + 5):
+            want = total if m == 0 else max(total - float(cum[min(m, len(cum)) - 1]), 0.0)
+            assert oracle.ell_weight_tail(model, spec, m) == want, m
 
     def test_divergent_tail_raises(self):
         model = SequenceModel(regime=Regime.PP, p=1.0, a=1.0)
@@ -105,16 +117,18 @@ class TestBlockedTailSums:
             oracle._tail_data.__wrapped__(model, DerivativeEval(t0=0.3, q=1))
 
     def test_cold_fill_allocates_little_beyond_its_result(self):
+        # 10^6 sums are never held at once: the fill peaks at the 64 KiB
+        # temporaries of one block's evaluation (about nine of them)
         import tracemalloc
 
         tracemalloc.start()
         try:
-            cum, _ = oracle._tail_data.__wrapped__(PP, PointEval(t0=0.3))
+            tails = oracle._tail_data.__wrapped__(PP, PointEval(t0=0.3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(cum) == oracle.TAIL_HORIZON_POLY
-        assert peak <= cum.nbytes + 8 * 2 ** 20
+        assert tails.length == oracle.TAIL_HORIZON_POLY
+        assert peak <= 10 * oracle.TAIL_BLOCK * 8
 
 
 class TestRiskTerm:
@@ -373,6 +387,39 @@ class TestLinkBounds:
         cov = Covariance(PP, 16, theta=math.pi / 2)
         report = check_link_bounds(PP, PointEval(t0=0.3), 16, cov=cov)
         assert report.ok
+
+    @pytest.mark.parametrize("theta", [0.3, 0.7])
+    @pytest.mark.parametrize("dim", [16, 32])
+    def test_closed_form_minimum_eigenvalues_match_eigvalsh(self, dim, theta):
+        cov = Covariance(PP, dim, theta)
+        mat = cov.matrix()
+        want = [np.linalg.eigvalsh(mat[:m, :m])[0] for m in range(1, dim + 1)]
+        np.testing.assert_allclose(cov.leading_min_eigenvalues(dim), want, rtol=1e-12)
+        # a leading block of odd size 15 < dim cuts the pair (15, 16)
+        report = check_link_bounds(PP, PointEval(t0=0.3), dim, cov=cov)
+        assert np.all(report.gamma_inv_norm[1::2] == 1.0)
+        assert np.all(report.gamma_inv_norm[0::2] > 1.0)
+
+    @pytest.mark.parametrize("model", [PP, PE, EP])
+    def test_diagonal_minimum_eigenvalues_are_the_weights(self, model):
+        cov = Covariance(model, 12)
+        assert np.array_equal(cov.leading_min_eigenvalues(12), cov.eigenvalues())
+        report = check_link_bounds(model, PointEval(t0=0.3), 12)
+        assert np.all(report.gamma_inv_norm == 1.0)
+
+    def test_steep_rotated_weights_give_meaningful_norms(self):
+        # the weights of pe with a = 1 span 1 to 1e-293 by m = 26, where
+        # eigvalsh returned negative smallest eigenvalues
+        pe = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
+        cov = Covariance(pe, 40, theta=0.3)
+        with pytest.warns(sequences.UnderflowWarning):
+            report = check_link_bounds(pe, PointEval(t0=0.3), 26, cov=cov)
+        norms = report.gamma_inv_norm
+        assert np.all(np.isfinite(norms)) and np.all(norms > 0.0)
+        assert np.all(norms[1::2] == 1.0)
+        # a cut pair: gamma_m / (c^2 gamma_m + s^2 gamma_{m+1}) ~ 1 / c^2
+        c = math.cos(0.3)
+        np.testing.assert_allclose(norms[20::2], 1.0 / c ** 2, rtol=1e-12)
 
     def test_clamped_gamma_raises_instead_of_nan(self):
         # exp(-(j^2 - 1)) falls below the smallest normal double from j = 27

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from flradapt import sequences, simulate
+from flradapt import harness, sequences, simulate
+from flradapt.estimator import empirical_moments
 from flradapt.functionals import Custom, LocalAverage, PointEval
 from flradapt.sequences import Regime, SequenceModel
 from flradapt.simulate import (
@@ -37,8 +41,9 @@ def rotate_pairs_reference(x, theta):
 
 
 def draw_dataset_reference(config, slope):
-    """Out-of-place sampler: scaled normals as a new array, then the pair
-    rotation loop; ``draw_dataset`` must reproduce it bit for bit."""
+    """One-shot sampler: all n x J normals in one draw, scaled as a new
+    array, the pair rotation loop, and one matrix-vector product over all
+    n rows; ``draw_dataset`` must reproduce it bit for bit."""
     rng = np.random.default_rng(config.seed)
     lam = sequences.gamma_array(config.model, config.J)
     x = rng.standard_normal((config.n, config.J)) * np.sqrt(lam)
@@ -46,6 +51,44 @@ def draw_dataset_reference(config, slope):
         x = rotate_pairs_reference(x, config.mixing)
     y = x @ slope.coeffs + config.sigma * rng.standard_normal(config.n)
     return x, y
+
+
+# the streamed sampler against the one-shot reference, at an even and an odd
+# J: short draws, row counts around one and two row blocks (one more row
+# would be a one-row last block), and long draws
+STREAM_THETA = [0.0, 0.3]
+STREAM_J = [128, 129]
+STREAM_N = sorted({16, 17, 127, 128, 129, 130, 131, 257, 1001, 8003}
+                  | {k * (simulate.SAMPLE_BLOCK // J) + d
+                     for J in STREAM_J for k in (1, 2) for d in (0, 1, 2)})
+
+
+def stream_case(n, theta, J):
+    config = SimConfig(n=n, sigma=0.5, seed=1000 + n, model=PP, J=J, mixing=theta)
+    return config, make_slope(PP, J)
+
+
+@pytest.fixture(scope="module")
+def one_thread_responses(tmp_path_factory):
+    """y of ``draw_dataset_reference`` for every streamed case, computed in
+    a child interpreter with one BLAS thread.  With more threads OpenBLAS
+    splits the rows of one long product between them, which changes the
+    last bits of the rows at a split (n = 8003 on two threads): the
+    reference is defined at one thread, the setting of CI and the
+    benchmark, and the streamed sampler's blocks give its bits."""
+    path = tmp_path_factory.mktemp("reference") / "responses.npz"
+    code = (
+        "import sys, numpy as np, test_simulate as t\n"
+        "np.savez(sys.argv[1], **{f'{n}_{theta}_{J}': "
+        "t.draw_dataset_reference(*t.stream_case(n, theta, J))[1] "
+        "for n in t.STREAM_N for theta in t.STREAM_THETA for J in t.STREAM_J})\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.dirname(__file__), *sys.path]))
+    subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+    with np.load(path) as responses:
+        return dict(responses)
 
 
 def effective_d_reference(cov):
@@ -167,7 +210,7 @@ class TestDrawDataset:
         if base.J % 2:
             assert np.array_equal(d1.x[:, -1], d0.x[:, -1])
 
-    # n = 1000 is not a multiple of the 128 rows the rotation steps through
+    # n = 1000 is one partial row block of the sampler
     @pytest.mark.parametrize("theta", [0.0, 0.3])
     @pytest.mark.parametrize("J", [128, 129])
     def test_matches_out_of_place_reference(self, theta, J):
@@ -177,6 +220,63 @@ class TestDrawDataset:
         x, y = draw_dataset_reference(cfg, slope)
         assert np.array_equal(data.x, x)
         assert np.array_equal(data.y, y)
+
+    @pytest.mark.parametrize("J", STREAM_J)
+    @pytest.mark.parametrize("theta", STREAM_THETA)
+    @pytest.mark.parametrize("n", STREAM_N)
+    def test_streamed_draw_matches_one_shot_reference(self, one_thread_responses,
+                                                      n, theta, J):
+        config, slope = stream_case(n, theta, J)
+        x, _ = draw_dataset_reference(config, slope)
+        y = one_thread_responses[f"{n}_{theta}_{J}"]
+        for columns in (1, 2, 3, 4, 9, J, None):
+            data = draw_dataset(config, slope, columns)
+            width = J if columns is None else columns
+            assert data.x.shape == (n, width)
+            assert np.array_equal(data.x, x[:, :width]), columns
+            assert np.array_equal(data.y, y), columns
+
+    def test_column_count_out_of_range_rejected(self):
+        config, slope = stream_case(16, 0.0, 128)
+        for columns in (0, 129):
+            with pytest.raises(ValueError, match="columns must lie in 1..128"):
+                draw_dataset(config, slope, columns)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [16, 17, 64, 129, 256])
+    def test_kept_columns_give_the_moments_of_the_full_matrix(self, n, theta):
+        # the study keeps max(m, 4) columns: a narrower C-contiguous matrix
+        # would take another BLAS path for x^T y and can differ in the last bits
+        config = SimConfig(n=n, sigma=1.0, seed=51 + n, model=PP, mixing=theta)
+        slope = make_slope(PP, config.J)
+        full = draw_dataset(config, slope)
+        for m in (1, 2, 3):
+            kept = draw_dataset(config, slope, max(m, harness.MIN_KEPT_COLUMNS))
+            got, want = empirical_moments(kept, m), empirical_moments(full, m)
+            assert np.array_equal(got.gammahat, want.gammahat)
+            assert np.array_equal(got.ghat, want.ghat)
+            assert got.sigma2_y_hat == want.sigma2_y_hat
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    def test_narrow_draw_peaks_at_its_columns_and_two_row_blocks(self, theta):
+        # a study's n = 8000 draw keeps 9 columns: beyond them and y it holds
+        # one block of normals and, in turn, the workspace of scaling it
+        # (numpy's 64 KiB broadcast buffer) or of rotating it (two half-block
+        # temporaries); 16 KiB covers the weight vectors and the generator
+        import tracemalloc
+
+        config = SimConfig(n=8000, sigma=1.0, seed=3, model=PP, mixing=theta)
+        slope = make_slope(PP, config.J)
+        draw_dataset(config, slope, 9)
+        tracemalloc.start()
+        try:
+            data = draw_dataset(config, slope, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row_block = simulate.SAMPLE_BLOCK * 8
+        assert data.x.shape == (8000, 9)
+        assert peak <= data.x.nbytes + data.y.nbytes + 2 * row_block + 16 * 2 ** 10
 
     @pytest.mark.parametrize("theta", [0.0, 0.3])
     def test_peak_memory_is_one_regressor_matrix(self, theta):
