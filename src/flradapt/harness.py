@@ -9,11 +9,11 @@ include theoretical risk levels, a log-log rate fit, the selected-dimension
 histogram, and for diagonal covariances the frequency of the penalty
 sandwich event.
 
-Replicates are drawn on one sampler thread per usable CPU, a bounded number
-ahead of the calling thread, which estimates them in replicate order; each
-replicate has its own seed, so the records do not depend on the thread
-count.  A drawn dataset keeps only the regressor columns the estimator
-reads.
+Long draws go to a ``concurrent.futures`` thread pool with one thread per
+usable CPU, which draws at most threads + 1 replicates ahead of the calling
+thread; the caller estimates them in replicate order.  Each replicate has its
+own seed, so the records do not depend on the thread count.  A drawn dataset
+keeps only the regressor columns the estimator reads.
 """
 from __future__ import annotations
 
@@ -22,7 +22,8 @@ import csv
 import json
 import math
 import os
-import threading
+from collections import deque
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -66,95 +67,34 @@ def _sampler_threads() -> int:
     return os.cpu_count() or 1
 
 
-class _Sampler:
-    """Draws replicates 0..count-1 on ``threads`` worker threads while the
-    caller takes them in order with :meth:`take`; with no threads,
-    :meth:`take` draws each replicate itself.
+def _drawn_in_order(draw, count: int, threads: int):
+    """Yield ``draw(rep)`` for rep = 0..count-1 in order.
 
-    At most ``threads + 1`` replicates are claimed and not yet taken, so
-    memory does not grow with the replicate count.  A draw's exception is
-    handed to the caller and raised by the :meth:`take` of its replicate.
-    Each worker runs in a copy of the creating thread's context, so the
-    caller's numpy error state applies to the draws; leaving the ``with``
-    block joins every worker, after the draw it is in.
+    With no threads each replicate is drawn on the calling thread.  With
+    threads a pool draws ahead, at most ``threads + 1`` futures at a time,
+    so memory does not grow with the replicate count; each draw runs in a
+    copy of the caller's context, so the caller's numpy error state applies
+    to it, and a draw's exception is raised where its replicate is yielded.
+    Closing the generator cancels the draws not yet started and joins the
+    pool's threads.
     """
-
-    def __init__(self, draw, count: int, threads: int):
-        self._draw = draw
-        self._count = count
-        self._ahead = threads + 1
-        self._ready = threading.Condition()
-        self._claimed = 0
-        self._taken = 0
-        self._done = {}
-        self._closed = False
-        self._threads = [
-            threading.Thread(target=contextvars.copy_context().run,
-                             args=(self._work,), daemon=True)
-            for _ in range(threads)
-        ]
-
-    def __enter__(self):
-        for thread in self._threads:
-            thread.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        with self._ready:
-            self._closed = True
-            self._done.clear()
-            self._ready.notify_all()
-        for thread in self._threads:
-            thread.join()
-
-    def take(self):
-        """The next replicate's draw; raises what the draw raised."""
-        if self._threads:
-            with self._ready:
-                while self._taken not in self._done:
-                    self._ready.wait()
-                data, error = self._done.pop(self._taken)
-                self._taken += 1
-                self._ready.notify_all()
-        else:
-            data, error = self._attempt(self._taken)
-            self._taken += 1
-        if error is None:
-            return data
-        try:
-            raise error
-        finally:
-            # the traceback holds this frame: break the cycle through it
-            del error
-
-    def _work(self):
-        # the draw's outcome goes straight into _finish, so no local of
-        # this loop keeps a dataset alive after the caller has taken it
-        while (index := self._claim()) is not None:
-            self._finish(index, self._attempt(index))
-
-    def _claim(self):
-        with self._ready:
-            while (not self._closed and self._claimed < self._count
-                   and self._claimed - self._taken >= self._ahead):
-                self._ready.wait()
-            if self._closed or self._claimed == self._count:
-                return None
-            self._claimed += 1
-            return self._claimed - 1
-
-    def _attempt(self, index: int) -> tuple:
-        # everything a draw raises is re-raised in the caller by take()
-        try:
-            return self._draw(index), None
-        except BaseException as err:
-            return None, err
-
-    def _finish(self, index: int, outcome: tuple) -> None:
-        with self._ready:
-            if not self._closed:
-                self._done[index] = outcome
-            self._ready.notify_all()
+    if not threads:
+        yield from map(draw, range(count))
+        return
+    # imported here: concurrent.futures loads logging, which would add
+    # about 10 ms to ``import flradapt`` for studies that never use a pool
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(threads)
+    pending = deque()
+    try:
+        for rep in range(count):
+            pending.append(pool.submit(contextvars.copy_context().run, draw, rep))
+            if len(pending) > threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -262,7 +202,7 @@ def _run_single_n(cfg: StudyConfig, n: int):
     threads = 0
     if n * j_dim >= THREADED_MIN_NORMALS:
         threads = min(_sampler_threads(), cfg.replicates)
-    with _Sampler(draw, cfg.replicates, threads) as sampler:
+    with closing(_drawn_in_order(draw, cfg.replicates, threads)) as drawn:
         for rep in range(cfg.replicates):
             record = {
                 "n": n, "replicate": rep, "seed": cfg.base_seed + rep,
@@ -273,7 +213,7 @@ def _run_single_n(cfg: StudyConfig, n: int):
             try:
                 # the dataset is bound to no name: it is freed when the
                 # estimate returns, before the next replicate is taken
-                result = adaptive.adaptive_estimate(sampler.take(), cfg.spec)
+                result = adaptive.adaptive_estimate(next(drawn), cfg.spec)
                 est_all = result.diagnostics["estimates_all"]
                 record["sq_err_adaptive"] = (result.value - target) ** 2
                 record["sq_err_best_fixed"] = float(np.min((est_all - target) ** 2))

@@ -382,12 +382,14 @@ def check_link_bounds(model, spec, m_max: int,
                       cov: Optional[simulate.Covariance] = None) -> LinkBoundsReport:
     """Verify the weight/inverse-norm link bounds for m = 1..m_max.
 
-    The smallest eigenvalue of each leading block comes in closed form from
-    ``Covariance.leading_min_eigenvalues``: a numerical eigensolver loses it
-    once the weights span hundreds of decades (rotated ``pe``, a = 1).
-    Raises ValueError when some gamma_j with j <= m_max is clamped to the
-    smallest normal double: past that index the products and the quadratic
-    forms no longer describe the model (the solves overflow to NaN).
+    The smallest eigenvalue and the quadratic form l_m' Gamma_m^-1 l_m of
+    each leading block come in closed form from
+    ``Covariance.leading_min_eigenvalues`` and
+    ``Covariance.leading_quadratic_forms``: a numerical eigensolver or solve
+    loses them once the weights span hundreds of decades (rotated ``pe``,
+    a = 1).  Raises ValueError when some gamma_j with j <= m_max is clamped
+    to the smallest normal double: past that index the products and the
+    quadratic forms no longer describe the model.
     """
     if cov is None:
         cov = simulate.Covariance(model, m_max, 0.0)
@@ -409,7 +411,7 @@ def check_link_bounds(model, spec, m_max: int,
     # for term, so the ratio is one identically
     v_ratio = np.ones(m_max)
     if not cov.is_diagonal:
-        v = np.maximum.accumulate(_nested_quadratic_forms(cov.matrix(), ell, m_max))
+        v = np.maximum.accumulate(cov.leading_quadratic_forms(ell))
         np.divide(v, v_gamma, out=v_ratio, where=v_gamma > 0)
     d = cov.effective_d()
     return LinkBoundsReport(d=d, lower=1.0 / d, upper=4.0 * d ** 3,

@@ -6,9 +6,10 @@ the eigenvalue weight gamma_j.  An optional Givens rotation of adjacent
 coefficient pairs produces a non-diagonal covariance with the same spectrum.
 That rotation is one rule in :class:`Covariance`: the sampler applies it to
 the drawn rows in place, ``Covariance.matrix`` reads the 2x2 blocks it
-produces, and ``Covariance.effective_d`` and
-``Covariance.leading_min_eigenvalues`` take their eigenvalues in closed
-form.  Responses follow y_i = <slope, x_i> + sigma * eps_i with
+produces, and ``Covariance.effective_d``,
+``Covariance.leading_min_eigenvalues`` and
+``Covariance.leading_quadratic_forms`` take their eigenvalues and quadratic
+forms in closed form.  Responses follow y_i = <slope, x_i> + sigma * eps_i with
 independent standard normal noise.  :func:`true_value` is the functional
 evaluated on the slope's stored coefficients, the target every estimate is
 scored against.
@@ -117,6 +118,38 @@ class Covariance:
             whole = np.concatenate(([np.inf], lam_min[1:2 * len(cut) - 1:2]))
             lam_min[0:2 * len(cut):2] = np.minimum(whole, cut)
         return lam_min
+
+    def leading_quadratic_forms(self, vec: np.ndarray) -> np.ndarray:
+        """vec_m' Gamma_m^-1 vec_m over the leading m x m blocks of
+        :meth:`matrix`, m = 1..len(vec), in closed form.
+
+        With the block structure of :meth:`leading_min_eigenvalues`, a
+        complete pair adds (c v_{2k-1} + s v_{2k})^2 / gamma_{2k-1} +
+        (c v_{2k} - s v_{2k-1})^2 / gamma_{2k}, and a cut pair (odd m with
+        m + 1 paired) adds v_m^2 / (c^2 gamma_m + s^2 gamma_{m+1}).  Every
+        term is non-negative, so no solve loses the form when the weights
+        span hundreds of decades (rotated ``pe``, a = 1).
+        """
+        vec = np.asarray(vec, dtype=float)
+        m_max = len(vec)
+        if not 1 <= m_max <= self.dim:
+            raise ValueError(f"len(vec) must lie in 1..{self.dim}, got {m_max}")
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        lam = self.eigenvalues()
+        whole = 2 * (m_max // 2)
+        v1, v2 = vec[0:whole:2], vec[1:whole:2]
+        pairs = (c * v1 + s * v2) ** 2 / lam[0:whole:2] \
+            + (c * v2 - s * v1) ** 2 / lam[1:whole:2]
+        forms = np.empty(m_max)
+        forms[1::2] = np.cumsum(pairs)
+        # the odd block m = 2k + 1 holds k complete pairs and the diagonal
+        # entry its edge leaves of pair k + 1, or the unpaired last weight
+        edge = lam[0:m_max:2].copy()
+        cut = self.pair_blocks(lam)[:len(edge), 0, 0]
+        edge[:len(cut)] = cut
+        forms[0::2] = np.concatenate(([0.0], forms[1::2]))[:len(edge)] \
+            + vec[0::2] ** 2 / edge
+        return forms
 
     def pair_blocks(self, weights: np.ndarray) -> np.ndarray:
         """Rotated 2x2 diagonal blocks R diag(w_{2k-1}, w_{2k}) R^T, shape

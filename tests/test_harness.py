@@ -253,6 +253,51 @@ class TestRunStudy:
             run_study(small_config(replicates=20))
         assert threading.active_count() == before
 
+    def test_caller_error_state_reaches_threaded_draws(self, monkeypatch,
+                                                       sampler_threads):
+        # numpy keeps its error state in a context variable, and each draw
+        # runs in a copy of the caller's context
+        draw = simulate.draw_dataset
+
+        def underflowing_draw(config, slope, columns=None):
+            np.multiply(1e-300, 1e-300)
+            return draw(config, slope, columns)
+
+        monkeypatch.setattr(harness.simulate, "draw_dataset", underflowing_draw)
+        cfg = small_config(n_grid=(64,), replicates=4)
+        run_study(cfg)
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+            run_study(cfg)
+
+    def test_estimator_error_ends_the_pool(self, monkeypatch, sampler_threads):
+        # a bug in the estimator surfaces from run_study as it is; the draws
+        # not yet started are cancelled and no pool thread outlives the study
+        threads = 3
+        sampler_threads(threads)
+        before = threading.active_count()
+        started, estimated = [], []
+        draw, estimate = simulate.draw_dataset, adaptive.adaptive_estimate
+
+        def counted_draw(config, slope, columns=None):
+            started.append(config.seed)
+            return draw(config, slope, columns)
+
+        def fail_fifth(data, spec):
+            estimated.append(data.n)
+            if len(estimated) == 5:
+                raise TypeError("synthetic estimator bug")
+            return estimate(data, spec)
+
+        monkeypatch.setattr(harness.simulate, "draw_dataset", counted_draw)
+        monkeypatch.setattr(harness.adaptive, "adaptive_estimate", fail_fifth)
+        with pytest.raises(TypeError) as excinfo:
+            run_study(small_config(replicates=20))
+        # the pool is closed although the traceback still holds the frames
+        # that refer to it
+        assert threading.active_count() == before
+        assert str(excinfo.value) == "synthetic estimator bug"
+        assert len(started) <= 5 + threads + 1
+
     def test_sampler_warnings_reach_the_caller(self, monkeypatch, sampler_threads):
         # rotated pe with a = 1: gamma_j underflows below j = 27 < J, and
         # only the draws call gamma_array, all of them on sampler threads

@@ -421,6 +421,30 @@ class TestLinkBounds:
         c = math.cos(0.3)
         np.testing.assert_allclose(norms[20::2], 1.0 / c ** 2, rtol=1e-12)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.7, math.pi / 2])
+    @pytest.mark.parametrize("dim", [16, 17, 32])
+    def test_closed_form_quadratic_forms_match_solve(self, dim, theta):
+        # odd dim ends in an unpaired weight; m < dim odd cuts a pair
+        cov = Covariance(PP, dim, theta)
+        for spec in (PointEval(t0=0.3), E1):
+            ell = functionals.coefficients(spec, dim)
+            want = oracle._nested_quadratic_forms(cov.matrix(), ell, dim)
+            np.testing.assert_allclose(cov.leading_quadratic_forms(ell), want,
+                                       rtol=1e-12)
+        with pytest.raises(ValueError, match="len"):
+            cov.leading_quadratic_forms(np.ones(dim + 1))
+
+    def test_steep_rotated_weights_give_exact_quadratic_forms(self):
+        # each pair solved by hand at 700 digits with mpmath; a solve over
+        # the whole leading block read 0.539, 0.539, 8.8e-3, 5.9e-21, 6.5e-6
+        pe = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
+        cov = Covariance(pe, 40, theta=0.3)
+        with pytest.warns(sequences.UnderflowWarning):
+            report = check_link_bounds(pe, PointEval(t0=0.3), 26, cov=cov)
+        at = np.array([20, 21, 22, 24, 26]) - 1
+        np.testing.assert_allclose(report.v_ratio[at],
+                                   [1.529, 1.529, 0.913, 1.697, 1.369], rtol=1e-3)
+
     def test_clamped_gamma_raises_instead_of_nan(self):
         # exp(-(j^2 - 1)) falls below the smallest normal double from j = 27
         pe = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
@@ -429,7 +453,7 @@ class TestLinkBounds:
             with pytest.warns(sequences.UnderflowWarning), \
                     pytest.raises(ValueError, match="from j = 27"):
                 check_link_bounds(pe, PointEval(t0=0.3), m_max, cov=cov)
-        with pytest.warns(sequences.UnderflowWarning):  # from cov.matrix()
+        with pytest.warns(sequences.UnderflowWarning):  # from cov.eigenvalues()
             report = check_link_bounds(pe, PointEval(t0=0.3), 26, cov=cov)
         assert np.all(np.isfinite(report.gamma_inv_norm))
         assert np.all(np.isfinite(report.v_ratio))
