@@ -204,12 +204,8 @@ def _run_single_n(cfg: StudyConfig, n: int):
         threads = min(_sampler_threads(), cfg.replicates)
     with closing(_drawn_in_order(draw, cfg.replicates, threads)) as drawn:
         for rep in range(cfg.replicates):
-            record = {
-                "n": n, "replicate": rep, "seed": cfg.base_seed + rep,
-                "sq_err_adaptive": None, "sq_err_best_fixed": None,
-                "sq_err_mstar": None, "m_hat": None, "m_hat_cap": None,
-                "m_ell_cap": None, "sandwich_ok": None, "error": None,
-            }
+            record = dict.fromkeys(_RAW_COLUMNS)
+            record.update(n=n, replicate=rep, seed=cfg.base_seed + rep)
             try:
                 # the dataset is bound to no name: it is freed when the
                 # estimate returns, before the next replicate is taken

@@ -223,15 +223,10 @@ def side_condition_ratio(model, spec, n: int, m: int) -> float:
     return (mass * inv_gamma) / (n / (1.0 + math.log(n)))
 
 
-def _nested_quadratic_forms(mat, vec, m_max: int) -> np.ndarray:
-    """vec_m' mat_m^-1 vec_m over the leading blocks m = 1..m_max."""
-    return np.array([float(vec[:m] @ np.linalg.solve(mat[:m, :m], vec[:m]))
-                     for m in range(1, m_max + 1)])
-
-
 def _population_quantities(model, spec, slope, sigma, m_max, cov):
     """Var(y), the quadratic forms g_m' Gamma_m^-1 g_m and the running
-    maxima V_m of l_m' Gamma_m^-1 l_m for m = 1..m_max, with g = Gamma phi."""
+    maxima V_m of l_m' Gamma_m^-1 l_m for m = 1..m_max, with g = Gamma phi,
+    in closed form from ``cov.apply`` and ``cov.leading_quadratic_forms``."""
     J = slope.dim
     if m_max > J:
         raise ValueError(f"m_max = {m_max} exceeds slope truncation {J}")
@@ -241,11 +236,10 @@ def _population_quantities(model, spec, slope, sigma, m_max, cov):
         raise ValueError("covariance construction does not match model/slope")
     phi = slope.coeffs
     ell = functionals.coefficients(spec, m_max)
-    mat = cov.matrix()
-    g = mat @ phi
+    g = cov.apply(phi)
     sig_y2 = sigma ** 2 + float(phi @ g)
-    quad = _nested_quadratic_forms(mat, g, m_max)
-    v = np.maximum.accumulate(_nested_quadratic_forms(mat, ell, m_max))
+    quad = cov.leading_quadratic_forms(g[:m_max])
+    v = np.maximum.accumulate(cov.leading_quadratic_forms(ell))
     return sig_y2, quad, v
 
 
@@ -393,8 +387,8 @@ def check_link_bounds(model, spec, m_max: int,
     """
     if cov is None:
         cov = simulate.Covariance(model, m_max, 0.0)
-    if cov.dim < m_max:
-        raise ValueError("covariance dimension below m_max")
+    if cov.model != model or cov.dim < m_max:
+        raise ValueError("covariance must be of this model, with dim >= m_max")
     gam = sequences.gamma_array(model, m_max)
     clamped = np.flatnonzero(gam == sequences.MIN_NORMAL)
     if len(clamped):

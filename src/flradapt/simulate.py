@@ -4,15 +4,14 @@ Regressors are generated directly as truncated coefficient vectors: the j-th
 coefficient is sqrt(lambda_j) times a standard normal, with lambda_j equal to
 the eigenvalue weight gamma_j.  An optional Givens rotation of adjacent
 coefficient pairs produces a non-diagonal covariance with the same spectrum.
-That rotation is one rule in :class:`Covariance`: the sampler applies it to
-the drawn rows in place, ``Covariance.matrix`` reads the 2x2 blocks it
-produces, and ``Covariance.effective_d``,
-``Covariance.leading_min_eigenvalues`` and
-``Covariance.leading_quadratic_forms`` take their eigenvalues and quadratic
-forms in closed form.  Responses follow y_i = <slope, x_i> + sigma * eps_i with
-independent standard normal noise.  :func:`true_value` is the functional
-evaluated on the slope's stored coefficients, the target every estimate is
-scored against.
+That rotation is one rule in :class:`Covariance`, which owns the
+covariance's algebra: the sampler applies it to the drawn rows in place, and
+``Covariance.apply``, ``effective_d``, ``leading_min_eigenvalues`` and
+``leading_quadratic_forms`` take products, eigenvalues and quadratic forms
+pair by pair in closed form, with no dense J x J matrix.  Responses follow
+y_i = <slope, x_i> + sigma * eps_i with independent standard normal noise.
+:func:`true_value` is the functional evaluated on the slope's stored
+coefficients, the target every estimate is scored against.
 """
 from __future__ import annotations
 
@@ -98,37 +97,43 @@ class Covariance:
         odd += a
         return x
 
+    def _edge_entries(self, lam: np.ndarray, m_max: int) -> np.ndarray:
+        """The diagonal entry at the edge of each odd leading block m <= m_max:
+        c^2 gamma_m + s^2 gamma_{m+1} of the pair it cuts, or the unpaired
+        last weight."""
+        edge = lam[0:m_max:2].copy()
+        cut = self.pair_blocks(lam)[:len(edge), 0, 0]
+        edge[:len(cut)] = cut
+        return edge
+
     def leading_min_eigenvalues(self, m_max: int) -> np.ndarray:
-        """Smallest eigenvalue of each leading m x m block of :meth:`matrix`,
-        m = 1..m_max, in closed form.
+        """Smallest eigenvalue of each leading m x m block of the
+        covariance, m = 1..m_max, in closed form.
 
         A leading block is block-diagonal: each complete rotated pair keeps
-        its two weights gamma_{2k-1}, gamma_{2k} as eigenvalues, and a pair
-        cut by the block's edge (odd m with m + 1 paired) leaves the one
-        diagonal entry c^2 gamma_m + s^2 gamma_{m+1}.
+        its two weights gamma_{2k-1}, gamma_{2k} as eigenvalues, and an odd
+        block adds the one diagonal entry at its edge (:meth:`_edge_entries`).
         """
         if not 1 <= m_max <= self.dim:
             raise ValueError(f"m_max must lie in 1..{self.dim}, got {m_max}")
         lam = self.eigenvalues()
         lam_min = np.minimum.accumulate(lam[:m_max])
-        if not self.is_diagonal:
-            # the 0-based index 2k is the first member of pair k; the block
-            # of size 2k + 1 cuts that pair
-            cut = self.pair_blocks(lam)[:, 0, 0][:(m_max + 1) // 2]
-            whole = np.concatenate(([np.inf], lam_min[1:2 * len(cut) - 1:2]))
-            lam_min[0:2 * len(cut):2] = np.minimum(whole, cut)
+        edge = self._edge_entries(lam, m_max)
+        # the smallest weight of the complete pairs ahead of each odd block
+        whole = np.concatenate(([np.inf], lam_min[1:2 * len(edge) - 1:2]))
+        lam_min[0::2] = np.minimum(whole, edge)
         return lam_min
 
     def leading_quadratic_forms(self, vec: np.ndarray) -> np.ndarray:
-        """vec_m' Gamma_m^-1 vec_m over the leading m x m blocks of
-        :meth:`matrix`, m = 1..len(vec), in closed form.
+        """vec_m' Gamma_m^-1 vec_m over the leading m x m blocks of the
+        covariance, m = 1..len(vec), in closed form.
 
         With the block structure of :meth:`leading_min_eigenvalues`, a
         complete pair adds (c v_{2k-1} + s v_{2k})^2 / gamma_{2k-1} +
-        (c v_{2k} - s v_{2k-1})^2 / gamma_{2k}, and a cut pair (odd m with
-        m + 1 paired) adds v_m^2 / (c^2 gamma_m + s^2 gamma_{m+1}).  Every
-        term is non-negative, so no solve loses the form when the weights
-        span hundreds of decades (rotated ``pe``, a = 1).
+        (c v_{2k} - s v_{2k-1})^2 / gamma_{2k}, and an odd block m adds
+        v_m^2 over its edge entry.  Every term is non-negative, so no solve
+        loses the form when the weights span hundreds of decades (rotated
+        ``pe``, a = 1).
         """
         vec = np.asarray(vec, dtype=float)
         m_max = len(vec)
@@ -142,14 +147,23 @@ class Covariance:
             + (c * v2 - s * v1) ** 2 / lam[1:whole:2]
         forms = np.empty(m_max)
         forms[1::2] = np.cumsum(pairs)
-        # the odd block m = 2k + 1 holds k complete pairs and the diagonal
-        # entry its edge leaves of pair k + 1, or the unpaired last weight
-        edge = lam[0:m_max:2].copy()
-        cut = self.pair_blocks(lam)[:len(edge), 0, 0]
-        edge[:len(cut)] = cut
+        edge = self._edge_entries(lam, m_max)
         forms[0::2] = np.concatenate(([0.0], forms[1::2]))[:len(edge)] \
             + vec[0::2] ** 2 / edge
         return forms
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The covariance times ``vec`` in O(dim): each pair's rotated block
+        (:meth:`pair_blocks`) times its two entries, an unpaired last entry
+        times its weight.  theta = 0 gives exactly gamma * vec."""
+        vec = np.asarray(vec, dtype=float)
+        lam = self.eigenvalues()
+        blocks, out = self.pair_blocks(lam), lam * vec
+        v1, v2 = self._pairs(vec)
+        o1, o2 = self._pairs(out)
+        o1[:] = blocks[:, 0, 0] * v1 + blocks[:, 0, 1] * v2
+        o2[:] = blocks[:, 1, 0] * v1 + blocks[:, 1, 1] * v2
+        return out
 
     def pair_blocks(self, weights: np.ndarray) -> np.ndarray:
         """Rotated 2x2 diagonal blocks R diag(w_{2k-1}, w_{2k}) R^T, shape
@@ -163,14 +177,6 @@ class Covariance:
         blocks[:, 1, 1] = s * s * w1 + c * c * w2
         blocks[:, 0, 1] = blocks[:, 1, 0] = c * s * (w1 - w2)
         return blocks
-
-    def matrix(self) -> np.ndarray:
-        lam = self.eigenvalues()
-        mat = np.diag(lam)
-        # row and column indices of each pair's 2x2 block on the diagonal
-        pair = np.arange(0, 2 * (self.dim // 2), 2)[:, None, None]
-        mat[pair + [[0], [1]], pair + [[0, 1]]] = self.pair_blocks(lam)
-        return mat
 
     def effective_d(self) -> float:
         """Smallest link constant for which the quadratic-form sandwich

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -204,6 +205,30 @@ class TestRunStudy:
         for _, (n, width) in drawn:
             assert width == max(adaptive.cap_m_ell(SPEC, n), harness.MIN_KEPT_COLUMNS)
             assert width < simulate.default_truncation(n)
+
+    def test_pool_draws_at_most_threads_plus_one_ahead(self):
+        # while the caller holds replicate 0, the pool has started exactly
+        # replicates 0..threads; closing the generator starts no further draw
+        threads = 2
+        lock = threading.Lock()
+        started = []
+
+        def draw(rep):
+            with lock:
+                started.append(rep)
+            return rep
+
+        drawn = harness._drawn_in_order(draw, 20, threads)
+        assert next(drawn) == 0
+        deadline = time.monotonic() + 10.0
+        while len(started) < threads + 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.2)
+        with lock:
+            assert sorted(started) == list(range(threads + 1))
+        drawn.close()
+        with lock:
+            assert sorted(started) == list(range(threads + 1))
 
     def test_thread_count_leaves_files_unchanged(self, tmp_path, sampler_threads):
         # more sampler threads than cores, switching every microsecond:

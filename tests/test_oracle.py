@@ -266,16 +266,31 @@ class TestTheoreticalPenalty:
         )
         assert np.all(np.diff(curve) >= 0)
 
-    def test_rotated_construction_matches_direct_algebra(self):
+    def test_rotated_construction_matches_direct_algebra(self, dense):
         cov = Covariance(PP, 16, theta=0.5)
         slope = simulate.make_slope(PP, 16)
         spec = PointEval(t0=0.3)
         sigma_m_sq, _ = population_ingredients(spec, slope, 1.0, 4, cov=cov)
-        mat = cov.matrix()
+        mat = dense(cov)
         g = mat @ slope.coeffs
         quad = float(g[:4] @ np.linalg.solve(mat[:4, :4], g[:4]))
         sig_y2 = 1.0 + float(slope.coeffs @ g)
         assert sigma_m_sq == pytest.approx(2 * (sig_y2 + quad), rel=1e-12)
+
+    def test_steep_rotated_weights_give_exact_population_v(self):
+        # the 700-digit ratios of the link-bounds test below, from the same
+        # closed form; a solve over the whole leading block read 0.539,
+        # 0.539, 8.8e-3, 5.9e-21, 6.5e-6
+        pe = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
+        spec = PointEval(t0=0.3)
+        slope = simulate.make_slope(pe, 26)
+        _, _, v = oracle._population_quantities(
+            pe, spec, slope, 1.0, 26, Covariance(pe, 26, 0.3))
+        ell = functionals.coefficients(spec, 26)
+        v_gamma = np.cumsum(ell ** 2 / sequences.gamma_array(pe, 26))
+        at = np.array([20, 21, 22, 24, 26]) - 1
+        np.testing.assert_allclose((v / v_gamma)[at],
+                                   [1.529, 1.529, 0.913, 1.697, 1.369], rtol=1e-3)
 
     def test_mismatched_covariance_rejected(self):
         slope = simulate.make_slope(PP, 16)
@@ -367,6 +382,12 @@ class TestSideCondition:
 
 
 class TestLinkBounds:
+    def test_covariance_of_another_model_rejected(self):
+        with pytest.raises(ValueError, match="model"):
+            check_link_bounds(PP, PointEval(t0=0.3), 8, cov=Covariance(PE, 8, 0.3))
+        with pytest.raises(ValueError, match="m_max"):
+            check_link_bounds(PP, PointEval(t0=0.3), 8, cov=Covariance(PP, 7, 0.3))
+
     def test_diagonal_products_exactly_one(self):
         report = check_link_bounds(PP, PointEval(t0=0.3), 32)
         assert np.all(report.gamma_inv_norm == 1.0)
@@ -390,9 +411,9 @@ class TestLinkBounds:
 
     @pytest.mark.parametrize("theta", [0.3, 0.7])
     @pytest.mark.parametrize("dim", [16, 32])
-    def test_closed_form_minimum_eigenvalues_match_eigvalsh(self, dim, theta):
+    def test_closed_form_minimum_eigenvalues_match_eigvalsh(self, dim, theta, dense):
         cov = Covariance(PP, dim, theta)
-        mat = cov.matrix()
+        mat = dense(cov)
         want = [np.linalg.eigvalsh(mat[:m, :m])[0] for m in range(1, dim + 1)]
         np.testing.assert_allclose(cov.leading_min_eigenvalues(dim), want, rtol=1e-12)
         # a leading block of odd size 15 < dim cuts the pair (15, 16)
@@ -423,12 +444,14 @@ class TestLinkBounds:
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.7, math.pi / 2])
     @pytest.mark.parametrize("dim", [16, 17, 32])
-    def test_closed_form_quadratic_forms_match_solve(self, dim, theta):
+    def test_closed_form_quadratic_forms_match_solve(self, dim, theta, dense):
         # odd dim ends in an unpaired weight; m < dim odd cuts a pair
         cov = Covariance(PP, dim, theta)
+        mat = dense(cov)
         for spec in (PointEval(t0=0.3), E1):
             ell = functionals.coefficients(spec, dim)
-            want = oracle._nested_quadratic_forms(cov.matrix(), ell, dim)
+            want = [ell[:m] @ np.linalg.solve(mat[:m, :m], ell[:m])
+                    for m in range(1, dim + 1)]
             np.testing.assert_allclose(cov.leading_quadratic_forms(ell), want,
                                        rtol=1e-12)
         with pytest.raises(ValueError, match="len"):

@@ -292,14 +292,14 @@ class TestDrawDataset:
             tracemalloc.stop()
         assert peak <= 1.3 * data.x.nbytes
 
-    def test_rotated_sample_covariance_matches_matrix(self):
+    def test_rotated_sample_covariance_matches_matrix(self, dense):
         # 9 fixed-seed 3-sigma checks on the first three coefficient pairs
         n = 10 ** 5
         cfg = SimConfig(n=n, sigma=1.0, seed=41, model=PP, J=68, mixing=0.7)
         data = draw_dataset(cfg, zero_slope(cfg.J))
         x = data.x[:, :6]
         cov = cfg.covariance()
-        mat, lam = cov.matrix()[:6, :6], cov.eigenvalues()
+        mat, lam = dense(cov)[:6, :6], cov.eigenvalues()
         c, s = math.cos(0.7), math.sin(0.7)
         assert mat[0, 1] == pytest.approx(c * s * (lam[0] - lam[1]), rel=1e-15)
         assert mat[0, 1] > 0
@@ -316,21 +316,21 @@ class TestDrawDataset:
 
 
 class TestCovariance:
-    def test_diagonal_matrix(self):
+    def test_diagonal_matrix(self, dense):
         cov = Covariance(PP, 4)
-        np.testing.assert_array_equal(cov.matrix(), np.diag([1, 0.25, 1 / 9, 0.0625]))
+        np.testing.assert_array_equal(dense(cov), np.diag([1, 0.25, 1 / 9, 0.0625]))
         assert cov.effective_d() == 1.0
 
-    def test_rotated_matrix_has_same_spectrum(self):
+    def test_rotated_matrix_has_same_spectrum(self, dense):
         cov = Covariance(PP, 8, theta=0.6)
-        lam = np.sort(np.linalg.eigvalsh(cov.matrix()))
+        lam = np.sort(np.linalg.eigvalsh(dense(cov)))
         np.testing.assert_allclose(lam, np.sort(cov.eigenvalues()), rtol=1e-12)
 
-    def test_effective_d_bounds_quadratic_form(self):
+    def test_effective_d_bounds_quadratic_form(self, dense):
         cov = Covariance(PP, 8, theta=0.6)
         d = cov.effective_d()
         assert d >= 1.0
-        mat = cov.matrix()
+        mat = dense(cov)
         g2 = cov.eigenvalues() ** 2
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -342,9 +342,24 @@ class TestCovariance:
 
     @pytest.mark.parametrize("dim", [8, 16, 129])
     @pytest.mark.parametrize("theta", [0.5, 0.6, math.pi / 2])
-    def test_rotated_matrix_is_exactly_symmetric(self, dim, theta):
-        mat = Covariance(PP, dim, theta).matrix()
+    def test_rotated_matrix_is_exactly_symmetric(self, dim, theta, dense):
+        mat = dense(Covariance(PP, dim, theta))
         assert np.array_equal(mat, mat.T)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.7, math.pi / 2])
+    @pytest.mark.parametrize("dim", [16, 17])
+    def test_apply_matches_dense_product(self, dim, theta, dense):
+        # odd dim ends in an unpaired weight
+        cov = Covariance(PP, dim, theta)
+        v = np.random.default_rng(dim).standard_normal(dim)
+        want = dense(cov) @ v
+        if theta == 0.0:
+            assert np.array_equal(cov.apply(v), want)
+            assert np.array_equal(cov.apply(v), cov.eigenvalues() * v)
+        else:
+            np.testing.assert_allclose(cov.apply(v), want, rtol=1e-14)
+        with pytest.raises(ValueError):
+            cov.apply(np.ones(dim + 1))
 
     def test_rotate_leaves_unrotated_input_alone(self):
         x = np.arange(12.0).reshape(2, 6)
