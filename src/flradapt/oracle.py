@@ -28,9 +28,8 @@ THEORETICAL_PENALTY_CONSTANT = 100.0
 # terminate by underflow long before the cap
 TAIL_HORIZON_POLY = 1_000_000
 TAIL_HORIZON_EXP = 65_536
-# indices per block of the tail sums: each temporary of the fill takes
-# 64 KiB, and only the first block of sums and each block's last sum are
-# kept (TailSums)
+# indices per block of a running tail sum: each temporary of the fill takes
+# 64 KiB, however long the sum
 TAIL_BLOCK = 8192
 
 
@@ -42,78 +41,42 @@ class RegimeConditionError(ValueError):
     """Rate formulas require a parameter condition that does not hold."""
 
 
-def _block_sums(model, spec, lo: int, hi: int, start) -> tuple:
-    """Running sums of l_j^2 / beta_j over j = lo+1..hi, continued from
-    ``start``, the sum of every term before j = lo+1; returns them with the
-    last term."""
+def _tail_terms(model, spec, lo: int, hi: int) -> np.ndarray:
+    """The terms l_j^2 / beta_j for j = lo+1..hi, exactly 0 where l_j = 0."""
     j = np.arange(lo + 1, hi + 1)
-    # the first block is the prefix 1..hi, which `coefficients` evaluates
-    ell = (functionals.coefficients(spec, hi) if lo == 0
-           else functionals.coefficients_at(spec, j))
-    ell2 = ell ** 2
+    ell2 = functionals.coefficients_at(spec, j) ** 2
     with np.errstate(under="ignore", invalid="ignore"):
-        terms = np.where(ell2 == 0.0, 0.0,
-                         ell2 * np.exp(-sequences.log_beta_at(model, j)))
-    last = float(terms[-1])
-    if lo:
-        terms[0] += start
-    return np.cumsum(terms), last
+        return np.where(ell2 == 0.0, 0.0,
+                        ell2 * np.exp(-sequences.log_beta_at(model, j)))
 
 
-class TailSums:
-    """Cumulative sums of l_j^2 / beta_j over j = 1..length and the completed
-    total.
+def _running_sum(model, spec, stop: int) -> tuple:
+    """The sum of the terms 1..stop and the last term.
 
-    Only the first block of ``block_size`` sums, the sum that ends each
-    block, and the total are kept.  :meth:`block` recomputes any other block
-    from the sum that ends the block before it, the arithmetic of the fill,
-    so every sum is bit for bit that of one ``np.cumsum`` over all terms.
-    (A plain class: a dataclass would add about 1 ms to ``import flradapt``.)
+    The terms are added TAIL_BLOCK at a time, each block continued from the
+    sum of the blocks before it, so the sum has the bits of the last entry
+    of one ``np.cumsum`` over all terms.
     """
-
-    __slots__ = ("model", "spec", "length", "block_size", "head", "ends", "total")
-
-    def __init__(self, model, spec, length, block_size, head, ends, total):
-        self.model, self.spec = model, spec
-        self.length, self.block_size = length, block_size
-        self.head, self.ends, self.total = head, ends, total
-
-    def block(self, k: int) -> np.ndarray:
-        """The cumulative sums at j = k * block_size + 1 .. (k + 1) * block_size."""
-        if k == 0:
-            return self.head
-        lo = k * self.block_size
-        hi = min(lo + self.block_size, self.length)
-        return _block_sums(self.model, self.spec, lo, hi, self.ends[k - 1])[0]
-
-    def at(self, idx) -> np.ndarray:
-        """The cumulative sums at the 0-based indices ``idx`` (the sum of
-        the first i + 1 terms at index i), each block recomputed once."""
-        idx = np.asarray(idx)
-        out = np.empty(idx.shape)
-        blocks = idx // self.block_size
-        # a set, not np.unique: its first call imports numpy modules (20 ms)
-        for k in set(blocks.tolist()):
-            mask = blocks == k
-            out[mask] = self.block(k)[idx[mask] - k * self.block_size]
-        return out
+    total = last = 0.0
+    for lo in range(0, stop, TAIL_BLOCK):
+        terms = _tail_terms(model, spec, lo, min(lo + TAIL_BLOCK, stop))
+        last = float(terms[-1])
+        terms[0] += total
+        total = float(np.cumsum(terms)[-1])
+    return total, last
 
 
 @functools.lru_cache(maxsize=32)
-def _tail_data(model, spec) -> TailSums:
-    """Cumulative sums of l_j^2 / beta_j and the completed total.
+def _tail_total(model, spec) -> tuple:
+    """The summation horizon and the completed total of l_j^2 / beta_j.
 
     For polynomial regularity weights the sum runs to TAIL_HORIZON_POLY and
     the total adds a midpoint-rule integral of the mean-square envelope past
     it, accurate to a relative O(1/horizon); exponential weights make the
     remainder past TAIL_HORIZON_EXP vanish by underflow (a crude
     doubled-last-term bound covers the cut).  A finitely supported
-    functional sums to its support and has no remainder.
-
-    The terms are evaluated TAIL_BLOCK indices at a time, each block's
-    running sum starting from the last sum of the block before, so the sums
-    are the same sequential sums as one ``np.cumsum`` over all terms, bit
-    for bit; :class:`TailSums` keeps the first block and the block ends.
+    functional sums to its support and has no remainder.  The total is the
+    one number kept per (model, spec); prefix sums are taken on demand.
     """
     support = functionals.coefficient_support(spec)
     exponential = model.regime is sequences.Regime.EP
@@ -133,31 +96,18 @@ def _tail_data(model, spec) -> TailSums:
             )
         edge = horizon + 0.5
         remainder = amp * edge ** (1.0 - decay) / (decay - 1.0)
-    block = TAIL_BLOCK
-    starts = range(0, horizon, block)
-    ends = np.empty(len(starts))
-    end = 0.0
-    for k, lo in enumerate(starts):
-        sums, last = _block_sums(model, spec, lo, min(lo + block, horizon), end)
-        if k == 0:
-            head = sums
-        end = ends[k] = sums[-1]
+    total, last = _running_sum(model, spec, horizon)
     if exponential and support is None:
         remainder = 2.0 * last
-    return TailSums(model=model, spec=spec, length=horizon, block_size=block,
-                    head=head, ends=ends, total=float(ends[-1] + remainder))
+    return horizon, total + remainder
 
 
 def ell_weight_tail(model, spec, m: int) -> float:
     """sum_{j > m} l_j^2 / beta_j, to about 1e-6 relative accuracy."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    tails = _tail_data(model, spec)
-    if m == 0:
-        return tails.total
-    if m >= tails.length:
-        return max(tails.total - float(tails.ends[-1]), 0.0)
-    return max(tails.total - float(tails.at([m - 1])[0]), 0.0)
+    horizon, total = _tail_total(model, spec)
+    return max(total - _running_sum(model, spec, min(m, horizon))[0], 0.0)
 
 
 def risk_curve(model, spec, x: float, m_max: int) -> np.ndarray:
@@ -167,12 +117,11 @@ def risk_curve(model, spec, x: float, m_max: int) -> np.ndarray:
         raise ValueError(f"x must lie in (0, 1], got {x}")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    tails = _tail_data(model, spec)
-    if functionals.coefficient_support(spec) is None and m_max > tails.length:
-        raise ValueError(f"m_max = {m_max} exceeds the tail horizon {tails.length}")
-    # finitely supported functionals have zero tail past their support
-    idx = np.minimum(np.arange(1, m_max + 1), tails.length) - 1
-    tail = np.maximum(tails.total - tails.at(idx), 0.0)
+    horizon, total = _tail_total(model, spec)
+    if functionals.coefficient_support(spec) is None and m_max > horizon:
+        raise ValueError(f"m_max = {m_max} exceeds the tail horizon {horizon}")
+    # past a finite support the terms are 0 and the tail stays 0
+    tail = np.maximum(total - np.cumsum(_tail_terms(model, spec, 0, m_max)), 0.0)
     ell2 = functionals.coefficients(spec, m_max) ** 2
     log_gamma = sequences.log_gamma_array(model, m_max)
     log_beta = sequences.log_beta_array(model, m_max)

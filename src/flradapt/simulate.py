@@ -318,10 +318,10 @@ def draw_dataset(config: SimConfig, slope: SlopeSpec,
     The n x J standard normals are drawn SAMPLE_BLOCK at a time; each
     block is scaled, rotated and multiplied into its rows of y, and the
     noise is drawn after the last block.  Chunked fills continue one
-    stream, so the sample is bit for bit that of one n x J draw.  With
+    stream, so the sample is bit for bit that of one n x J draw.  Every
+    block is drawn into one scratch block and copied into x; with
     ``columns`` the regressors keep only their first ``columns``
-    coefficients: the blocks pass through one scratch block, and x is
-    n x columns while y still sees all J.
+    coefficients, and x is n x columns while y still sees all J.
     """
     if slope.dim != config.J:
         raise ValueError(
@@ -336,17 +336,14 @@ def draw_dataset(config: SimConfig, slope: SlopeSpec,
     x = np.empty((config.n, width))
     y = np.empty(config.n)
     blocks = _row_blocks(config.n, config.J)
-    scratch = None
-    if width < config.J:
-        scratch = np.empty((max(hi - lo for lo, hi in blocks), config.J))
+    scratch = np.empty((max(hi - lo for lo, hi in blocks), config.J))
     for lo, hi in blocks:
-        block = x[lo:hi] if scratch is None else scratch[:hi - lo]
+        block = scratch[:hi - lo]
         rng.standard_normal(out=block)
         block *= scale
         cov.rotate(block)
         y[lo:hi] = block @ slope.coeffs
-        if scratch is not None:
-            x[lo:hi] = block[:, :width]
+        x[lo:hi] = block[:, :width]
     del block, scratch
     y += config.sigma * rng.standard_normal(config.n)
     return Dataset(y=y, x=x)
@@ -370,10 +367,15 @@ def load_dataset_csv(path) -> Dataset:
     """Read a dataset written by :func:`save_dataset_csv` (exact round trip)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         if not header or header[0] != "y":
             raise ValueError(f"{path}: expected header starting with 'y'")
-        rows = [[float(v) for v in row] for row in reader if row]
+        try:
+            rows = [[float(v) for v in row] for row in reader if row]
+        except ValueError as err:
+            raise ValueError(f"{path}, line {reader.line_num}: {err}") from None
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != len(header):
         raise ValueError(f"{path}: ragged or empty dataset")

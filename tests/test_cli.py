@@ -73,6 +73,17 @@ class TestSimulateEstimate:
         assert code == 1
         assert "error:" in err
 
+    def test_empty_dataset(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("")
+        code, _, err = run(
+            capsys, "estimate", "--data", str(data), "--functional", "point:0.3",
+        )
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: usage:"), err
+        assert str(data) in lines[0]
+
 
 class TestConfigFile:
     def test_config_drives_simulation(self, tmp_path, capsys):

@@ -92,14 +92,16 @@ class TestBlockedTailSums:
     def test_matches_one_shot_fill(self, monkeypatch, model, spec, block):
         if block is not None:
             monkeypatch.setattr(oracle, "TAIL_BLOCK", block)
-        tails = oracle._tail_data.__wrapped__(model, spec)
+        horizon, total = oracle._tail_total.__wrapped__(model, spec)
         want_cum, want_total = tail_data_reference(model, spec)
-        # every index through the accessor: the kept first block and the
-        # block ends, and every other block recomputed from its start sum
-        assert np.array_equal(tails.at(np.arange(tails.length)), want_cum)
-        block_ends = np.arange(1, len(tails.ends) + 1) * tails.block_size
-        assert np.array_equal(tails.ends, want_cum[np.minimum(block_ends, tails.length) - 1])
-        assert tails.total == want_total
+        assert horizon == len(want_cum)
+        assert total == want_total
+        # prefixes that end inside, at and just past a block boundary, and
+        # at the horizon, each summed block by block from the first term
+        b = oracle.TAIL_BLOCK
+        for stop in (1, b - 1, b, b + 1, 3 * b + 7, horizon - 1, horizon):
+            if stop <= horizon:
+                assert oracle._running_sum(model, spec, stop)[0] == want_cum[stop - 1], stop
 
     @pytest.mark.parametrize("model", TAIL_MODELS)
     def test_tail_values_match_one_shot_fill(self, model):
@@ -114,21 +116,33 @@ class TestBlockedTailSums:
         with pytest.raises(oracle.DivergentTailError):
             tail_data_reference(model, DerivativeEval(t0=0.3, q=1))
         with pytest.raises(oracle.DivergentTailError):
-            oracle._tail_data.__wrapped__(model, DerivativeEval(t0=0.3, q=1))
+            oracle._tail_total.__wrapped__(model, DerivativeEval(t0=0.3, q=1))
 
     def test_cold_fill_allocates_little_beyond_its_result(self):
-        # 10^6 sums are never held at once: the fill peaks at the 64 KiB
+        # 10^6 terms are never held at once: the fill peaks at the 64 KiB
         # temporaries of one block's evaluation (about nine of them)
         import tracemalloc
 
         tracemalloc.start()
         try:
-            tails = oracle._tail_data.__wrapped__(PP, PointEval(t0=0.3))
+            horizon, _ = oracle._tail_total.__wrapped__(PP, PointEval(t0=0.3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert tails.length == oracle.TAIL_HORIZON_POLY
+        assert horizon == oracle.TAIL_HORIZON_POLY
         assert peak <= 10 * oracle.TAIL_BLOCK * 8
+
+    @pytest.mark.parametrize("model", TAIL_MODELS)
+    @pytest.mark.parametrize("spec", TAIL_SPECS)
+    def test_risk_curve_tail_is_ell_weight_tail(self, monkeypatch, model, spec):
+        m_max = 64
+        want = np.array([oracle.ell_weight_tail(model, spec, m)
+                         for m in range(1, m_max + 1)])
+        # a zero head sum leaves the curve at its tail term
+        monkeypatch.setattr(functionals, "coefficients",
+                            lambda spec, m: np.zeros(m))
+        got = risk_curve(model, spec, 0.5, m_max)
+        assert np.array_equal(got, want)
 
 
 class TestRiskTerm:
@@ -167,6 +181,14 @@ class TestRiskTerm:
             risk_curve(PP, E1, 0.0, 1)
         with pytest.raises(ValueError):
             risk_curve(PP, E1, 1.5, 1)
+
+    def test_past_horizon_rejected_without_finite_support(self):
+        with pytest.raises(ValueError, match="exceeds the tail horizon"):
+            risk_curve(EP, PointEval(t0=0.3), 0.5, oracle.TAIL_HORIZON_EXP + 1)
+        # a finite support ends the tail, so any m_max is allowed
+        curve = risk_curve(EP, Custom(coeffs=(0.5, -0.5, 0.25)), 0.5,
+                           oracle.TAIL_HORIZON_EXP + 1)
+        assert len(curve) == oracle.TAIL_HORIZON_EXP + 1
 
     def test_divergent_tail_reported(self):
         with pytest.raises(oracle.DivergentTailError):

@@ -453,3 +453,15 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             simulate.load_dataset_csv(path)
+
+    def test_empty_file_rejected_with_its_path(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty.csv: empty file"):
+            simulate.load_dataset_csv(path)
+
+    def test_non_numeric_cell_rejected_with_its_path(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("y,x1\n1,2\n3,abc\n")
+        with pytest.raises(ValueError, match=r"text.csv, line 3: .*'abc'"):
+            simulate.load_dataset_csv(path)
