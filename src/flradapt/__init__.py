@@ -21,7 +21,6 @@ from .functionals import (
 )
 from .simulate import (
     Covariance,
-    SimConfig,
     SlopeSpec,
     Dataset,
     make_slope,

@@ -289,6 +289,8 @@ def selection_bound_suite(instances: int, seed: int) -> SelectionBoundSuite:
     Each instance draws up to 20 estimates, approximation values and a
     target uniformly on [-10, 10], and sorted uniform penalties on [0, 1].
     """
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     rng = np.random.default_rng(seed)
     violations = 0
     first = None

@@ -37,6 +37,14 @@ class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError where argparse would print its usage block and exit
+    2, so that a refused command line is one ``error: usage:`` line."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 # keys some subcommand reads, per config section; the ``functional`` section
 # takes ``kind`` plus that kind's fields from ``_FUNCTIONAL_KINDS``
 _CONFIG_KEYS = {
@@ -180,14 +188,12 @@ def _cmd_simulate(args):
     seed = _pick(cfg, "simulate", "seed", args.seed, default=0, cast=_int)
     if n is None:
         raise ConfigError("sample size missing (simulate.n or --n)")
-    config = simulate.SimConfig(
-        n=n, sigma=sigma, seed=seed, model=model,
-        slope_scale=_pick(cfg, "simulate", "slope_scale", args.slope_scale,
-                          default=simulate.DEFAULT_SLOPE_SCALE, cast=float),
-        mixing=_pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=float),
-    )
-    slope = simulate.make_slope(model, config.J, config.slope_scale)
-    data = simulate.draw_dataset(config, slope)
+    slope_scale = _pick(cfg, "simulate", "slope_scale", args.slope_scale,
+                        default=simulate.DEFAULT_SLOPE_SCALE, cast=float)
+    theta = _pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=float)
+    cov = simulate.Covariance(model, simulate.default_truncation(n), theta)
+    slope = simulate.make_slope(model, cov.dim, slope_scale)
+    data = simulate.draw_dataset(cov, slope, n, sigma, seed)
     out = _pick(cfg, "output", "dataset", args.out, cast=os.fspath)
     if out is None:
         raise ConfigError("output path missing (output.dataset or --out)")
@@ -329,7 +335,7 @@ def _add_functional_flag(sub):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="flradapt", description=__doc__)
+    parser = _Parser(prog="flradapt", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
     sim = subs.add_parser("simulate", help="draw a dataset and write it as CSV")
@@ -381,10 +387,10 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # --help; a refused command line raises ValueError
+            return EXIT_OK
         return args.func(args)
     except ConfigError as err:
         print(f"error: config: {err}", file=sys.stderr)

@@ -1,13 +1,15 @@
 """Monte Carlo risk studies over a grid of sample sizes.
 
-For each sample size and replicate the harness draws a dataset, runs the
-data-driven estimator, and records the squared error of the selected value
-next to two benchmarks: the per-replicate best fixed dimension (the realized
-minimum over all candidate dimensions, an optimistic stand-in for the
-infeasible oracle) and the fixed theoretically-optimal dimension.  Aggregates
-include theoretical risk levels, a log-log rate fit, the selected-dimension
-histogram, and for diagonal covariances the frequency of the penalty
-sandwich event.
+Each sample size builds one :class:`~flradapt.simulate.Covariance` (J =
+``default_truncation(n)``) and one slope: every replicate's draw samples from
+that covariance, and the population penalty reads it.  For each replicate
+the harness draws a dataset, runs the data-driven estimator, and records the
+squared error of the selected value next to two benchmarks: the
+per-replicate best fixed dimension (the realized minimum over all candidate
+dimensions, an optimistic stand-in for the infeasible oracle) and the fixed
+theoretically-optimal dimension.  Aggregates include theoretical risk
+levels, a log-log rate fit, the selected-dimension histogram, and for
+diagonal covariances the frequency of the penalty sandwich event.
 
 Long draws go to a ``concurrent.futures`` thread pool with one thread per
 usable CPU, which draws at most threads + 1 replicates ahead of the calling
@@ -122,9 +124,9 @@ class StudyConfig:
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         # every replicate samples with these settings; check them once here
-        simulate.SimConfig(n=self.n_grid[0], sigma=self.sigma, seed=self.base_seed,
-                           model=self.model, slope_scale=self.slope_scale,
-                           mixing=self.mixing)
+        simulate.check_sigma(self.sigma)
+        simulate.check_slope_scale(self.slope_scale)
+        simulate.check_mixing(self.mixing)
 
 
 @dataclass(eq=False)
@@ -173,34 +175,28 @@ def _lower_dimension_bound(cfg, n: int, m_ell: int) -> int:
 
 def _run_single_n(cfg: StudyConfig, n: int):
     """All replicate records for one sample size, plus per-n theory."""
-    j_dim = simulate.default_truncation(n)
-    slope = simulate.make_slope(cfg.model, j_dim, cfg.slope_scale)
+    cov = simulate.Covariance(cfg.model, simulate.default_truncation(n), cfg.mixing)
+    slope = simulate.make_slope(cfg.model, cov.dim, cfg.slope_scale)
     target = simulate.true_value(cfg.spec, slope)
     m_ell = adaptive.cap_m_ell(cfg.spec, n)
     m_star, r_minimax = oracle.minimax_dimension(cfg.model, cfg.spec, 1.0 / n)
     m_diamond, r_adaptive = oracle.minimax_dimension(
         cfg.model, cfg.spec, (1.0 + math.log(n)) / n
     )
-    diagonal = cfg.mixing == 0.0
+    diagonal = cov.is_diagonal
     p_theo = None
     mu_n = None
     if diagonal:
-        p_theo = oracle.theoretical_penalty_curve(
-            cfg.model, cfg.spec, slope, cfg.sigma, n, m_ell
-        )
+        p_theo = oracle.theoretical_penalty_curve(cov, cfg.spec, slope, cfg.sigma, n, m_ell)
         mu_n = _lower_dimension_bound(cfg, n, m_ell)
     columns = max(m_ell, MIN_KEPT_COLUMNS)
 
     def draw(rep):
-        config = simulate.SimConfig(
-            n=n, sigma=cfg.sigma, seed=cfg.base_seed + rep, model=cfg.model,
-            J=j_dim, slope_scale=cfg.slope_scale, mixing=cfg.mixing,
-        )
-        return simulate.draw_dataset(config, slope, columns)
+        return simulate.draw_dataset(cov, slope, n, cfg.sigma, cfg.base_seed + rep, columns)
 
     records = []
     threads = 0
-    if n * j_dim >= THREADED_MIN_NORMALS:
+    if n * cov.dim >= THREADED_MIN_NORMALS:
         threads = min(_sampler_threads(), cfg.replicates)
     with closing(_drawn_in_order(draw, cfg.replicates, threads)) as drawn:
         for rep in range(cfg.replicates):

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import functionals, sequences, simulate
+from . import functionals, sequences
 
 THEORETICAL_PENALTY_CONSTANT = 100.0
 
@@ -172,17 +172,15 @@ def side_condition_ratio(model, spec, n: int, m: int) -> float:
     return (mass * inv_gamma) / (n / (1.0 + math.log(n)))
 
 
-def _population_quantities(model, spec, slope, sigma, m_max, cov):
+def _population_quantities(cov, spec, slope, sigma, m_max):
     """Var(y), the quadratic forms g_m' Gamma_m^-1 g_m and the running
     maxima V_m of l_m' Gamma_m^-1 l_m for m = 1..m_max, with g = Gamma phi,
     in closed form from ``cov.apply`` and ``cov.leading_quadratic_forms``."""
     J = slope.dim
     if m_max > J:
         raise ValueError(f"m_max = {m_max} exceeds slope truncation {J}")
-    if cov is None:
-        cov = simulate.Covariance(model, J, 0.0)
-    if cov.dim != J or cov.model != model:
-        raise ValueError("covariance construction does not match model/slope")
+    if cov.dim != J:
+        raise ValueError(f"covariance dim {cov.dim} differs from slope truncation {J}")
     phi = slope.coeffs
     ell = functionals.coefficients(spec, m_max)
     g = cov.apply(phi)
@@ -192,13 +190,13 @@ def _population_quantities(model, spec, slope, sigma, m_max, cov):
     return sig_y2, quad, v
 
 
-def theoretical_penalty_curve(model, spec, slope, sigma: float, n: int,
-                              m_max: int,
-                              cov: Optional[simulate.Covariance] = None) -> np.ndarray:
+def theoretical_penalty_curve(cov, spec, slope, sigma: float, n: int,
+                              m_max: int) -> np.ndarray:
     """Population penalties p_m = 100 sigma_m^2 V_m (1 + log n) / n for
     m = 1..m_max, with sigma_m^2 = 2 (Var(y) + g_m' Gamma_m^-1 g_m), for the
-    diagonal or rotated-diagonal covariance."""
-    sig_y2, quad, v = _population_quantities(model, spec, slope, sigma, m_max, cov)
+    diagonal or rotated-diagonal covariance ``cov`` of the slope's
+    coefficients."""
+    sig_y2, quad, v = _population_quantities(cov, spec, slope, sigma, m_max)
     factor = THEORETICAL_PENALTY_CONSTANT * (1.0 + math.log(n)) / n
     return factor * 2.0 * (sig_y2 + quad) * v
 
@@ -321,9 +319,9 @@ class LinkBoundsReport:
         return bool(np.all(vals >= self.lower) and np.all(vals <= self.upper))
 
 
-def check_link_bounds(model, spec, m_max: int,
-                      cov: Optional[simulate.Covariance] = None) -> LinkBoundsReport:
-    """Verify the weight/inverse-norm link bounds for m = 1..m_max.
+def check_link_bounds(cov, spec, m_max: int) -> LinkBoundsReport:
+    """Verify the weight/inverse-norm link bounds of ``cov`` for
+    m = 1..m_max.
 
     The smallest eigenvalue and the quadratic form l_m' Gamma_m^-1 l_m of
     each leading block come in closed form from
@@ -334,11 +332,10 @@ def check_link_bounds(model, spec, m_max: int,
     to the smallest normal double: past that index the products and the
     quadratic forms no longer describe the model.
     """
-    if cov is None:
-        cov = simulate.Covariance(model, m_max, 0.0)
-    if cov.model != model or cov.dim < m_max:
-        raise ValueError("covariance must be of this model, with dim >= m_max")
-    gam = sequences.gamma_array(model, m_max)
+    if cov.dim < m_max:
+        raise ValueError(f"m_max = {m_max} exceeds the covariance dim {cov.dim}")
+    # the weights of exactly 1..m_max: an index past m_max may underflow
+    gam = sequences.gamma_array(cov.model, m_max)
     clamped = np.flatnonzero(gam == sequences.MIN_NORMAL)
     if len(clamped):
         first = int(clamped[0]) + 1

@@ -4,11 +4,13 @@ Regressors are generated directly as truncated coefficient vectors: the j-th
 coefficient is sqrt(lambda_j) times a standard normal, with lambda_j equal to
 the eigenvalue weight gamma_j.  An optional Givens rotation of adjacent
 coefficient pairs produces a non-diagonal covariance with the same spectrum.
-That rotation is one rule in :class:`Covariance`, which owns the
-covariance's algebra: the sampler applies it to the drawn rows in place, and
-``Covariance.apply``, ``effective_d``, ``leading_min_eigenvalues`` and
-``leading_quadratic_forms`` take products, eigenvalues and quadratic forms
-pair by pair in closed form, with no dense J x J matrix.  Responses follow
+That rotation is one rule in :class:`Covariance`, the one description of
+the population's regressors: :func:`draw_dataset` samples from it (J is
+``cov.dim``) and applies the rotation to the drawn rows in place, and the
+oracle reads its population quantities from ``Covariance.apply``,
+``effective_d``, ``leading_min_eigenvalues`` and ``leading_quadratic_forms``,
+which take products, eigenvalues and quadratic forms pair by pair in closed
+form, with no dense J x J matrix.  Responses follow
 y_i = <slope, x_i> + sigma * eps_i with independent standard normal noise.
 :func:`true_value` is the functional evaluated on the slope's stored
 coefficients, the target every estimate is scored against.
@@ -39,6 +41,20 @@ def check_mixing(theta: float) -> None:
     """Reject a non-finite Givens mixing angle."""
     if not math.isfinite(theta):
         raise ValueError(f"mixing angle theta must be finite, got {theta}")
+
+
+def check_sigma(sigma: float) -> None:
+    """Reject a noise level that is not a finite non-negative real; sigma = 0
+    is degenerate but allowed, so that noiseless sanity studies can run."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be a non-negative real")
+
+
+def check_slope_scale(slope_scale: float) -> None:
+    """Reject a slope scale outside [0, 1]; 0 gives the zero slope of a
+    zero-signal sanity study."""
+    if not (0.0 <= slope_scale <= 1.0):
+        raise ValueError("slope_scale must lie in [0, 1]")
 
 
 def default_truncation(n: int) -> int:
@@ -201,40 +217,6 @@ class Covariance:
         return float(max(1.0, math.sqrt(mu_max.max())))
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Sampling configuration; J defaults to ``default_truncation(n)``."""
-
-    n: int
-    sigma: float
-    seed: int
-    model: sequences.SequenceModel
-    J: Optional[int] = None
-    slope_scale: float = DEFAULT_SLOPE_SCALE
-    mixing: float = 0.0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        # sigma = 0 and slope_scale = 0 are degenerate but allowed so that
-        # noiseless / zero-signal sanity studies can run
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError("sigma must be a non-negative real")
-        if not (0.0 <= self.slope_scale <= 1.0):
-            raise ValueError("slope_scale must lie in [0, 1]")
-        check_mixing(self.mixing)
-        if self.J is None:
-            object.__setattr__(self, "J", default_truncation(self.n))
-        if self.J < 4 * floor_fourth_root(self.n):
-            raise ValueError(
-                f"J = {self.J} is below 4 * floor(n^(1/4)) = "
-                f"{4 * floor_fourth_root(self.n)}"
-            )
-
-    def covariance(self) -> Covariance:
-        return Covariance(self.model, self.J, self.mixing)
-
-
 @dataclass(frozen=True, eq=False)
 class SlopeSpec:
     """A concrete slope, stored as truncated basis coefficients."""
@@ -281,8 +263,7 @@ def make_slope(model, J: int, slope_scale: float = DEFAULT_SLOPE_SCALE) -> Slope
     """
     if J < 1:
         raise ValueError("J must be >= 1")
-    if not (0.0 <= slope_scale <= 1.0):
-        raise ValueError("slope_scale must lie in [0, 1]")
+    check_slope_scale(slope_scale)
     j = np.arange(1, J + 1, dtype=np.float64)
     if model.regime is sequences.Regime.EP:
         log_raw = -(j ** (2.0 * model.p) - 1.0) / 2.0 - np.log(j)
@@ -311,9 +292,10 @@ def _row_blocks(n: int, J: int) -> list:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def draw_dataset(config: SimConfig, slope: SlopeSpec,
-                 columns: Optional[int] = None) -> Dataset:
-    """One i.i.d. sample of size n, fully determined by ``config.seed``.
+def draw_dataset(cov: Covariance, slope: SlopeSpec, n: int, sigma: float,
+                 seed: int, columns: Optional[int] = None) -> Dataset:
+    """n i.i.d. pairs with regressors of covariance ``cov`` (J = ``cov.dim``
+    coefficients), fully determined by ``seed``.
 
     The n x J standard normals are drawn SAMPLE_BLOCK at a time; each
     block is scaled, rotated and multiplied into its rows of y, and the
@@ -323,20 +305,25 @@ def draw_dataset(config: SimConfig, slope: SlopeSpec,
     ``columns`` the regressors keep only their first ``columns``
     coefficients, and x is n x columns while y still sees all J.
     """
-    if slope.dim != config.J:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    check_sigma(sigma)
+    J = cov.dim
+    if J < 4 * floor_fourth_root(n):
         raise ValueError(
-            f"slope has {slope.dim} coefficients, config expects {config.J}"
+            f"J = {J} is below 4 * floor(n^(1/4)) = {4 * floor_fourth_root(n)}"
         )
-    width = config.J if columns is None else columns
-    if not 1 <= width <= config.J:
-        raise ValueError(f"columns must lie in 1..{config.J}, got {columns}")
-    rng = np.random.default_rng(config.seed)
-    cov = config.covariance()
+    if slope.dim != J:
+        raise ValueError(f"slope has {slope.dim} coefficients, covariance has {J}")
+    width = J if columns is None else columns
+    if not 1 <= width <= J:
+        raise ValueError(f"columns must lie in 1..{J}, got {columns}")
+    rng = np.random.default_rng(seed)
     scale = np.sqrt(cov.eigenvalues())
-    x = np.empty((config.n, width))
-    y = np.empty(config.n)
-    blocks = _row_blocks(config.n, config.J)
-    scratch = np.empty((max(hi - lo for lo, hi in blocks), config.J))
+    x = np.empty((n, width))
+    y = np.empty(n)
+    blocks = _row_blocks(n, J)
+    scratch = np.empty((max(hi - lo for lo, hi in blocks), J))
     for lo, hi in blocks:
         block = scratch[:hi - lo]
         rng.standard_normal(out=block)
@@ -345,7 +332,7 @@ def draw_dataset(config: SimConfig, slope: SlopeSpec,
         y[lo:hi] = block @ slope.coeffs
         x[lo:hi] = block[:, :width]
     del block, scratch
-    y += config.sigma * rng.standard_normal(config.n)
+    y += sigma * rng.standard_normal(n)
     return Dataset(y=y, x=x)
 
 
@@ -379,4 +366,7 @@ def load_dataset_csv(path) -> Dataset:
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != len(header):
         raise ValueError(f"{path}: ragged or empty dataset")
-    return Dataset(y=arr[:, 0], x=arr[:, 1:])
+    try:
+        return Dataset(y=arr[:, 0], x=arr[:, 1:])
+    except ValueError as err:  # a nan or inf cell
+        raise ValueError(f"{path}: {err}") from None

@@ -74,15 +74,12 @@ def test_criterion_2_penalty_monotonicity_and_caps():
 
     for model in models:
         for n in grid:
-            cfg_dim = simulate.default_truncation(n)
-            slope = simulate.make_slope(model, cfg_dim)
+            cov = simulate.Covariance(model, simulate.default_truncation(n))
+            slope = simulate.make_slope(model, cov.dim)
             for rep in range(draws_per_cell):
                 if checked >= 1000:
                     break
-                cfg = simulate.SimConfig(
-                    n=n, sigma=1.0, seed=9000 + checked, model=model
-                )
-                data = simulate.draw_dataset(cfg, slope)
+                data = simulate.draw_dataset(cov, slope, n, 1.0, 9000 + checked)
                 result = adaptive.adaptive_estimate(data, POINT)
                 good = (
                     np.all(np.diff(result.penalties) >= 0)
@@ -147,10 +144,10 @@ def test_criterion_5_diagonal_closed_forms():
 
 
 def test_criterion_6_link_bounds():
-    diag = oracle.check_link_bounds(PP_UNIT, POINT, 32)
+    diag = oracle.check_link_bounds(simulate.Covariance(PP_UNIT, 32), POINT, 32)
     diag_exact = bool(np.all(diag.gamma_inv_norm == 1.0))
     rot_cov = simulate.Covariance(PP_UNIT, 32, theta=0.6)
-    rot = oracle.check_link_bounds(PP_UNIT, POINT, 32, cov=rot_cov)
+    rot = oracle.check_link_bounds(rot_cov, POINT, 32)
     ok = diag_exact and diag.ok and rot.ok and rot.d > 1.0
     assert verdict(
         6, "weight/inverse-norm link bounds (diagonal exact, rotated within [1/d, 4d^3])",

@@ -29,8 +29,8 @@ def injected(gammahat, ghat, n, s2=1.0):
 
 
 def sim_data(n=1000, seed=3, model=PP, mixing=0.0):
-    cfg = simulate.SimConfig(n=n, sigma=1.0, seed=seed, model=model, mixing=mixing)
-    return simulate.draw_dataset(cfg, simulate.make_slope(model, cfg.J))
+    cov = simulate.Covariance(model, simulate.default_truncation(n), mixing)
+    return simulate.draw_dataset(cov, simulate.make_slope(model, cov.dim), n, 1.0, seed)
 
 
 class TestCapMEll:
@@ -296,6 +296,11 @@ class TestSelectionBound:
         with pytest.raises(ValueError):
             check_selection_bound([0.0, 0.0], [1.0, 0.5], [0.0, 0.0], 0.0)
 
+    @pytest.mark.parametrize("instances", [0, -5])
+    def test_nonpositive_instance_count_rejected(self, instances):
+        with pytest.raises(ValueError, match=f"instances must be >= 1, got {instances}"):
+            selection_bound_suite(instances, seed=0)
+
     def test_randomized_instances_all_pass(self):
         result = selection_bound_suite(500, seed=123)
         assert result.passed
@@ -317,12 +322,11 @@ class TestSelectionBound:
         spec = PointEval(t0=0.3)
         checked = violations = 0
         for n in (256, 1024, 4096):
-            slope = simulate.make_slope(PP, simulate.default_truncation(n))
+            cov = simulate.Covariance(PP, simulate.default_truncation(n))
+            slope = simulate.make_slope(PP, cov.dim)
             target = simulate.true_value(spec, slope)
             for rep in range(10):
-                data = simulate.draw_dataset(
-                    simulate.SimConfig(n=n, sigma=1.0, seed=500 + rep, model=PP), slope
-                )
+                data = simulate.draw_dataset(cov, slope, n, 1.0, 500 + rep)
                 result = adaptive.adaptive_estimate(data, spec)
                 m = result.m_hat_cap
                 approx = np.cumsum(functionals.coefficients(spec, m) * slope.coeffs[:m])

@@ -330,6 +330,31 @@ class TestCheckLemma:
         assert code == 0
         assert "0 violations" in out
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_nonpositive_instance_count_is_a_usage_error(self, capsys, count):
+        code, out, err = run(capsys, "check-lemma", "--instances", count)
+        assert code == 1 and out == ""
+        assert err == f"error: usage: instances must be >= 1, got {count}\n"
+
+
+class TestParserErrors:
+    @pytest.mark.parametrize("argv, detail", [
+        (("simulate", "--n", "2.5"), "flradapt simulate: argument --n: invalid int value: '2.5'"),
+        (("bogus",), "argument command: invalid choice: 'bogus'"),
+        (("rates", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+    ])
+    def test_parser_error_is_one_usage_line(self, capsys, argv, detail):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: usage: "), err
+        assert detail in lines[0]
+
+    @pytest.mark.parametrize("argv", [("--help",), ("simulate", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: flradapt") and err == ""
+
 
 class TestMcStudy:
     def test_writes_all_outputs(self, tmp_path, capsys):

@@ -17,8 +17,8 @@ PP = SequenceModel(regime=Regime.PP, p=1.0, a=1.0)
 
 
 def sim_data(n=2000, seed=5, model=PP):
-    cfg = simulate.SimConfig(n=n, sigma=1.0, seed=seed, model=model)
-    return simulate.draw_dataset(cfg, simulate.make_slope(model, cfg.J))
+    cov = simulate.Covariance(model, simulate.default_truncation(n))
+    return simulate.draw_dataset(cov, simulate.make_slope(model, cov.dim), n, 1.0, seed)
 
 
 def injected_moments(gammahat, ghat, n=10 ** 6, s2=1.0):
@@ -57,8 +57,7 @@ class TestEmpiricalMoments:
 
     def test_diagonal_entry_concentrates(self):
         n = 10 ** 5
-        cfg = simulate.SimConfig(n=n, sigma=1.0, seed=29, model=PP)
-        data = simulate.draw_dataset(cfg, simulate.make_slope(PP, cfg.J))
+        data = sim_data(n, seed=29)
         mom = empirical_moments(data, 8)
         for j in (1, 3, 8):
             lam = j ** -2.0

@@ -82,7 +82,7 @@ class TestFitRate:
 
 
 class TestStudyConfig:
-    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_nonfinite_mixing_rejected(self, theta):
         with pytest.raises(ValueError, match="mixing angle theta"):
             small_config(mixing=theta)
@@ -91,6 +91,8 @@ class TestStudyConfig:
         ({"sigma": math.inf}, "sigma"),
         ({"slope_scale": 2.0}, "slope_scale"),
         ({"slope_scale": math.nan}, "slope_scale"),
+        ({"sigma": -1.0}, "sigma"),
+        ({"slope_scale": 1.5}, "slope_scale"),
     ])
     def test_sampling_settings_rejected(self, setting, match):
         with pytest.raises(ValueError, match=match):
@@ -179,12 +181,12 @@ class TestRunStudy:
         drawn, alive_at_draw = [], []
         draw, estimate = simulate.draw_dataset, adaptive.adaptive_estimate
 
-        def tracked_draw(config, slope, columns=None):
+        def tracked_draw(cov, slope, n, sigma, seed, columns=None):
             with lock:
                 alive_at_draw.append(sum(ref() is not None for ref, _ in drawn))
-            data = draw(config, slope, columns)
+            data = draw(cov, slope, n, sigma, seed, columns)
             with lock:
-                drawn.append((weakref.ref(data), (config.n, data.dim)))
+                drawn.append((weakref.ref(data), (n, data.dim)))
             return data
 
         estimated = []
@@ -251,10 +253,10 @@ class TestRunStudy:
         threads_by_n = {}
         draw = simulate.draw_dataset
 
-        def tracked_draw(config, slope, columns=None):
-            threads_by_n.setdefault(config.n, set()).add(
+        def tracked_draw(cov, slope, n, sigma, seed, columns=None):
+            threads_by_n.setdefault(n, set()).add(
                 threading.current_thread() is main)
-            return draw(config, slope, columns)
+            return draw(cov, slope, n, sigma, seed, columns)
 
         monkeypatch.setattr(harness, "_sampler_threads", lambda: 2)
         monkeypatch.setattr(harness.simulate, "draw_dataset", tracked_draw)
@@ -268,10 +270,10 @@ class TestRunStudy:
         before = threading.active_count()
         draw = simulate.draw_dataset
 
-        def broken_draw(config, slope, columns=None):
-            if config.n == 128 and config.seed == 101 + 5:
+        def broken_draw(cov, slope, n, sigma, seed, columns=None):
+            if n == 128 and seed == 101 + 5:
                 raise TypeError("synthetic draw bug")
-            return draw(config, slope, columns)
+            return draw(cov, slope, n, sigma, seed, columns)
 
         monkeypatch.setattr(harness.simulate, "draw_dataset", broken_draw)
         with pytest.raises(TypeError, match="synthetic draw bug"):
@@ -284,9 +286,9 @@ class TestRunStudy:
         # runs in a copy of the caller's context
         draw = simulate.draw_dataset
 
-        def underflowing_draw(config, slope, columns=None):
+        def underflowing_draw(cov, slope, n, sigma, seed, columns=None):
             np.multiply(1e-300, 1e-300)
-            return draw(config, slope, columns)
+            return draw(cov, slope, n, sigma, seed, columns)
 
         monkeypatch.setattr(harness.simulate, "draw_dataset", underflowing_draw)
         cfg = small_config(n_grid=(64,), replicates=4)
@@ -303,9 +305,9 @@ class TestRunStudy:
         started, estimated = [], []
         draw, estimate = simulate.draw_dataset, adaptive.adaptive_estimate
 
-        def counted_draw(config, slope, columns=None):
-            started.append(config.seed)
-            return draw(config, slope, columns)
+        def counted_draw(cov, slope, n, sigma, seed, columns=None):
+            started.append(seed)
+            return draw(cov, slope, n, sigma, seed, columns)
 
         def fail_fifth(data, spec):
             estimated.append(data.n)
@@ -331,9 +333,9 @@ class TestRunStudy:
         on_main = []
         draw = simulate.draw_dataset
 
-        def tracked_draw(config, slope, columns=None):
+        def tracked_draw(cov, slope, n, sigma, seed, columns=None):
             on_main.append(threading.current_thread() is main)
-            return draw(config, slope, columns)
+            return draw(cov, slope, n, sigma, seed, columns)
 
         monkeypatch.setattr(harness.simulate, "draw_dataset", tracked_draw)
         with pytest.warns(sequences.UnderflowWarning):
@@ -408,7 +410,8 @@ class TestSandwich:
                       sigma2_y_hat=sig_y2, n=n)
         m_max = 4
         p_hat = adaptive.penalties(mom, SPEC, n, m_max)
-        p_pop = oracle.theoretical_penalty_curve(PP, SPEC, slope, 1.0, n, m_max)
+        p_pop = oracle.theoretical_penalty_curve(simulate.Covariance(PP, J), SPEC, slope,
+                                                 1.0, n, m_max)
         np.testing.assert_allclose(p_hat, 7.0 * p_pop, rtol=1e-10)
         assert np.all(p_pop <= p_hat) and np.all(p_hat <= 24.0 * p_pop)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,9 +238,10 @@ class TestMinimaxDimension:
         assert r1 <= r2 <= r3
 
 
-def population_ingredients(spec, slope, sigma, m, cov=None):
+def population_ingredients(spec, slope, sigma, m, theta=0.0):
     """sigma_m^2 and V_m of the population penalty at dimension m."""
-    sig_y2, quad, v = oracle._population_quantities(PP, spec, slope, sigma, m, cov)
+    cov = Covariance(PP, slope.dim, theta)
+    sig_y2, quad, v = oracle._population_quantities(cov, spec, slope, sigma, m)
     return 2.0 * (sig_y2 + float(quad[m - 1])), float(v[m - 1])
 
 
@@ -268,7 +270,8 @@ class TestTheoreticalPenalty:
     def test_curve_entry_is_population_penalty(self):
         slope = simulate.make_slope(PP, 32)
         spec = PointEval(t0=0.3)
-        curve = theoretical_penalty_curve(PP, spec, slope, sigma=1.0, n=500, m_max=12)
+        curve = theoretical_penalty_curve(Covariance(PP, 32), spec, slope, sigma=1.0,
+                                          n=500, m_max=12)
         for m in (1, 5, 12):
             sigma_m_sq, v_m = population_ingredients(spec, slope, 1.0, m)
             p_m = 100.0 * sigma_m_sq * v_m * (1.0 + math.log(500)) / 500
@@ -276,7 +279,8 @@ class TestTheoreticalPenalty:
 
     def test_unit_coordinate_penalty(self):
         slope = simulate.SlopeSpec(coeffs=np.zeros(16), true_norm_beta_sq=0.0)
-        curve = theoretical_penalty_curve(PP, E1, slope, sigma=1.0, n=100, m_max=4)
+        curve = theoretical_penalty_curve(Covariance(PP, 16), E1, slope, sigma=1.0,
+                                          n=100, m_max=4)
         # sigma_m^2 = 2 and V_m = 1 at every m
         expected = 100.0 * 2.0 * (1.0 + math.log(100)) / 100
         np.testing.assert_allclose(curve, expected, rtol=1e-14)
@@ -284,7 +288,7 @@ class TestTheoreticalPenalty:
     def test_penalty_curve_nondecreasing(self):
         slope = simulate.make_slope(PP, 32)
         curve = theoretical_penalty_curve(
-            PP, PointEval(t0=0.3), slope, sigma=1.0, n=500, m_max=12
+            Covariance(PP, 32), PointEval(t0=0.3), slope, sigma=1.0, n=500, m_max=12
         )
         assert np.all(np.diff(curve) >= 0)
 
@@ -292,7 +296,7 @@ class TestTheoreticalPenalty:
         cov = Covariance(PP, 16, theta=0.5)
         slope = simulate.make_slope(PP, 16)
         spec = PointEval(t0=0.3)
-        sigma_m_sq, _ = population_ingredients(spec, slope, 1.0, 4, cov=cov)
+        sigma_m_sq, _ = population_ingredients(spec, slope, 1.0, 4, theta=0.5)
         mat = dense(cov)
         g = mat @ slope.coeffs
         quad = float(g[:4] @ np.linalg.solve(mat[:4, :4], g[:4]))
@@ -307,7 +311,7 @@ class TestTheoreticalPenalty:
         spec = PointEval(t0=0.3)
         slope = simulate.make_slope(pe, 26)
         _, _, v = oracle._population_quantities(
-            pe, spec, slope, 1.0, 26, Covariance(pe, 26, 0.3))
+            Covariance(pe, 26, 0.3), spec, slope, 1.0, 26)
         ell = functionals.coefficients(spec, 26)
         v_gamma = np.cumsum(ell ** 2 / sequences.gamma_array(pe, 26))
         at = np.array([20, 21, 22, 24, 26]) - 1
@@ -317,8 +321,8 @@ class TestTheoreticalPenalty:
     def test_mismatched_covariance_rejected(self):
         slope = simulate.make_slope(PP, 16)
         with pytest.raises(ValueError):
-            theoretical_penalty_curve(PP, E1, slope, sigma=1.0, n=100, m_max=2,
-                                      cov=Covariance(PP, 8, 0.0))
+            theoretical_penalty_curve(Covariance(PP, 8, 0.0), E1, slope, sigma=1.0,
+                                      n=100, m_max=2)
 
 
 class TestRateExponent:
@@ -404,31 +408,29 @@ class TestSideCondition:
 
 
 class TestLinkBounds:
-    def test_covariance_of_another_model_rejected(self):
-        with pytest.raises(ValueError, match="model"):
-            check_link_bounds(PP, PointEval(t0=0.3), 8, cov=Covariance(PE, 8, 0.3))
+    def test_m_max_beyond_covariance_rejected(self):
         with pytest.raises(ValueError, match="m_max"):
-            check_link_bounds(PP, PointEval(t0=0.3), 8, cov=Covariance(PP, 7, 0.3))
+            check_link_bounds(Covariance(PP, 7, 0.3), PointEval(t0=0.3), 8)
 
     def test_diagonal_products_exactly_one(self):
-        report = check_link_bounds(PP, PointEval(t0=0.3), 32)
+        report = check_link_bounds(Covariance(PP, 32), PointEval(t0=0.3), 32)
         assert np.all(report.gamma_inv_norm == 1.0)
         assert np.all(report.v_ratio == 1.0)
         assert report.d == 1.0 and report.ok
 
     def test_unit_coordinate_diagonal(self):
-        report = check_link_bounds(PP, E1, 8)
+        report = check_link_bounds(Covariance(PP, 8), E1, 8)
         assert np.all(report.v_ratio == 1.0)
 
     def test_rotated_construction_within_bounds(self):
         cov = Covariance(PP, 32, theta=0.6)
-        report = check_link_bounds(PP, PointEval(t0=0.3), 32, cov=cov)
+        report = check_link_bounds(cov, PointEval(t0=0.3), 32)
         assert report.d > 1.0
         assert report.ok
 
     def test_quarter_turn_within_bounds(self):
         cov = Covariance(PP, 16, theta=math.pi / 2)
-        report = check_link_bounds(PP, PointEval(t0=0.3), 16, cov=cov)
+        report = check_link_bounds(cov, PointEval(t0=0.3), 16)
         assert report.ok
 
     @pytest.mark.parametrize("theta", [0.3, 0.7])
@@ -439,7 +441,7 @@ class TestLinkBounds:
         want = [np.linalg.eigvalsh(mat[:m, :m])[0] for m in range(1, dim + 1)]
         np.testing.assert_allclose(cov.leading_min_eigenvalues(dim), want, rtol=1e-12)
         # a leading block of odd size 15 < dim cuts the pair (15, 16)
-        report = check_link_bounds(PP, PointEval(t0=0.3), dim, cov=cov)
+        report = check_link_bounds(cov, PointEval(t0=0.3), dim)
         assert np.all(report.gamma_inv_norm[1::2] == 1.0)
         assert np.all(report.gamma_inv_norm[0::2] > 1.0)
 
@@ -447,7 +449,7 @@ class TestLinkBounds:
     def test_diagonal_minimum_eigenvalues_are_the_weights(self, model):
         cov = Covariance(model, 12)
         assert np.array_equal(cov.leading_min_eigenvalues(12), cov.eigenvalues())
-        report = check_link_bounds(model, PointEval(t0=0.3), 12)
+        report = check_link_bounds(cov, PointEval(t0=0.3), 12)
         assert np.all(report.gamma_inv_norm == 1.0)
 
     def test_steep_rotated_weights_give_meaningful_norms(self):
@@ -456,7 +458,7 @@ class TestLinkBounds:
         pe = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
         cov = Covariance(pe, 40, theta=0.3)
         with pytest.warns(sequences.UnderflowWarning):
-            report = check_link_bounds(pe, PointEval(t0=0.3), 26, cov=cov)
+            report = check_link_bounds(cov, PointEval(t0=0.3), 26)
         norms = report.gamma_inv_norm
         assert np.all(np.isfinite(norms)) and np.all(norms > 0.0)
         assert np.all(norms[1::2] == 1.0)
@@ -485,7 +487,7 @@ class TestLinkBounds:
         pe = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
         cov = Covariance(pe, 40, theta=0.3)
         with pytest.warns(sequences.UnderflowWarning):
-            report = check_link_bounds(pe, PointEval(t0=0.3), 26, cov=cov)
+            report = check_link_bounds(cov, PointEval(t0=0.3), 26)
         at = np.array([20, 21, 22, 24, 26]) - 1
         np.testing.assert_allclose(report.v_ratio[at],
                                    [1.529, 1.529, 0.913, 1.697, 1.369], rtol=1e-3)
@@ -497,8 +499,80 @@ class TestLinkBounds:
         for m_max in (27, 40):
             with pytest.warns(sequences.UnderflowWarning), \
                     pytest.raises(ValueError, match="from j = 27"):
-                check_link_bounds(pe, PointEval(t0=0.3), m_max, cov=cov)
+                check_link_bounds(cov, PointEval(t0=0.3), m_max)
         with pytest.warns(sequences.UnderflowWarning):  # from cov.eigenvalues()
-            report = check_link_bounds(pe, PointEval(t0=0.3), 26, cov=cov)
+            report = check_link_bounds(cov, PointEval(t0=0.3), 26)
         assert np.all(np.isfinite(report.gamma_inv_norm))
         assert np.all(np.isfinite(report.v_ratio))
+
+
+def penalty_curve_reference(model, spec, slope, sigma, n, m_max, cov=None):
+    """The population penalty as computed when it took the model and an
+    optional covariance, the diagonal one of the slope's truncation when
+    none was given."""
+    if cov is None:
+        cov = Covariance(model, slope.dim, 0.0)
+    phi = slope.coeffs
+    g = cov.apply(phi)
+    sig_y2 = sigma ** 2 + float(phi @ g)
+    quad = cov.leading_quadratic_forms(g[:m_max])
+    v = np.maximum.accumulate(
+        cov.leading_quadratic_forms(functionals.coefficients(spec, m_max)))
+    factor = oracle.THEORETICAL_PENALTY_CONSTANT * (1.0 + math.log(n)) / n
+    return factor * 2.0 * (sig_y2 + quad) * v
+
+
+def link_bounds_reference(model, spec, m_max, cov=None):
+    """(d, gamma_inv_norm, v_ratio) of the link-bounds check as computed when
+    it took the model and an optional covariance, the diagonal one of
+    dimension m_max when none was given."""
+    if cov is None:
+        cov = Covariance(model, m_max, 0.0)
+    gam = sequences.gamma_array(model, m_max)
+    ell = functionals.coefficients(spec, m_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_gamma = np.cumsum(np.where(ell == 0.0, 0.0, ell ** 2 / gam))
+    v_ratio = np.ones(m_max)
+    if not cov.is_diagonal:
+        v = np.maximum.accumulate(cov.leading_quadratic_forms(ell))
+        np.divide(v, v_gamma, out=v_ratio, where=v_gamma > 0)
+    return cov.effective_d(), gam / cov.leading_min_eigenvalues(m_max), v_ratio
+
+
+PE_STEEP = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
+
+
+# (model, dim, theta, m_max) of every covariance this file hands the two
+# population functions; theta = 0 with the default dimension is the
+# covariance the model-taking signatures built when given none
+@pytest.mark.parametrize("model, dim, theta, m_max", [
+    (PP, 32, 0.0, 12), (PP, 16, 0.0, 4), (PP, 16, 0.5, 4), (PE_STEEP, 26, 0.3, 26),
+])
+def test_penalty_curve_keeps_its_values(model, dim, theta, m_max):
+    cov = Covariance(model, dim, theta)
+    slope = simulate.make_slope(model, dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sequences.UnderflowWarning)
+        for spec in (PointEval(t0=0.3), E1):
+            got = theoretical_penalty_curve(cov, spec, slope, 1.3, 500, m_max)
+            want = penalty_curve_reference(model, spec, slope, 1.3, 500, m_max,
+                                           None if theta == 0.0 else cov)
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("model, dim, theta, m_max", [
+    (PP, 32, 0.0, 32), (PP, 8, 0.0, 8), (PP, 32, 0.6, 32), (PP, 16, math.pi / 2, 16),
+    (PP, 16, 0.3, 16), (PP, 16, 0.7, 16), (PP, 32, 0.3, 32), (PP, 32, 0.7, 32),
+    (PP, 12, 0.0, 12), (PE, 12, 0.0, 12), (EP, 12, 0.0, 12), (PE_STEEP, 40, 0.3, 26),
+])
+def test_link_bounds_keep_their_values(model, dim, theta, m_max):
+    cov = Covariance(model, dim, theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sequences.UnderflowWarning)
+        for spec in (PointEval(t0=0.3), E1):
+            report = check_link_bounds(cov, spec, m_max)
+            d, norms, ratios = link_bounds_reference(
+                model, spec, m_max, None if theta == 0.0 else cov)
+            assert report.d == d
+            assert np.array_equal(report.gamma_inv_norm, norms)
+            assert np.array_equal(report.v_ratio, ratios)

@@ -52,3 +52,9 @@ def test_modules_import_only_earlier_modules():
     for rank, name in enumerate(MODULE_ORDER):
         later = package_imports(package / f"{name}.py") - set(MODULE_ORDER[:rank])
         assert not later, f"{name} imports {sorted(later)}"
+
+
+def test_oracle_does_not_import_the_sampler():
+    # the population functions take the Covariance they describe; the oracle
+    # builds none itself
+    assert "simulate" not in package_imports(SRC / "flradapt" / "oracle.py")

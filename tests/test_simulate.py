@@ -13,7 +13,6 @@ from flradapt.sequences import Regime, SequenceModel
 from flradapt.simulate import (
     Covariance,
     Dataset,
-    SimConfig,
     SlopeSpec,
     draw_dataset,
     make_slope,
@@ -28,6 +27,11 @@ def zero_slope(J):
     return SlopeSpec(coeffs=np.zeros(J), true_norm_beta_sq=0.0)
 
 
+def default_cov(n, theta=0.0):
+    """The covariance a study samples from at sample size n."""
+    return Covariance(PP, simulate.default_truncation(n), theta)
+
+
 def rotate_pairs_reference(x, theta):
     """Slow reference for the pair rotation: one loop step per pair."""
     x = x.copy()
@@ -40,16 +44,16 @@ def rotate_pairs_reference(x, theta):
     return x
 
 
-def draw_dataset_reference(config, slope):
+def draw_dataset_reference(cov, slope, n, sigma, seed):
     """One-shot sampler: all n x J normals in one draw, scaled as a new
     array, the pair rotation loop, and one matrix-vector product over all
     n rows; ``draw_dataset`` must reproduce it bit for bit."""
-    rng = np.random.default_rng(config.seed)
-    lam = sequences.gamma_array(config.model, config.J)
-    x = rng.standard_normal((config.n, config.J)) * np.sqrt(lam)
-    if config.mixing != 0.0:
-        x = rotate_pairs_reference(x, config.mixing)
-    y = x @ slope.coeffs + config.sigma * rng.standard_normal(config.n)
+    rng = np.random.default_rng(seed)
+    lam = sequences.gamma_array(cov.model, cov.dim)
+    x = rng.standard_normal((n, cov.dim)) * np.sqrt(lam)
+    if cov.theta != 0.0:
+        x = rotate_pairs_reference(x, cov.theta)
+    y = x @ slope.coeffs + sigma * rng.standard_normal(n)
     return x, y
 
 
@@ -64,8 +68,8 @@ STREAM_N = sorted({16, 17, 127, 128, 129, 130, 131, 257, 1001, 8003}
 
 
 def stream_case(n, theta, J):
-    config = SimConfig(n=n, sigma=0.5, seed=1000 + n, model=PP, J=J, mixing=theta)
-    return config, make_slope(PP, J)
+    """The arguments of ``draw_dataset`` for one streamed case."""
+    return Covariance(PP, J, theta), make_slope(PP, J), n, 0.5, 1000 + n
 
 
 @pytest.fixture(scope="module")
@@ -137,16 +141,16 @@ class TestMakeSlope:
 
 class TestDrawDataset:
     def test_same_seed_bit_identical(self):
-        cfg = SimConfig(n=200, sigma=1.0, seed=42, model=PP)
-        slope = make_slope(PP, cfg.J)
-        d1 = draw_dataset(cfg, slope)
-        d2 = draw_dataset(cfg, slope)
+        cov = default_cov(200)
+        slope = make_slope(PP, cov.dim)
+        d1 = draw_dataset(cov, slope, 200, 1.0, 42)
+        d2 = draw_dataset(cov, slope, 200, 1.0, 42)
         assert np.array_equal(d1.y, d2.y) and np.array_equal(d1.x, d2.x)
 
     def test_noise_variance_with_zero_slope(self):
         n = 10 ** 5
-        cfg = SimConfig(n=n, sigma=1.0, seed=7, model=PP)
-        data = draw_dataset(cfg, zero_slope(cfg.J))
+        cov = default_cov(n)
+        data = draw_dataset(cov, zero_slope(cov.dim), n, 1.0, 7)
         s2 = float(np.var(data.y, ddof=1))
         se = math.sqrt(2.0 / n)
         assert abs(s2 - 1.0) < 3 * se
@@ -154,8 +158,8 @@ class TestDrawDataset:
     @pytest.mark.parametrize("j", [1, 2, 4, 8])
     def test_column_variances_match_eigenvalues(self, j):
         n = 10 ** 5
-        cfg = SimConfig(n=n, sigma=1.0, seed=11, model=PP)
-        data = draw_dataset(cfg, zero_slope(cfg.J))
+        cov = default_cov(n)
+        data = draw_dataset(cov, zero_slope(cov.dim), n, 1.0, 11)
         lam = j ** -2.0
         s2 = float(np.var(data.x[:, j - 1], ddof=1))
         assert abs(s2 - lam) < 3 * lam * math.sqrt(2.0 / n)
@@ -163,8 +167,8 @@ class TestDrawDataset:
     @pytest.mark.parametrize("j", [1, 5, 17])
     def test_standardized_columns_look_gaussian(self, j):
         n = 10 ** 5
-        cfg = SimConfig(n=n, sigma=1.0, seed=13, model=PP)
-        data = draw_dataset(cfg, zero_slope(cfg.J))
+        cov = default_cov(n)
+        data = draw_dataset(cov, zero_slope(cov.dim), n, 1.0, 13)
         z = data.x[:, j - 1] * j
         z = (z - z.mean()) / z.std()
         skew = float(np.mean(z ** 3))
@@ -175,22 +179,21 @@ class TestDrawDataset:
     def test_noise_uncorrelated_with_regressors(self):
         # fixed-seed smoke test: 128 simultaneous 3-sigma checks
         n = 10 ** 5
-        cfg = SimConfig(n=n, sigma=1.0, seed=1, model=PP)
-        slope = make_slope(PP, cfg.J)
-        data = draw_dataset(cfg, slope)
+        J = simulate.default_truncation(n)
+        slope = make_slope(PP, J)
+        data = draw_dataset(Covariance(PP, J), slope, n, 1.0, 1)
         resid = data.y - data.x @ slope.coeffs
-        lam = np.arange(1, cfg.J + 1) ** -2.0
+        lam = np.arange(1, J + 1) ** -2.0
         cov = resid @ data.x / n
         se = np.sqrt(lam / n)
         assert np.all(np.abs(cov) < 3 * se)
 
     def test_rotation_preserves_total_variance(self):
         n = 4 * 10 ** 4
-        base = SimConfig(n=n, sigma=1.0, seed=23, model=PP)
-        mixed = SimConfig(n=n, sigma=1.0, seed=23, model=PP, mixing=0.7)
-        slope = zero_slope(base.J)
-        d0 = draw_dataset(base, slope)
-        d1 = draw_dataset(mixed, slope)
+        base, mixed = default_cov(n), default_cov(n, 0.7)
+        slope = zero_slope(base.dim)
+        d0 = draw_dataset(base, slope, n, 1.0, 23)
+        d1 = draw_dataset(mixed, slope, n, 1.0, 23)
         # Givens rotations preserve the per-pair sum of squares row by row
         for k in range(3):
             i = 2 * k
@@ -200,24 +203,23 @@ class TestDrawDataset:
 
     @pytest.mark.parametrize("J", [None, 129])
     def test_rotation_matches_reference_loop(self, J):
-        base = SimConfig(n=200, sigma=1.0, seed=31, model=PP, J=J)
-        mixed = SimConfig(n=200, sigma=1.0, seed=31, model=PP, J=J, mixing=0.7)
-        slope = make_slope(PP, base.J)
-        d0 = draw_dataset(base, slope)
-        d1 = draw_dataset(mixed, slope)
+        J = J or simulate.default_truncation(200)
+        base, mixed = Covariance(PP, J), Covariance(PP, J, 0.7)
+        slope = make_slope(PP, J)
+        d0 = draw_dataset(base, slope, 200, 1.0, 31)
+        d1 = draw_dataset(mixed, slope, 200, 1.0, 31)
         expected = rotate_pairs_reference(d0.x, 0.7)
         assert np.array_equal(d1.x, expected)
-        if base.J % 2:
+        if J % 2:
             assert np.array_equal(d1.x[:, -1], d0.x[:, -1])
 
     # n = 1000 is one partial row block of the sampler
     @pytest.mark.parametrize("theta", [0.0, 0.3])
     @pytest.mark.parametrize("J", [128, 129])
     def test_matches_out_of_place_reference(self, theta, J):
-        cfg = SimConfig(n=1000, sigma=0.5, seed=41, model=PP, J=J, mixing=theta)
-        slope = make_slope(PP, J)
-        data = draw_dataset(cfg, slope)
-        x, y = draw_dataset_reference(cfg, slope)
+        case = Covariance(PP, J, theta), make_slope(PP, J), 1000, 0.5, 41
+        data = draw_dataset(*case)
+        x, y = draw_dataset_reference(*case)
         assert np.array_equal(data.x, x)
         assert np.array_equal(data.y, y)
 
@@ -226,32 +228,32 @@ class TestDrawDataset:
     @pytest.mark.parametrize("n", STREAM_N)
     def test_streamed_draw_matches_one_shot_reference(self, one_thread_responses,
                                                       n, theta, J):
-        config, slope = stream_case(n, theta, J)
-        x, _ = draw_dataset_reference(config, slope)
+        case = stream_case(n, theta, J)
+        x, _ = draw_dataset_reference(*case)
         y = one_thread_responses[f"{n}_{theta}_{J}"]
         for columns in (1, 2, 3, 4, 9, J, None):
-            data = draw_dataset(config, slope, columns)
+            data = draw_dataset(*case, columns)
             width = J if columns is None else columns
             assert data.x.shape == (n, width)
             assert np.array_equal(data.x, x[:, :width]), columns
             assert np.array_equal(data.y, y), columns
 
     def test_column_count_out_of_range_rejected(self):
-        config, slope = stream_case(16, 0.0, 128)
+        case = stream_case(16, 0.0, 128)
         for columns in (0, 129):
             with pytest.raises(ValueError, match="columns must lie in 1..128"):
-                draw_dataset(config, slope, columns)
+                draw_dataset(*case, columns)
 
     @pytest.mark.parametrize("theta", [0.0, 0.3])
     @pytest.mark.parametrize("n", [16, 17, 64, 129, 256])
     def test_kept_columns_give_the_moments_of_the_full_matrix(self, n, theta):
         # the study keeps max(m, 4) columns: a narrower C-contiguous matrix
         # would take another BLAS path for x^T y and can differ in the last bits
-        config = SimConfig(n=n, sigma=1.0, seed=51 + n, model=PP, mixing=theta)
-        slope = make_slope(PP, config.J)
-        full = draw_dataset(config, slope)
+        cov = default_cov(n, theta)
+        case = cov, make_slope(PP, cov.dim), n, 1.0, 51 + n
+        full = draw_dataset(*case)
         for m in (1, 2, 3):
-            kept = draw_dataset(config, slope, max(m, harness.MIN_KEPT_COLUMNS))
+            kept = draw_dataset(*case, max(m, harness.MIN_KEPT_COLUMNS))
             got, want = empirical_moments(kept, m), empirical_moments(full, m)
             assert np.array_equal(got.gammahat, want.gammahat)
             assert np.array_equal(got.ghat, want.ghat)
@@ -265,12 +267,12 @@ class TestDrawDataset:
         # temporaries); 16 KiB covers the weight vectors and the generator
         import tracemalloc
 
-        config = SimConfig(n=8000, sigma=1.0, seed=3, model=PP, mixing=theta)
-        slope = make_slope(PP, config.J)
-        draw_dataset(config, slope, 9)
+        cov = default_cov(8000, theta)
+        case = cov, make_slope(PP, cov.dim), 8000, 1.0, 3
+        draw_dataset(*case, 9)
         tracemalloc.start()
         try:
-            data = draw_dataset(config, slope, 9)
+            data = draw_dataset(*case, 9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -282,11 +284,11 @@ class TestDrawDataset:
     def test_peak_memory_is_one_regressor_matrix(self, theta):
         import tracemalloc
 
-        cfg = SimConfig(n=8000, sigma=1.0, seed=3, model=PP, mixing=theta)
-        slope = make_slope(PP, cfg.J)
+        cov = default_cov(8000, theta)
+        slope = make_slope(PP, cov.dim)
         tracemalloc.start()
         try:
-            data = draw_dataset(cfg, slope)
+            data = draw_dataset(cov, slope, 8000, 1.0, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -295,10 +297,9 @@ class TestDrawDataset:
     def test_rotated_sample_covariance_matches_matrix(self, dense):
         # 9 fixed-seed 3-sigma checks on the first three coefficient pairs
         n = 10 ** 5
-        cfg = SimConfig(n=n, sigma=1.0, seed=41, model=PP, J=68, mixing=0.7)
-        data = draw_dataset(cfg, zero_slope(cfg.J))
+        cov = Covariance(PP, 68, 0.7)
+        data = draw_dataset(cov, zero_slope(cov.dim), n, 1.0, 41)
         x = data.x[:, :6]
-        cov = cfg.covariance()
         mat, lam = dense(cov)[:6, :6], cov.eigenvalues()
         c, s = math.cos(0.7), math.sin(0.7)
         assert mat[0, 1] == pytest.approx(c * s * (lam[0] - lam[1]), rel=1e-15)
@@ -310,9 +311,9 @@ class TestDrawDataset:
                 assert abs(sample - mat[i, j]) < 3 * se, (i, j)
 
     def test_slope_dimension_mismatch_rejected(self):
-        cfg = SimConfig(n=50, sigma=1.0, seed=1, model=PP)
+        cov = default_cov(50)
         with pytest.raises(ValueError):
-            draw_dataset(cfg, zero_slope(cfg.J - 1))
+            draw_dataset(cov, zero_slope(cov.dim - 1), 50, 1.0, 1)
 
 
 class TestCovariance:
@@ -402,26 +403,27 @@ class TestTrueValue:
 
 class TestConfigValidation:
     def test_default_truncation_floor(self):
-        cfg = SimConfig(n=100, sigma=1.0, seed=0, model=PP)
-        assert cfg.J == 128
+        assert simulate.default_truncation(100) == 128
 
     def test_large_n_truncation_tracks_fourth_root(self):
         assert simulate.default_truncation(2 * 10 ** 6) == 4 * 37
 
     def test_too_small_truncation_rejected(self):
-        with pytest.raises(ValueError):
-            SimConfig(n=10 ** 6, sigma=1.0, seed=0, model=PP, J=100)
+        with pytest.raises(ValueError, match=r"J = 100 is below 4 \* floor"):
+            draw_dataset(Covariance(PP, 100), zero_slope(100), 10 ** 6, 1.0, 0)
+
+    def test_nonpositive_sample_size_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            draw_dataset(default_cov(50), zero_slope(128), 0, 1.0, 0)
 
     def test_degenerate_noise_and_scale_rejected(self):
-        with pytest.raises(ValueError):
-            SimConfig(n=50, sigma=-1.0, seed=0, model=PP)
-        with pytest.raises(ValueError):
-            SimConfig(n=50, sigma=1.0, seed=0, model=PP, slope_scale=1.5)
+        with pytest.raises(ValueError, match="sigma must be a non-negative real"):
+            draw_dataset(default_cov(50), zero_slope(128), 50, -1.0, 0)
+        with pytest.raises(ValueError, match=r"slope_scale must lie in \[0, 1\]"):
+            make_slope(PP, 128, 1.5)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_nonfinite_mixing_rejected(self, theta):
-        with pytest.raises(ValueError, match="mixing angle theta"):
-            SimConfig(n=50, sigma=1.0, seed=0, model=PP, mixing=theta)
         with pytest.raises(ValueError, match="mixing angle theta"):
             Covariance(PP, 8, theta)
 
@@ -432,8 +434,8 @@ class TestConfigValidation:
 
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
-        cfg = SimConfig(n=37, sigma=1.3, seed=3, model=PP)
-        data = draw_dataset(cfg, make_slope(PP, cfg.J))
+        cov = default_cov(37)
+        data = draw_dataset(cov, make_slope(PP, cov.dim), 37, 1.3, 3)
         path = tmp_path / "data.csv"
         simulate.save_dataset_csv(data, path)
         loaded = simulate.load_dataset_csv(path)
@@ -441,12 +443,12 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.x, data.x)
 
     def test_header_shape(self, tmp_path):
-        cfg = SimConfig(n=5, sigma=1.0, seed=3, model=PP)
-        data = draw_dataset(cfg, zero_slope(cfg.J))
+        cov = default_cov(5)
+        data = draw_dataset(cov, zero_slope(cov.dim), 5, 1.0, 3)
         path = tmp_path / "data.csv"
         simulate.save_dataset_csv(data, path)
         header = path.read_text().splitlines()[0].split(",")
-        assert header[0] == "y" and header[1] == "x1" and header[-1] == f"x{cfg.J}"
+        assert header[0] == "y" and header[1] == "x1" and header[-1] == f"x{cov.dim}"
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -464,4 +466,12 @@ class TestCsvRoundTrip:
         path = tmp_path / "text.csv"
         path.write_text("y,x1\n1,2\n3,abc\n")
         with pytest.raises(ValueError, match=r"text.csv, line 3: .*'abc'"):
+            simulate.load_dataset_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_nonfinite_cell_rejected_with_its_path(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"y,x1\n1,2\n3,{cell}\n")
+        with pytest.raises(ValueError,
+                           match="nonfinite.csv: dataset entries must all be finite"):
             simulate.load_dataset_csv(path)
