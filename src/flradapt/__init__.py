@@ -31,10 +31,8 @@ from .simulate import (
 )
 from .estimator import (
     Moments,
-    GalerkinFit,
     empirical_moments,
     galerkin_estimate,
-    plug_in,
 )
 from .adaptive import (
     AdaptiveResult,

@@ -1,5 +1,18 @@
-"""Small shared helpers: exact integer roots and round-trip float formatting."""
+"""Small shared helpers: integer checks, exact integer roots and round-trip
+float formatting."""
 from __future__ import annotations
+
+import numbers
+
+
+def check_int(value, name: str, minimum: int) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an
+    integer of at least ``minimum`` (a bool or an integral float is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def floor_fourth_root(n: int) -> int:

@@ -54,8 +54,6 @@ class AdaptiveResult:
         for key, val in self.diagnostics.items():
             if isinstance(val, np.ndarray):
                 diag[key] = [float(v) for v in val]
-            elif isinstance(val, (np.floating, np.integer)):
-                diag[key] = val.item()
             else:
                 diag[key] = val
         return {
@@ -195,12 +193,13 @@ def adaptive_estimate(data, spec) -> AdaptiveResult:
         diagnostics["m_ell_clipped_to_data"] = data.dim
         m_ell = data.dim
     mom = estimator.empirical_moments(data, m_ell)
+    ell = functionals.coefficients(spec, m_ell)
     inv_norms = np.empty(m_ell)
     est_all = np.empty(m_ell)
     for m in range(1, m_ell + 1):
-        fit = estimator.galerkin_estimate(mom, m)
-        inv_norms[m - 1] = fit.inv_spectral_norm
-        est_all[m - 1] = estimator.plug_in(spec, fit)
+        inv_norms[m - 1], coeffs = estimator.galerkin_estimate(mom, m)
+        # a thresholded dimension estimates exactly +0.0
+        est_all[m - 1] = 0.0 if coeffs is None else float(ell[:m] @ coeffs)
     if math.isinf(inv_norms[0]):
         raise AdaptiveEstimationError("no invertible moment block at any dimension")
     prefix = functionals.gram_prefix(spec, m_ell)

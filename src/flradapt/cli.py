@@ -191,12 +191,12 @@ def _cmd_simulate(args):
     slope_scale = _pick(cfg, "simulate", "slope_scale", args.slope_scale,
                         default=simulate.DEFAULT_SLOPE_SCALE, cast=float)
     theta = _pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=float)
-    cov = simulate.Covariance(model, simulate.default_truncation(n), theta)
-    slope = simulate.make_slope(model, cov.dim, slope_scale)
-    data = simulate.draw_dataset(cov, slope, n, sigma, seed)
     out = _pick(cfg, "output", "dataset", args.out, cast=os.fspath)
     if out is None:
         raise ConfigError("output path missing (output.dataset or --out)")
+    cov = simulate.Covariance(model, simulate.default_truncation(n), theta)
+    slope = simulate.make_slope(model, cov.dim, slope_scale)
+    data = simulate.draw_dataset(cov, slope, n, sigma, seed)
     simulate.save_dataset_csv(data, out)
     print(f"wrote {data.n} x {data.dim} dataset to {out}")
     return EXIT_OK

@@ -1,14 +1,13 @@
 """Empirical moments and the thresholded projection estimator.
 
 For a fixed dimension m the slope estimate solves the m x m empirical normal
-equations; the solve is abandoned (coefficients set to zero) when the moment
-matrix is numerically singular or the spectral norm of its inverse exceeds
-the sample size.  ``galerkin_estimate`` takes the singularity test, the
-inverse norm, and the solve from one symmetric eigendecomposition of the
-leading block, so the threshold decision and the solution can never disagree.
-``solve_block``, which the penalties call twice per dimension, decomposes the
-block again on every call, so a candidate dimension costs three
-decompositions in all.
+equations; the solve is abandoned when the moment matrix is numerically
+singular or the spectral norm of its inverse exceeds the sample size.  One
+rule, ``_eigen``, decomposes the leading block and decides singularity;
+``galerkin_estimate`` reads the threshold decision and the solution off that
+one decomposition, so the two can never disagree, and ``solve_block``, which
+the penalties call twice per dimension, applies the same rule again on every
+call, so a candidate dimension costs three decompositions in all.
 """
 from __future__ import annotations
 
@@ -16,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import functionals
 
 # numerically singular iff lambda_min <= SINGULARITY_RTOL * trace / m
 SINGULARITY_RTOL = 1e-12
@@ -55,16 +52,6 @@ class Moments:
         return len(self.ghat)
 
 
-@dataclass(eq=False)
-class GalerkinFit:
-    """Projection solve at one dimension, or the zero fallback."""
-
-    m: int
-    coeffs: np.ndarray
-    thresholded: bool
-    inv_spectral_norm: float
-
-
 def empirical_moments(data, M: int) -> Moments:
     """Sample averages g_hat = mean(y_i x_i), Gamma_hat = mean(x_i x_i^t),
     restricted to the first M coefficients, plus mean(y_i^2).
@@ -81,31 +68,34 @@ def empirical_moments(data, M: int) -> Moments:
     return Moments(ghat=ghat, gammahat=gam, sigma2_y_hat=s2, n=data.n)
 
 
-def _is_singular(eigenvalues: np.ndarray, trace: float, m: int) -> bool:
-    return not eigenvalues[0] > SINGULARITY_RTOL * max(trace, 0.0) / m
-
-
-def galerkin_estimate(mom: Moments, m: int) -> GalerkinFit:
-    """Thresholded projection solve at dimension m.
-
-    Solves Gamma_hat_m c = g_hat_m when the block is non-singular and the
-    spectral norm of its inverse is at most n; otherwise returns the zero
-    vector with ``thresholded=True``.
-    """
+def _eigen(mom: Moments, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigendecomposition (w, v) of the leading m x m moment block, or None
+    when the block is numerically singular."""
     if not (1 <= m <= mom.dim):
         raise ValueError(f"m must lie in 1..{mom.dim}, got {m}")
     block = mom.gammahat[:m, :m]
     w, v = np.linalg.eigh(block)
-    if _is_singular(w, float(block.trace()), m):
-        return GalerkinFit(m=m, coeffs=np.zeros(m), thresholded=True,
-                           inv_spectral_norm=math.inf)
+    if not w[0] > SINGULARITY_RTOL * max(float(block.trace()), 0.0) / m:
+        return None
+    return w, v
+
+
+def galerkin_estimate(mom: Moments, m: int) -> tuple[float, np.ndarray | None]:
+    """Thresholded projection solve at dimension m.
+
+    Returns ``(inv_spectral_norm, coeffs)``: the spectral norm of the inverse
+    leading block (infinite when it is singular) and the solution of
+    Gamma_hat_m c = g_hat_m, or None in place of the solution when the block
+    is singular or the norm exceeds n.
+    """
+    eig = _eigen(mom, m)
+    if eig is None:
+        return math.inf, None
+    w, v = eig
     inv_norm = 1.0 / float(w[0])
     if inv_norm > mom.n:
-        return GalerkinFit(m=m, coeffs=np.zeros(m), thresholded=True,
-                           inv_spectral_norm=inv_norm)
-    coeffs = v @ ((v.T @ mom.ghat[:m]) / w)
-    return GalerkinFit(m=m, coeffs=coeffs, thresholded=False,
-                       inv_spectral_norm=inv_norm)
+        return inv_norm, None
+    return inv_norm, v @ ((v.T @ mom.ghat[:m]) / w)
 
 
 def solve_block(mom: Moments, m: int, rhs: np.ndarray):
@@ -115,17 +105,8 @@ def solve_block(mom: Moments, m: int, rhs: np.ndarray):
     Penalty terms need these raw inverses even where the estimator itself
     would have been thresholded.
     """
-    if not (1 <= m <= mom.dim):
-        raise ValueError(f"m must lie in 1..{mom.dim}, got {m}")
-    block = mom.gammahat[:m, :m]
-    w, v = np.linalg.eigh(block)
-    if _is_singular(w, float(block.trace()), m):
+    eig = _eigen(mom, m)
+    if eig is None:
         return None
+    w, v = eig
     return v @ ((v.T @ np.asarray(rhs, dtype=np.float64)[:m]) / w)
-
-
-def plug_in(spec, fit: GalerkinFit) -> float:
-    """Functional value of the fitted slope; exactly zero when thresholded."""
-    if fit.thresholded:
-        return 0.0
-    return float(functionals.coefficients(spec, fit.m) @ fit.coeffs)

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import adaptive, functionals, oracle, sequences, simulate
-from ._util import fmt
+from ._util import check_int, fmt
 
 SANDWICH_UPPER_FACTOR = 24.0
 
@@ -114,13 +114,12 @@ class StudyConfig:
     curves_path: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        if self.replicates < 2:
-            raise ValueError("need at least two replicates")
+        object.__setattr__(self, "n_grid",
+                           tuple(check_int(n, "n_grid entry", 16) for n in self.n_grid))
+        check_int(self.replicates, "replicates", 2)
+        check_int(self.base_seed, "base_seed", 0)
         if len(self.n_grid) == 0:
             raise ValueError("n_grid must be non-empty")
-        if any(n < 16 for n in self.n_grid):
-            raise ValueError("all sample sizes must be >= 16")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
         # every replicate samples with these settings; check them once here

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import functionals, sequences
-from ._util import floor_fourth_root, fmt
+from ._util import check_int, floor_fourth_root, fmt
 
 DEFAULT_SLOPE_SCALE = 0.9
 
@@ -305,9 +305,9 @@ def draw_dataset(cov: Covariance, slope: SlopeSpec, n: int, sigma: float,
     ``columns`` the regressors keep only their first ``columns``
     coefficients, and x is n x columns while y still sees all J.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_int(n, "n", 1)
     check_sigma(sigma)
+    check_int(seed, "seed", 0)
     J = cov.dim
     if J < 4 * floor_fourth_root(n):
         raise ValueError(

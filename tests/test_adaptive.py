@@ -51,7 +51,7 @@ def cap_from_moments(mom, spec, n):
     """Random dimension bound read off injected moments: inverse norms of
     every leading block up to the deterministic cap, then ``cap_m_hat``."""
     m_ell = min(cap_m_ell(spec, n), mom.dim)
-    inv_norms = [estimator.galerkin_estimate(mom, m).inv_spectral_norm
+    inv_norms = [estimator.galerkin_estimate(mom, m)[0]
                  for m in range(1, m_ell + 1)]
     return cap_m_hat(inv_norms, functionals.gram_prefix(spec, m_ell), n, m_ell)
 
@@ -223,6 +223,22 @@ class TestAdaptiveEstimate:
                                                 Custom(coeffs=(0.0, 0.0, 1.0)))
         assert result.m_hat_cap == 1
         assert "penalty_truncated_at" not in result.diagnostics
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-5])
+    def test_thresholded_dimension_estimates_positive_zero(self, scale):
+        # a second column of zero or tiny variance thresholds every m >= 2,
+        # singular or with inverse norm above n; with negative coefficients
+        # a dot product with zeros would give -0.0
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((256, 4))
+        x[:, 1] *= scale
+        data = simulate.Dataset(y=x @ [1.0, 2.0, -1.0, 0.5] + rng.standard_normal(256), x=x)
+        result = adaptive.adaptive_estimate(data, Custom(coeffs=(-1.0, -0.5, -0.25, -0.125)))
+        assert result.m_ell_cap == 4
+        assert np.all(result.diagnostics["inv_spectral_norms"][1:] > data.n)
+        assert result.diagnostics["estimates_all"][0] != 0.0
+        for value in result.diagnostics["estimates_all"][1:]:
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_singular_first_block_raises(self):
         rng = np.random.default_rng(4)

@@ -65,6 +65,24 @@ class TestSimulateEstimate:
         assert run(capsys, *args)[0] == 0
         assert data.read_bytes() == first
 
+    def test_missing_output_path_fails_before_drawing(self, capsys, monkeypatch):
+        def draw(*args, **kwargs):
+            raise RuntimeError("drew a dataset with nowhere to write it")
+
+        monkeypatch.setattr(cli.simulate, "draw_dataset", draw)
+        code, _, err = run(capsys, "simulate", "--regime", "pp", "--p", "1",
+                           "--a", "1", "--n", "64")
+        assert code == 1
+        assert err.startswith("error: config: output path missing")
+
+    def test_negative_seed_names_the_seed(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        code, _, err = run(capsys, "simulate", "--regime", "pp", "--p", "1",
+                           "--a", "1", "--n", "64", "--seed", "-3", "--out", str(data))
+        assert code == 1
+        assert err == "error: usage: seed must be >= 0, got -3\n"
+        assert not data.exists()
+
     def test_missing_dataset(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "estimate", "--data", str(tmp_path / "nope.csv"),
@@ -383,6 +401,7 @@ class TestMcStudy:
     @pytest.mark.parametrize("flag, value, message", [
         ("--sigma", "inf", "sigma"),
         ("--slope-scale", "2", "slope_scale"),
+        ("--base-seed", "-1", "base_seed"),
     ])
     def test_bad_sampling_settings_fail_before_any_work(self, tmp_path, capsys,
                                                         flag, value, message):

@@ -5,10 +5,11 @@ import pytest
 
 from flradapt import functionals, sequences, simulate
 from flradapt.estimator import (
+    SINGULARITY_RTOL,
     Moments,
     empirical_moments,
     galerkin_estimate,
-    plug_in,
+    solve_block,
 )
 from flradapt.functionals import DerivativeEval, LocalAverage, PointEval
 from flradapt.sequences import Regime, SequenceModel
@@ -25,6 +26,15 @@ def injected_moments(gammahat, ghat, n=10 ** 6, s2=1.0):
     return Moments(ghat=np.asarray(ghat, float),
                    gammahat=np.asarray(gammahat, float),
                    sigma2_y_hat=s2, n=n)
+
+
+def plug_in(spec, mom, m):
+    """Functional value of the thresholded solve at m, as the adaptive
+    estimator forms it: exactly 0.0 when thresholded."""
+    _, coeffs = galerkin_estimate(mom, m)
+    if coeffs is None:
+        return 0.0
+    return float(functionals.coefficients(spec, m) @ coeffs)
 
 
 class TestEmpiricalMoments:
@@ -74,8 +84,9 @@ class TestSpectralNormInverse:
     @staticmethod
     def inv_norm(mat):
         mat = np.asarray(mat, float)
-        return galerkin_estimate(injected_moments(mat, np.zeros(len(mat))),
-                                 len(mat)).inv_spectral_norm
+        inv_norm, _ = galerkin_estimate(injected_moments(mat, np.zeros(len(mat))),
+                                        len(mat))
+        return inv_norm
 
     def test_identity(self):
         assert self.inv_norm(np.eye(3)) == 1.0
@@ -94,31 +105,30 @@ class TestSpectralNormInverse:
 class TestGalerkinEstimate:
     def test_identity_solve_returns_ghat(self):
         mom = injected_moments(np.eye(4), [1.0, -2.0, 0.5, 3.0])
-        fit = galerkin_estimate(mom, 4)
-        assert not fit.thresholded
-        np.testing.assert_allclose(fit.coeffs, mom.ghat, rtol=1e-14)
+        _, coeffs = galerkin_estimate(mom, 4)
+        assert coeffs is not None
+        np.testing.assert_allclose(coeffs, mom.ghat, rtol=1e-14)
 
     def test_singular_block_thresholds_to_zero(self):
         mom = injected_moments(np.outer([1, 0], [1, 0]), [1.0, 1.0])
-        fit = galerkin_estimate(mom, 2)
-        assert fit.thresholded
-        assert fit.inv_spectral_norm == math.inf
-        np.testing.assert_array_equal(fit.coeffs, [0.0, 0.0])
+        inv_norm, coeffs = galerkin_estimate(mom, 2)
+        assert coeffs is None
+        assert inv_norm == math.inf
 
     def test_inverse_norm_above_sample_size_thresholds(self):
         n = 100
         mom = injected_moments(np.diag([1.0, 1.0 / (2 * n)]), [1.0, 1.0], n=n)
-        fit = galerkin_estimate(mom, 2)
-        assert fit.thresholded
-        assert fit.inv_spectral_norm == pytest.approx(2 * n, rel=1e-12)
+        inv_norm, coeffs = galerkin_estimate(mom, 2)
+        assert coeffs is None
+        assert inv_norm == pytest.approx(2 * n, rel=1e-12)
 
     def test_residual_accuracy_on_simulated_draws(self):
         data = sim_data(n=5000, seed=31)
         mom = empirical_moments(data, 8)
         for m in range(1, 9):
-            fit = galerkin_estimate(mom, m)
-            assert not fit.thresholded
-            resid = mom.gammahat[:m, :m] @ fit.coeffs - mom.ghat[:m]
+            _, coeffs = galerkin_estimate(mom, m)
+            assert coeffs is not None
+            resid = mom.gammahat[:m, :m] @ coeffs - mom.ghat[:m]
             assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(mom.ghat[:m])
 
     def test_nestedness(self):
@@ -129,28 +139,42 @@ class TestGalerkinEstimate:
         small = Moments(ghat=mom.ghat[:3].copy(),
                         gammahat=mom.gammahat[:3, :3].copy(),
                         sigma2_y_hat=mom.sigma2_y_hat, n=mom.n)
-        np.testing.assert_array_equal(galerkin_estimate(mom, 3).coeffs,
-                                      galerkin_estimate(small, 3).coeffs)
+        np.testing.assert_array_equal(galerkin_estimate(mom, 3)[1],
+                                      galerkin_estimate(small, 3)[1])
 
     def test_monotone_quadratic_form(self):
         data = sim_data(n=5000, seed=41)
         mom = empirical_moments(data, 8)
         quad = []
         for m in range(1, 9):
-            fit = galerkin_estimate(mom, m)
-            assert not fit.thresholded
-            quad.append(float(mom.ghat[:m] @ fit.coeffs))
+            _, coeffs = galerkin_estimate(mom, m)
+            assert coeffs is not None
+            quad.append(float(mom.ghat[:m] @ coeffs))
         assert all(b >= a - 1e-12 for a, b in zip(quad, quad[1:]))
+
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("side, singular", [(1 + 1e-6, False), (1 - 1e-6, True)])
+    def test_singularity_agrees_with_solve_block(self, m, side, singular):
+        # lambda_min just above or below SINGULARITY_RTOL * trace / m; a
+        # diagonal block gives eigh its eigenvalues exactly
+        head = [1.0, 0.5][:m - 1]
+        boundary = SINGULARITY_RTOL * sum(head) / (m - SINGULARITY_RTOL)
+        mom = injected_moments(np.diag(head + [side * boundary]), np.ones(m))
+        inv_norm, coeffs = galerkin_estimate(mom, m)
+        assert math.isinf(inv_norm) is singular
+        assert (solve_block(mom, m, mom.ghat) is None) is singular
+        assert coeffs is None
 
 
 class TestPlugIn:
     def test_thresholded_fit_gives_zero(self):
         mom = injected_moments(np.outer([1, 0], [1, 0]), [1.0, 1.0])
-        assert plug_in(PointEval(t0=0.3), galerkin_estimate(mom, 2)) == 0.0
+        assert plug_in(PointEval(t0=0.3), mom, 2) == 0.0
 
     def test_first_coordinate(self):
         mom = injected_moments(np.eye(1), [1.0])
-        assert plug_in(PointEval(t0=0.0), galerkin_estimate(mom, 1)) == 1.0
+        assert plug_in(PointEval(t0=0.0), mom, 1) == 1.0
 
     def test_diagonal_solve_recovers_linear_combination(self):
         gam = np.array([1.0, 0.25, 1 / 9, 0.0625])
@@ -158,7 +182,7 @@ class TestPlugIn:
         mom = injected_moments(np.diag(gam), gam * c)
         spec = PointEval(t0=0.3)
         want = float(functionals.coefficients(spec, 4) @ c)
-        assert plug_in(spec, galerkin_estimate(mom, 4)) == pytest.approx(
+        assert plug_in(spec, mom, 4) == pytest.approx(
             want, rel=1e-13
         )
 
@@ -175,5 +199,5 @@ class TestPlugIn:
         mom = injected_moments(np.diag(gam), gam * slope.coeffs, n=10 ** 9)
         for m in (1, 5, 17, 32):
             want = float(functionals.coefficients(spec, m) @ slope.coeffs[:m])
-            got = plug_in(spec, galerkin_estimate(mom, m))
+            got = plug_in(spec, mom, m)
             assert abs(got - want) < 1e-10

@@ -93,6 +93,9 @@ class TestStudyConfig:
         ({"slope_scale": math.nan}, "slope_scale"),
         ({"sigma": -1.0}, "sigma"),
         ({"slope_scale": 1.5}, "slope_scale"),
+        ({"n_grid": (64.9, 128)}, "n_grid"),
+        ({"replicates": 2.5}, "replicates"),
+        ({"base_seed": -1}, "base_seed"),
     ])
     def test_sampling_settings_rejected(self, setting, match):
         with pytest.raises(ValueError, match=match):

@@ -415,12 +415,19 @@ class TestConfigValidation:
     def test_nonpositive_sample_size_rejected(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
             draw_dataset(default_cov(50), zero_slope(128), 0, 1.0, 0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            draw_dataset(default_cov(50), zero_slope(128), 64.5, 1.0, 0)
 
     def test_degenerate_noise_and_scale_rejected(self):
         with pytest.raises(ValueError, match="sigma must be a non-negative real"):
             draw_dataset(default_cov(50), zero_slope(128), 50, -1.0, 0)
         with pytest.raises(ValueError, match=r"slope_scale must lie in \[0, 1\]"):
             make_slope(PP, 128, 1.5)
+
+    @pytest.mark.parametrize("seed", [-3, 2.5, True])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            draw_dataset(default_cov(50), zero_slope(128), 50, 1.0, seed)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_nonfinite_mixing_rejected(self, theta):
