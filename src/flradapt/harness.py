@@ -16,6 +16,11 @@ usable CPU, which draws at most threads + 1 replicates ahead of the calling
 thread; the caller estimates them in replicate order.  Each replicate has its
 own seed, so the records do not depend on the thread count.  A drawn dataset
 keeps only the regressor columns the estimator reads.
+
+The replicate records of a grid point live in one :class:`ReplicateBlock`,
+one preallocated array per numeric field (about 50 bytes per replicate) and a
+map from failed replicates to their error; ``StudyReport.blocks`` keeps one
+block per sample size, and ``write_raw_csv`` writes them row by row.
 """
 from __future__ import annotations
 
@@ -128,11 +133,57 @@ class StudyConfig:
         simulate.check_mixing(self.mixing)
 
 
+# raw CSV cell of each ReplicateBlock.sandwich_ok code
+_SANDWICH_CELLS = {-1: "", 0: "False", 1: "True"}
+
+
+@dataclass(eq=False)
+class ReplicateBlock:
+    """The replicate records of one sample size, one array per field.
+
+    Replicate ``rep`` drew with seed ``base_seed + rep``.  A failed replicate
+    has its ``"Kind: message"`` in ``errors`` and NaN or 0 in the columns.
+    ``sandwich_ok`` is 1 where the penalty sandwich held, 0 where it did not
+    and -1 where it was not checked (a rotated covariance, or a failure).
+    """
+
+    n: int
+    base_seed: int
+    sq_err_adaptive: np.ndarray
+    sq_err_best_fixed: np.ndarray
+    sq_err_mstar: np.ndarray
+    m_hat: np.ndarray
+    m_hat_cap: np.ndarray
+    m_ell_cap: np.ndarray
+    sandwich_ok: np.ndarray
+    errors: dict
+
+    @classmethod
+    def allocate(cls, n: int, base_seed: int, replicates: int) -> "ReplicateBlock":
+        return cls(
+            n=n, base_seed=base_seed,
+            sq_err_adaptive=np.full(replicates, np.nan),
+            sq_err_best_fixed=np.full(replicates, np.nan),
+            sq_err_mstar=np.full(replicates, np.nan),
+            m_hat=np.zeros(replicates, dtype=np.int64),
+            m_hat_cap=np.zeros(replicates, dtype=np.int64),
+            m_ell_cap=np.zeros(replicates, dtype=np.int64),
+            sandwich_ok=np.full(replicates, -1, dtype=np.int8),
+            errors={},
+        )
+
+    def succeeded(self) -> np.ndarray:
+        """Boolean mask of the replicates that did not fail."""
+        ok = np.ones(len(self.m_hat), dtype=bool)
+        ok[list(self.errors)] = False
+        return ok
+
+
 @dataclass(eq=False)
 class StudyReport:
     config_echo: dict
     rows: list
-    raw_records: list
+    blocks: list
     slopes: dict
     total_errors: int
 
@@ -173,7 +224,7 @@ def _lower_dimension_bound(cfg, n: int, m_ell: int) -> int:
 
 
 def _run_single_n(cfg: StudyConfig, n: int):
-    """All replicate records for one sample size, plus per-n theory."""
+    """The replicate records of one sample size, plus per-n theory."""
     cov = simulate.Covariance(cfg.model, simulate.default_truncation(n), cfg.mixing)
     slope = simulate.make_slope(cfg.model, cov.dim, cfg.slope_scale)
     target = simulate.true_value(cfg.spec, slope)
@@ -193,37 +244,35 @@ def _run_single_n(cfg: StudyConfig, n: int):
     def draw(rep):
         return simulate.draw_dataset(cov, slope, n, cfg.sigma, cfg.base_seed + rep, columns)
 
-    records = []
+    block = ReplicateBlock.allocate(n, cfg.base_seed, cfg.replicates)
     threads = 0
     if n * cov.dim >= THREADED_MIN_NORMALS:
         threads = min(_sampler_threads(), cfg.replicates)
     with closing(_drawn_in_order(draw, cfg.replicates, threads)) as drawn:
         for rep in range(cfg.replicates):
-            record = dict.fromkeys(_RAW_COLUMNS)
-            record.update(n=n, replicate=rep, seed=cfg.base_seed + rep)
             try:
                 # the dataset is bound to no name: it is freed when the
                 # estimate returns, before the next replicate is taken
                 result = adaptive.adaptive_estimate(next(drawn), cfg.spec)
-                est_all = result.diagnostics["estimates_all"]
-                record["sq_err_adaptive"] = (result.value - target) ** 2
-                record["sq_err_best_fixed"] = float(np.min((est_all - target) ** 2))
-                m_fixed = min(m_star, result.m_ell_cap)
-                record["sq_err_mstar"] = float((est_all[m_fixed - 1] - target) ** 2)
-                record["m_hat"] = result.selected
-                record["m_hat_cap"] = result.m_hat_cap
-                record["m_ell_cap"] = result.m_ell_cap
-                if diagonal:
-                    k_max = min(result.m_hat_cap, mu_n)
-                    p_hat = result.penalties[:k_max]
-                    p_pop = p_theo[:k_max]
-                    record["sandwich_ok"] = bool(
-                        np.all(p_pop <= p_hat)
-                        and np.all(p_hat <= SANDWICH_UPPER_FACTOR * p_pop)
-                    )
             except _EXPECTED_FAILURES as err:
-                record["error"] = f"{type(err).__name__}: {err}"
-            records.append(record)
+                block.errors[rep] = f"{type(err).__name__}: {err}"
+                continue
+            est_all = result.diagnostics["estimates_all"]
+            block.sq_err_adaptive[rep] = (result.value - target) ** 2
+            block.sq_err_best_fixed[rep] = np.min((est_all - target) ** 2)
+            m_fixed = min(m_star, result.m_ell_cap)
+            block.sq_err_mstar[rep] = (est_all[m_fixed - 1] - target) ** 2
+            block.m_hat[rep] = result.selected
+            block.m_hat_cap[rep] = result.m_hat_cap
+            block.m_ell_cap[rep] = result.m_ell_cap
+            if diagonal:
+                k_max = min(result.m_hat_cap, mu_n)
+                p_hat = result.penalties[:k_max]
+                p_pop = p_theo[:k_max]
+                block.sandwich_ok[rep] = bool(
+                    np.all(p_pop <= p_hat)
+                    and np.all(p_hat <= SANDWICH_UPPER_FACTOR * p_pop)
+                )
     theory = {
         "m_ell_cap": m_ell,
         "m_star": m_star,
@@ -235,16 +284,16 @@ def _run_single_n(cfg: StudyConfig, n: int):
             cfg.model, cfg.spec, n, m_diamond
         ),
     }
-    return records, theory
+    return block, theory
 
 
-def _aggregate(records: list, theory: dict, n: int) -> dict:
-    good = [rec for rec in records if rec["error"] is None]
-    errors = len(records) - len(good)
+def _aggregate(block: ReplicateBlock, theory: dict) -> dict:
+    ok = block.succeeded()
+    good = int(np.count_nonzero(ok))
     row = {
-        "n": n,
-        "replicates_ok": len(good),
-        "errors": errors,
+        "n": block.n,
+        "replicates_ok": good,
+        "errors": len(block.errors),
         "m_star": theory["m_star"],
         "m_diamond": theory["m_diamond"],
         "r_star_minimax": theory["r_star_minimax"],
@@ -253,21 +302,18 @@ def _aggregate(records: list, theory: dict, n: int) -> dict:
         "side_condition_ratio": theory["side_condition_ratio"],
     }
     if good:
-        ad = np.array([rec["sq_err_adaptive"] for rec in good])
-        best = np.array([rec["sq_err_best_fixed"] for rec in good])
-        mstar = np.array([rec["sq_err_mstar"] for rec in good])
+        ad = block.sq_err_adaptive[ok]
         row["risk_adaptive"] = float(np.mean(ad))
         row["se_adaptive"] = float(np.std(ad, ddof=1) / math.sqrt(len(ad)))
-        row["risk_best_fixed"] = float(np.mean(best))
-        row["risk_mstar_fixed"] = float(np.mean(mstar))
-        hist = {}
-        for rec in good:
-            key = str(rec["m_hat"])
-            hist[key] = hist.get(key, 0) + 1
-        row["m_hat_histogram"] = {k: hist[k] for k in sorted(hist, key=int)}
-        flags = [rec["sandwich_ok"] for rec in good if rec["sandwich_ok"] is not None]
+        row["risk_best_fixed"] = float(np.mean(block.sq_err_best_fixed[ok]))
+        row["risk_mstar_fixed"] = float(np.mean(block.sq_err_mstar[ok]))
+        # np.unique returns the selected dimensions in ascending order
+        dims, counts = np.unique(block.m_hat[ok], return_counts=True)
+        row["m_hat_histogram"] = dict(zip(map(str, dims.tolist()), counts.tolist()))
+        flags = block.sandwich_ok[ok]
+        checked = int(np.count_nonzero(flags >= 0))
         row["sandwich_frequency"] = (
-            float(sum(flags) / len(flags)) if flags else None
+            float(int(np.count_nonzero(flags == 1)) / checked) if checked else None
         )
     return row
 
@@ -279,11 +325,11 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     fail; individual failures are recorded and excluded from the means.
     """
     rows = []
-    raw = []
+    blocks = []
     for n in cfg.n_grid:
-        records, theory = _run_single_n(cfg, n)
-        raw.extend(records)
-        rows.append(_aggregate(records, theory, n))
+        block, theory = _run_single_n(cfg, n)
+        blocks.append(block)
+        rows.append(_aggregate(block, theory))
     total = len(cfg.n_grid) * cfg.replicates
     total_errors = sum(row["errors"] for row in rows)
     if total_errors > 0.01 * total:
@@ -301,7 +347,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     report = StudyReport(
         config_echo=_config_echo(cfg),
         rows=rows,
-        raw_records=raw,
+        blocks=blocks,
         slopes=slopes,
         total_errors=total_errors,
     )
@@ -354,13 +400,23 @@ _RAW_COLUMNS = (
 
 
 def write_raw_csv(report: StudyReport, path) -> None:
+    """One row per replicate; the fields of a failed replicate are empty
+    but its error."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RAW_COLUMNS)
-        for rec in report.raw_records:
-            writer.writerow([
-                "" if rec[col] is None else fmt(rec[col]) for col in _RAW_COLUMNS
-            ])
+        for block in report.blocks:
+            # sq_err_adaptive .. sandwich_ok; tolist() hands fmt the Python
+            # floats and ints the estimator produced
+            columns = [getattr(block, name).tolist() for name in _RAW_COLUMNS[3:10]]
+            for rep, (*numbers, sandwich) in enumerate(zip(*columns)):
+                head = [fmt(block.n), fmt(rep), fmt(block.base_seed + rep)]
+                error = block.errors.get(rep)
+                if error is None:
+                    writer.writerow(head + [fmt(v) for v in numbers]
+                                    + [_SANDWICH_CELLS[sandwich], ""])
+                else:
+                    writer.writerow(head + [""] * 7 + [error])
 
 
 def write_curves_csv(report: StudyReport, path) -> None:

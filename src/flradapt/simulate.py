@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -86,6 +87,16 @@ class Covariance:
 
     def eigenvalues(self) -> np.ndarray:
         return sequences.gamma_array(self.model, self.dim)
+
+    @cached_property
+    def sampling_scale(self) -> np.ndarray:
+        """sqrt(gamma_j), j = 1..dim, the factor of every drawn row before
+        its rotation.  Computed on first use and read-only; the
+        ``UnderflowWarning`` of clamped weights is raised then, once per
+        covariance, not on every draw."""
+        scale = np.sqrt(self.eigenvalues())
+        scale.flags.writeable = False
+        return scale
 
     def _pairs(self, v: np.ndarray) -> tuple:
         """Views of the first and the second member of every coefficient
@@ -319,7 +330,6 @@ def draw_dataset(cov: Covariance, slope: SlopeSpec, n: int, sigma: float,
     if not 1 <= width <= J:
         raise ValueError(f"columns must lie in 1..{J}, got {columns}")
     rng = np.random.default_rng(seed)
-    scale = np.sqrt(cov.eigenvalues())
     x = np.empty((n, width))
     y = np.empty(n)
     blocks = _row_blocks(n, J)
@@ -327,7 +337,7 @@ def draw_dataset(cov: Covariance, slope: SlopeSpec, n: int, sigma: float,
     for lo, hi in blocks:
         block = scratch[:hi - lo]
         rng.standard_normal(out=block)
-        block *= scale
+        block *= cov.sampling_scale
         cov.rotate(block)
         y[lo:hi] = block @ slope.coeffs
         x[lo:hi] = block[:, :width]

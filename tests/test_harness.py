@@ -1,15 +1,19 @@
+import csv
 import dataclasses
+import gc
 import json
 import math
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from flradapt import adaptive, functionals, harness, oracle, sequences, simulate
+from flradapt._util import fmt
 from flradapt.estimator import Moments
 from flradapt.functionals import PointEval
 from flradapt.harness import StudyConfig, fit_rate, run_study
@@ -47,6 +51,128 @@ def study_files(tmp_path, name, cfg):
              for key in ("report_path", "raw_path", "curves_path")}
     run_study(dataclasses.replace(cfg, **{key: str(path) for key, path in paths.items()}))
     return {key: path.read_bytes() for key, path in paths.items()}
+
+
+# the raw CSV columns, one dict key each in the reference records below
+RAW_COLUMNS = (
+    "n", "replicate", "seed", "sq_err_adaptive", "sq_err_best_fixed",
+    "sq_err_mstar", "m_hat", "m_hat_cap", "m_ell_cap", "sandwich_ok", "error",
+)
+
+
+def reference_single_n(cfg, n):
+    """One dict per replicate: the record loop as it stood before the
+    harness kept its records as per-n columns (draws on the calling
+    thread, which does not change a record)."""
+    cov = simulate.Covariance(cfg.model, simulate.default_truncation(n), cfg.mixing)
+    slope = simulate.make_slope(cfg.model, cov.dim, cfg.slope_scale)
+    target = simulate.true_value(cfg.spec, slope)
+    m_ell = adaptive.cap_m_ell(cfg.spec, n)
+    m_star, r_minimax = oracle.minimax_dimension(cfg.model, cfg.spec, 1.0 / n)
+    m_diamond, r_adaptive = oracle.minimax_dimension(
+        cfg.model, cfg.spec, (1.0 + math.log(n)) / n)
+    if cov.is_diagonal:
+        p_theo = oracle.theoretical_penalty_curve(cov, cfg.spec, slope, cfg.sigma, n, m_ell)
+        mu_n = harness._lower_dimension_bound(cfg, n, m_ell)
+    columns = max(m_ell, harness.MIN_KEPT_COLUMNS)
+    records = []
+    for rep in range(cfg.replicates):
+        record = dict.fromkeys(RAW_COLUMNS)
+        record.update(n=n, replicate=rep, seed=cfg.base_seed + rep)
+        data = simulate.draw_dataset(cov, slope, n, cfg.sigma, cfg.base_seed + rep, columns)
+        try:
+            result = adaptive.adaptive_estimate(data, cfg.spec)
+            est_all = result.diagnostics["estimates_all"]
+            record["sq_err_adaptive"] = (result.value - target) ** 2
+            record["sq_err_best_fixed"] = float(np.min((est_all - target) ** 2))
+            m_fixed = min(m_star, result.m_ell_cap)
+            record["sq_err_mstar"] = float((est_all[m_fixed - 1] - target) ** 2)
+            record["m_hat"] = result.selected
+            record["m_hat_cap"] = result.m_hat_cap
+            record["m_ell_cap"] = result.m_ell_cap
+            if cov.is_diagonal:
+                k_max = min(result.m_hat_cap, mu_n)
+                p_hat, p_pop = result.penalties[:k_max], p_theo[:k_max]
+                record["sandwich_ok"] = bool(
+                    np.all(p_pop <= p_hat)
+                    and np.all(p_hat <= harness.SANDWICH_UPPER_FACTOR * p_pop))
+        except (adaptive.AdaptiveEstimationError, np.linalg.LinAlgError) as err:
+            record["error"] = f"{type(err).__name__}: {err}"
+        records.append(record)
+    theory = {
+        "m_star": m_star, "m_diamond": m_diamond, "r_star_minimax": r_minimax,
+        "r_star_adaptive": r_adaptive, "target": target,
+        "side_condition_ratio": oracle.side_condition_ratio(cfg.model, cfg.spec, n, m_diamond),
+    }
+    return records, theory
+
+
+def reference_aggregate(records, theory, n):
+    good = [rec for rec in records if rec["error"] is None]
+    row = {
+        "n": n, "replicates_ok": len(good), "errors": len(records) - len(good),
+        "m_star": theory["m_star"], "m_diamond": theory["m_diamond"],
+        "r_star_minimax": theory["r_star_minimax"],
+        "r_star_adaptive": theory["r_star_adaptive"],
+        "true_value": theory["target"],
+        "side_condition_ratio": theory["side_condition_ratio"],
+    }
+    if good:
+        ad = np.array([rec["sq_err_adaptive"] for rec in good])
+        best = np.array([rec["sq_err_best_fixed"] for rec in good])
+        mstar = np.array([rec["sq_err_mstar"] for rec in good])
+        row["risk_adaptive"] = float(np.mean(ad))
+        row["se_adaptive"] = float(np.std(ad, ddof=1) / math.sqrt(len(ad)))
+        row["risk_best_fixed"] = float(np.mean(best))
+        row["risk_mstar_fixed"] = float(np.mean(mstar))
+        hist = {}
+        for rec in good:
+            key = str(rec["m_hat"])
+            hist[key] = hist.get(key, 0) + 1
+        row["m_hat_histogram"] = {k: hist[k] for k in sorted(hist, key=int)}
+        flags = [rec["sandwich_ok"] for rec in good if rec["sandwich_ok"] is not None]
+        row["sandwich_frequency"] = float(sum(flags) / len(flags)) if flags else None
+    return row
+
+
+def reference_study_files(tmp_path, name, cfg):
+    """The bytes of the report and raw files of the dict-per-record study."""
+    rows, raw = [], []
+    for n in cfg.n_grid:
+        records, theory = reference_single_n(cfg, n)
+        raw.extend(records)
+        rows.append(reference_aggregate(records, theory, n))
+    risks = [row["risk_adaptive"] for row in rows]
+    slopes = {}
+    for abscissa in ("n", "n_over_log_n"):
+        slope, stderr = fit_rate(cfg.n_grid, risks, abscissa)
+        slopes[abscissa] = {"slope": slope, "stderr": stderr}
+    report = harness.StudyReport(
+        config_echo=harness._config_echo(cfg), rows=rows, blocks=[], slopes=slopes,
+        total_errors=sum(row["errors"] for row in rows))
+    report_path, raw_path = tmp_path / f"{name}_report_path", tmp_path / f"{name}_raw_path"
+    harness.write_report_json(report, report_path)
+    with open(raw_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RAW_COLUMNS)
+        for rec in raw:
+            writer.writerow(["" if rec[col] is None else fmt(rec[col]) for col in RAW_COLUMNS])
+    return {"report_path": report_path.read_bytes(), "raw_path": raw_path.read_bytes()}
+
+
+def fail_call(monkeypatch, k):
+    """Make the k-th ``adaptive_estimate`` call from now on raise the
+    expected ``AdaptiveEstimationError``."""
+    calls = []
+    estimate = adaptive.adaptive_estimate
+
+    def failing(data, spec):
+        calls.append(data.n)
+        if len(calls) == k:
+            raise adaptive.AdaptiveEstimationError("synthetic failure")
+        return estimate(data, spec)
+
+    monkeypatch.setattr(harness.adaptive, "adaptive_estimate", failing)
 
 
 class TestFitRate:
@@ -117,9 +243,9 @@ class TestRunStudy:
 
     def test_adaptive_never_beats_per_replicate_best(self):
         report = run_study(small_config())
-        for rec in report.raw_records:
-            assert rec["error"] is None
-            assert rec["sq_err_adaptive"] >= rec["sq_err_best_fixed"]
+        for block in report.blocks:
+            assert not block.errors
+            assert np.all(block.sq_err_adaptive >= block.sq_err_best_fixed)
 
     def test_histogram_counts_replicates(self):
         cfg = small_config()
@@ -170,8 +296,8 @@ class TestRunStudy:
         cfg = small_config(replicates=40, n_grid=(64, 128, 256))
         report = run_study(cfg)
         assert report.total_errors == 1
-        bad = [rec for rec in report.raw_records if rec["error"] is not None]
-        assert len(bad) == 1 and "synthetic failure" in bad[0]["error"]
+        bad = [error for block in report.blocks for error in block.errors.values()]
+        assert len(bad) == 1 and "synthetic failure" in bad[0]
 
     def test_no_dataset_outlives_its_replicate(self, monkeypatch, sampler_threads):
         # the study never builds an n x J matrix: each dataset keeps the
@@ -204,7 +330,7 @@ class TestRunStudy:
         monkeypatch.setattr(harness.adaptive, "adaptive_estimate", fail_third)
         report = run_study(small_config(replicates=40))
         assert len(drawn) == 120 and report.total_errors == 1
-        assert report.raw_records[2]["error"] == (
+        assert report.blocks[0].errors[2] == (
             "AdaptiveEstimationError: synthetic failure")
         assert max(alive_at_draw) <= threads + 1
         for _, (n, width) in drawn:
@@ -398,6 +524,43 @@ class TestOutputs:
         run_study(small_config(replicates=3, report_path=str(path)))
         doc = json.loads(path.read_text())
         assert [row["n"] for row in doc["per_n"]] == [64, 128, 256]
+
+
+class TestReplicateColumns:
+    @pytest.mark.parametrize("mixing", [0.0, 0.3])
+    def test_columns_write_the_files_of_the_record_dicts(self, tmp_path, monkeypatch,
+                                                         mixing):
+        # one failure in the second grid point: its row has an error cell
+        # and an empty sandwich cell, as every rotated row has
+        cfg = small_config(replicates=40, mixing=mixing)
+        fail_call(monkeypatch, 45)
+        columns = study_files(tmp_path, "columns", cfg)
+        fail_call(monkeypatch, 45)
+        reference = reference_study_files(tmp_path, "reference", cfg)
+        assert columns["report_path"] == reference["report_path"]
+        assert columns["raw_path"] == reference["raw_path"]
+        raw = columns["raw_path"].decode().splitlines()
+        assert raw[45] == "128,4,105,,,,,,,,AdaptiveEstimationError: synthetic failure"
+        assert json.loads(columns["report_path"])["total_errors"] == 1
+
+    def test_finished_report_keeps_under_100_bytes_per_replicate(self):
+        # a dict per replicate record kept about 572 bytes; the columns keep
+        # 49 bytes (3 float64, 3 int64, 1 int8) plus a fixed cost per grid
+        # point and per report
+        cfg = small_config(n_grid=(16, 32, 64), replicates=400)
+        run_study(cfg)  # fill the library's caches before measuring
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = run_study(cfg)
+            gc.collect()
+            with_report = tracemalloc.get_traced_memory()[0]
+            del report
+            gc.collect()
+            retained = with_report - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 100 * len(cfg.n_grid) * cfg.replicates
 
 
 class TestSandwich:

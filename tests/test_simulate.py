@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,41 @@ class TestCovariance:
             np.testing.assert_allclose(cov.apply(v), want, rtol=1e-14)
         with pytest.raises(ValueError):
             cov.apply(np.ones(dim + 1))
+
+    def test_draws_compute_the_sampling_scale_once(self, monkeypatch):
+        # eigenvalues() computes gamma on every call; the draws of one
+        # covariance read one cached, read-only sqrt(gamma)
+        calls = []
+        gamma_array = sequences.gamma_array
+
+        def counted(model, j_max):
+            calls.append(j_max)
+            return gamma_array(model, j_max)
+
+        monkeypatch.setattr(simulate.sequences, "gamma_array", counted)
+        cov = default_cov(64)
+        slope = make_slope(PP, cov.dim)
+        first = draw_dataset(cov, slope, 64, 1.0, 5)
+        for seed in (6, 7):
+            draw_dataset(cov, slope, 64, 1.0, seed)
+        assert calls == [cov.dim]
+        assert not cov.sampling_scale.flags.writeable
+        np.testing.assert_array_equal(cov.sampling_scale, np.sqrt(gamma_array(PP, cov.dim)))
+        again = draw_dataset(cov, slope, 64, 1.0, 5)
+        assert np.array_equal(first.y, again.y) and np.array_equal(first.x, again.x)
+
+    def test_clamped_weights_warn_on_the_first_draw(self):
+        # pe with a = 1: gamma_j is clamped from j = 27 on
+        pe = SequenceModel(regime=Regime.PE, p=2.0, a=1.0)
+        cov = Covariance(pe, 128, 0.3)
+        slope = make_slope(pe, cov.dim)
+        with pytest.warns(sequences.UnderflowWarning):
+            draw_dataset(cov, slope, 64, 1.0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draw_dataset(cov, slope, 64, 1.0, 2)
+        with pytest.warns(sequences.UnderflowWarning):
+            cov.eigenvalues()
 
     def test_rotate_leaves_unrotated_input_alone(self):
         x = np.arange(12.0).reshape(2, 6)
