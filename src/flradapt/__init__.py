@@ -21,7 +21,6 @@ from .functionals import (
 )
 from .simulate import (
     Covariance,
-    SlopeSpec,
     Dataset,
     make_slope,
     draw_dataset,

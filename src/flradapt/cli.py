@@ -26,6 +26,7 @@ import numpy as np
 import yaml
 
 from . import adaptive, functionals, harness, oracle, sequences, simulate
+from ._util import check_int
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 _CONFIG_KEYS = {
     "model": ("regime", "p", "a", "r"),
     "functional": ("kind",),
-    "simulate": ("n", "sigma", "seed", "slope_scale", "theta"),
+    "simulate": ("n", "sigma", "seed", "theta"),
     "study": ("n_grid", "replicates", "base_seed", "n"),
     "output": ("dir", "dataset", "report", "raw", "curves"),
 }
@@ -188,14 +189,12 @@ def _cmd_simulate(args):
     seed = _pick(cfg, "simulate", "seed", args.seed, default=0, cast=_int)
     if n is None:
         raise ConfigError("sample size missing (simulate.n or --n)")
-    slope_scale = _pick(cfg, "simulate", "slope_scale", args.slope_scale,
-                        default=simulate.DEFAULT_SLOPE_SCALE, cast=float)
     theta = _pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=float)
     out = _pick(cfg, "output", "dataset", args.out, cast=os.fspath)
     if out is None:
         raise ConfigError("output path missing (output.dataset or --out)")
     cov = simulate.Covariance(model, simulate.default_truncation(n), theta)
-    slope = simulate.make_slope(model, cov.dim, slope_scale)
+    slope = simulate.make_slope(model, cov.dim)
     data = simulate.draw_dataset(cov, slope, n, sigma, seed)
     simulate.save_dataset_csv(data, out)
     print(f"wrote {data.n} x {data.dim} dataset to {out}")
@@ -241,8 +240,6 @@ def _cmd_mc_study(args):
         replicates=_pick(cfg, "study", "replicates", args.replicates, default=100,
                          cast=_int),
         base_seed=_pick(cfg, "study", "base_seed", args.base_seed, default=0, cast=_int),
-        slope_scale=_pick(cfg, "simulate", "slope_scale", args.slope_scale,
-                          default=simulate.DEFAULT_SLOPE_SCALE, cast=float),
         mixing=_pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=float),
         report_path=out_file("report", "study_report.json"),
         raw_path=out_file("raw", "study_raw.csv"),
@@ -267,14 +264,12 @@ def _cmd_rates(args):
     cfg = _load_config(args.config)
     model = _build_model(cfg, args)
     spec = _build_functional(cfg, args)
-    n = _pick(cfg, "study", "n", args.n, default=10000, cast=_int)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_int(_pick(cfg, "study", "n", args.n, default=10000, cast=_int), "n", 1)
     m_search = args.m_search
     if m_search is None:
         m_search = oracle.default_search_bound(model, n)
-    elif m_search < 1:
-        raise ValueError(f"--m-search must be >= 1, got {m_search}")
+    else:
+        check_int(m_search, "--m-search", 1)
     x_minimax = 1.0 / n
     x_adaptive = (1.0 + math.log(n)) / n
     m_star, r_minimax = oracle.minimax_dimension(model, spec, x_minimax, m_search)
@@ -345,7 +340,6 @@ def build_parser():
     sim.add_argument("--sigma", type=float)
     sim.add_argument("--seed", type=int)
     sim.add_argument("--theta", type=float)
-    sim.add_argument("--slope-scale", dest="slope_scale", type=float)
     sim.add_argument("--out")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -365,7 +359,6 @@ def build_parser():
     study.add_argument("--base-seed", dest="base_seed", type=int)
     study.add_argument("--sigma", type=float)
     study.add_argument("--theta", type=float)
-    study.add_argument("--slope-scale", dest="slope_scale", type=float)
     study.add_argument("--out-dir", dest="out_dir")
     study.set_defaults(func=_cmd_mc_study)
 

@@ -112,7 +112,6 @@ class StudyConfig:
     n_grid: tuple
     replicates: int
     base_seed: int
-    slope_scale: float = simulate.DEFAULT_SLOPE_SCALE
     mixing: float = 0.0
     report_path: Optional[str] = None
     raw_path: Optional[str] = None
@@ -129,7 +128,6 @@ class StudyConfig:
             raise ValueError("n_grid must be strictly increasing")
         # every replicate samples with these settings; check them once here
         simulate.check_sigma(self.sigma)
-        simulate.check_slope_scale(self.slope_scale)
         simulate.check_mixing(self.mixing)
 
 
@@ -209,7 +207,7 @@ def _config_echo(cfg: StudyConfig) -> dict:
         "replicates": cfg.replicates,
         "base_seed": cfg.base_seed,
         "penalty_constant": adaptive.PENALTY_CONSTANT,
-        "slope_scale": cfg.slope_scale,
+        "slope_scale": simulate.SLOPE_SCALE,
         "mixing": cfg.mixing,
     }
 
@@ -226,7 +224,7 @@ def _lower_dimension_bound(cfg, n: int, m_ell: int) -> int:
 def _run_single_n(cfg: StudyConfig, n: int):
     """The replicate records of one sample size, plus per-n theory."""
     cov = simulate.Covariance(cfg.model, simulate.default_truncation(n), cfg.mixing)
-    slope = simulate.make_slope(cfg.model, cov.dim, cfg.slope_scale)
+    slope = simulate.make_slope(cfg.model, cov.dim)
     target = simulate.true_value(cfg.spec, slope)
     m_ell = adaptive.cap_m_ell(cfg.spec, n)
     m_star, r_minimax = oracle.minimax_dimension(cfg.model, cfg.spec, 1.0 / n)
@@ -274,7 +272,6 @@ def _run_single_n(cfg: StudyConfig, n: int):
                     and np.all(p_hat <= SANDWICH_UPPER_FACTOR * p_pop)
                 )
     theory = {
-        "m_ell_cap": m_ell,
         "m_star": m_star,
         "m_diamond": m_diamond,
         "r_star_minimax": r_minimax,
@@ -371,12 +368,17 @@ def fit_rate(n_values, risks, abscissa: str = "n") -> tuple:
     risks = [float(r) for r in risks]
     if len(n_values) != len(risks) or len(n_values) < 3:
         raise ValueError("need at least three (n, risk) pairs")
+    if not all(n > 1 for n in n_values):
+        raise ValueError("every sample size must exceed 1")
     if any(r <= 0 for r in risks):
         raise ValueError("zero or negative risk: log-log fit undefined")
     if abscissa == "n":
         x = np.log(n_values)
     else:
         x = np.log([n / math.log(n) for n in n_values])
+    # n / log n is not monotone below e: n = 2 and 4 share one abscissa
+    if len(set(x.tolist())) < 2:
+        raise ValueError("the sample sizes give fewer than two distinct abscissae")
     y = np.log(risks)
     dx = x - x.mean()
     slope = float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))

@@ -174,17 +174,16 @@ def side_condition_ratio(model, spec, n: int, m: int) -> float:
 
 def _population_quantities(cov, spec, slope, sigma, m_max):
     """Var(y), the quadratic forms g_m' Gamma_m^-1 g_m and the running
-    maxima V_m of l_m' Gamma_m^-1 l_m for m = 1..m_max, with g = Gamma phi,
+    maxima V_m of l_m' Gamma_m^-1 l_m for m = 1..m_max, with g = Gamma slope,
     in closed form from ``cov.apply`` and ``cov.leading_quadratic_forms``."""
-    J = slope.dim
+    J = len(slope)
     if m_max > J:
         raise ValueError(f"m_max = {m_max} exceeds slope truncation {J}")
     if cov.dim != J:
         raise ValueError(f"covariance dim {cov.dim} differs from slope truncation {J}")
-    phi = slope.coeffs
     ell = functionals.coefficients(spec, m_max)
-    g = cov.apply(phi)
-    sig_y2 = sigma ** 2 + float(phi @ g)
+    g = cov.apply(slope)
+    sig_y2 = sigma ** 2 + float(slope @ g)
     quad = cov.leading_quadratic_forms(g[:m_max])
     v = np.maximum.accumulate(cov.leading_quadratic_forms(ell))
     return sig_y2, quad, v
@@ -194,8 +193,8 @@ def theoretical_penalty_curve(cov, spec, slope, sigma: float, n: int,
                               m_max: int) -> np.ndarray:
     """Population penalties p_m = 100 sigma_m^2 V_m (1 + log n) / n for
     m = 1..m_max, with sigma_m^2 = 2 (Var(y) + g_m' Gamma_m^-1 g_m), for the
-    diagonal or rotated-diagonal covariance ``cov`` of the slope's
-    coefficients."""
+    diagonal or rotated-diagonal covariance ``cov`` and the slope
+    coefficients ``slope``."""
     sig_y2, quad, v = _population_quantities(cov, spec, slope, sigma, m_max)
     factor = THEORETICAL_PENALTY_CONSTANT * (1.0 + math.log(n)) / n
     return factor * 2.0 * (sig_y2 + quad) * v

@@ -12,8 +12,8 @@ oracle reads its population quantities from ``Covariance.apply``,
 which take products, eigenvalues and quadratic forms pair by pair in closed
 form, with no dense J x J matrix.  Responses follow
 y_i = <slope, x_i> + sigma * eps_i with independent standard normal noise.
-:func:`true_value` is the functional evaluated on the slope's stored
-coefficients, the target every estimate is scored against.
+:func:`true_value` is the functional evaluated on the slope's coefficients,
+the target every estimate is scored against.
 """
 from __future__ import annotations
 
@@ -28,7 +28,9 @@ import numpy as np
 from . import functionals, sequences
 from ._util import check_int, floor_fourth_root, fmt
 
-DEFAULT_SLOPE_SCALE = 0.9
+# share of the ellipsoid radius the slope fills: sum_j beta_j slope_j^2 =
+# SLOPE_SCALE * r, so the slope sits strictly inside F_beta^r
+SLOPE_SCALE = 0.9
 
 # normals per row block of the sampler (1 MiB; 1024 rows at the default
 # truncation J = 128).  Longer blocks cost a sampler thread fewer
@@ -49,13 +51,6 @@ def check_sigma(sigma: float) -> None:
     is degenerate but allowed, so that noiseless sanity studies can run."""
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be a non-negative real")
-
-
-def check_slope_scale(slope_scale: float) -> None:
-    """Reject a slope scale outside [0, 1]; 0 gives the zero slope of a
-    zero-signal sanity study."""
-    if not (0.0 <= slope_scale <= 1.0):
-        raise ValueError("slope_scale must lie in [0, 1]")
 
 
 def default_truncation(n: int) -> int:
@@ -228,18 +223,6 @@ class Covariance:
         return float(max(1.0, math.sqrt(mu_max.max())))
 
 
-@dataclass(frozen=True, eq=False)
-class SlopeSpec:
-    """A concrete slope, stored as truncated basis coefficients."""
-
-    coeffs: np.ndarray
-    true_norm_beta_sq: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
-
 @dataclass(eq=False)
 class Dataset:
     """n response/regressor pairs with the regressors as coefficient rows."""
@@ -264,9 +247,10 @@ class Dataset:
         return self.x.shape[1]
 
 
-def make_slope(model, J: int, slope_scale: float = DEFAULT_SLOPE_SCALE) -> SlopeSpec:
-    """Canonical smooth-decay slope, rescaled to sit strictly inside the
-    ellipsoid: sum_j beta_j [slope]_j^2 = slope_scale * r exactly.
+def make_slope(model, J: int) -> np.ndarray:
+    """Canonical smooth-decay slope as its J basis coefficients, rescaled to
+    sit strictly inside the ellipsoid: sum_j beta_j slope_j^2 =
+    SLOPE_SCALE * r.  The array is read-only: every sampler thread reads it.
 
     The raw shape is j^-(p+1) in the polynomial-regularity regimes and
     exp(-(j^(2p)-1)/2) / j when the regularity weights are exponential; both
@@ -274,7 +258,6 @@ def make_slope(model, J: int, slope_scale: float = DEFAULT_SLOPE_SCALE) -> Slope
     """
     if J < 1:
         raise ValueError("J must be >= 1")
-    check_slope_scale(slope_scale)
     j = np.arange(1, J + 1, dtype=np.float64)
     if model.regime is sequences.Regime.EP:
         log_raw = -(j ** (2.0 * model.p) - 1.0) / 2.0 - np.log(j)
@@ -286,10 +269,9 @@ def make_slope(model, J: int, slope_scale: float = DEFAULT_SLOPE_SCALE) -> Slope
         weights = np.exp(log_w)
         raw = np.exp(log_raw)
     total = math.fsum(weights.tolist())
-    scale = math.sqrt(slope_scale * model.r / total)
-    coeffs = scale * raw
-    norm_sq = math.fsum((weights * scale * scale).tolist())
-    return SlopeSpec(coeffs=coeffs, true_norm_beta_sq=norm_sq)
+    slope = math.sqrt(SLOPE_SCALE * model.r / total) * raw
+    slope.flags.writeable = False
+    return slope
 
 
 def _row_blocks(n: int, J: int) -> list:
@@ -303,10 +285,11 @@ def _row_blocks(n: int, J: int) -> list:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def draw_dataset(cov: Covariance, slope: SlopeSpec, n: int, sigma: float,
+def draw_dataset(cov: Covariance, slope: np.ndarray, n: int, sigma: float,
                  seed: int, columns: Optional[int] = None) -> Dataset:
     """n i.i.d. pairs with regressors of covariance ``cov`` (J = ``cov.dim``
-    coefficients), fully determined by ``seed``.
+    coefficients) and the J slope coefficients ``slope``, fully determined
+    by ``seed``.
 
     The n x J standard normals are drawn SAMPLE_BLOCK at a time; each
     block is scaled, rotated and multiplied into its rows of y, and the
@@ -324,8 +307,8 @@ def draw_dataset(cov: Covariance, slope: SlopeSpec, n: int, sigma: float,
         raise ValueError(
             f"J = {J} is below 4 * floor(n^(1/4)) = {4 * floor_fourth_root(n)}"
         )
-    if slope.dim != J:
-        raise ValueError(f"slope has {slope.dim} coefficients, covariance has {J}")
+    if len(slope) != J:
+        raise ValueError(f"slope has {len(slope)} coefficients, covariance has {J}")
     width = J if columns is None else columns
     if not 1 <= width <= J:
         raise ValueError(f"columns must lie in 1..{J}, got {columns}")
@@ -339,16 +322,16 @@ def draw_dataset(cov: Covariance, slope: SlopeSpec, n: int, sigma: float,
         rng.standard_normal(out=block)
         block *= cov.sampling_scale
         cov.rotate(block)
-        y[lo:hi] = block @ slope.coeffs
+        y[lo:hi] = block @ slope
         x[lo:hi] = block[:, :width]
     del block, scratch
     y += sigma * rng.standard_normal(n)
     return Dataset(y=y, x=x)
 
 
-def true_value(spec, slope: SlopeSpec) -> float:
-    """The functional evaluated on the slope's stored coefficients."""
-    return float(functionals.coefficients(spec, slope.dim) @ slope.coeffs)
+def true_value(spec, slope: np.ndarray) -> float:
+    """The functional evaluated on the slope's coefficients."""
+    return float(functionals.coefficients(spec, len(slope)) @ slope)
 
 
 def save_dataset_csv(data: Dataset, path) -> None:

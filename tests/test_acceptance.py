@@ -127,13 +127,13 @@ def test_criterion_5_diagonal_closed_forms():
     gam = sequences.gamma_array(PP_UNIT, J)
     slope = simulate.make_slope(PP_UNIT, J)
     mom = estimator.Moments(
-        ghat=gam * slope.coeffs, gammahat=np.diag(gam),
+        ghat=gam * slope, gammahat=np.diag(gam),
         sigma2_y_hat=1.0, n=10 ** 9,
     )
     worst = 0.0
     for spec in (POINT, DerivativeEval(t0=0.3, q=1), LocalAverage(b=0.5)):
         for m in range(1, J + 1):
-            want = float(functionals.coefficients(spec, m) @ slope.coeffs[:m])
+            want = float(functionals.coefficients(spec, m) @ slope[:m])
             _, coeffs = estimator.galerkin_estimate(mom, m)
             got = float(functionals.coefficients(spec, m) @ coeffs)
             worst = max(worst, abs(got - want))

@@ -345,7 +345,7 @@ class TestSelectionBound:
                 data = simulate.draw_dataset(cov, slope, n, 1.0, 500 + rep)
                 result = adaptive.adaptive_estimate(data, spec)
                 m = result.m_hat_cap
-                approx = np.cumsum(functionals.coefficients(spec, m) * slope.coeffs[:m])
+                approx = np.cumsum(functionals.coefficients(spec, m) * slope[:m])
                 out = check_selection_bound(result.estimates, result.penalties,
                                             approx, target)
                 checked += 1

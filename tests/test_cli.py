@@ -177,11 +177,30 @@ class TestConfigKeys:
         ("mc-study", "--penalty-constant", "700"),
         ("mc-study", "--truncation", "128"),
         ("rates", "--d", "1"),
+        ("simulate", "--slope-scale", "0.9"),
+        ("mc-study", "--slope-scale", "0.9"),
     ])
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command, out_flag", [
+        ("simulate", "--out"), ("mc-study", "--out-dir"),
+    ])
+    def test_removed_slope_scale_key_is_one_config_error(self, tmp_path, capsys,
+                                                         command, out_flag):
+        # r alone sizes the slope; a config that still sets its fill is refused
+        cfg = copy.deepcopy(VALUES_BASE)
+        cfg["simulate"]["slope_scale"] = 0.9
+        path = tmp_path / "old.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        target = tmp_path / "out"
+        code, out, err = run(capsys, command, "--config", str(path), out_flag, str(target))
+        assert code == 1
+        assert out == ""
+        assert err == "error: config: unknown key simulate.slope_scale\n"
+        assert not target.exists()
 
     def test_shipped_config_runs_every_subcommand(self, tmp_path, capsys):
         shipped = str(pathlib.Path(__file__).parents[1] / "configs" / "study_pp_point.yaml")
@@ -324,6 +343,7 @@ class TestRates:
         )
         assert code == 1
         assert "error: usage" in err
+        assert "must be >= 1, got 0" in err
 
 
     def test_matches_study_row(self, capsys):
@@ -400,7 +420,9 @@ class TestMcStudy:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--sigma", "inf", "sigma"),
-        ("--slope-scale", "2", "slope_scale"),
+        # the flag is gone: r alone sizes the slope
+        pytest.param("--slope-scale", "2", "unrecognized arguments: --slope-scale 2",
+                     id="--slope-scale-2-slope_scale"),
         ("--base-seed", "-1", "base_seed"),
     ])
     def test_bad_sampling_settings_fail_before_any_work(self, tmp_path, capsys,
@@ -412,6 +434,7 @@ class TestMcStudy:
             "--replicates", "3", flag, value, "--out-dir", str(out_dir),
         )
         assert code == 1
+        assert len(err.splitlines()) == 1
         assert message in err
         assert not out_dir.exists()
 

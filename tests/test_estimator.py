@@ -196,8 +196,8 @@ class TestPlugIn:
         J = 32
         gam = sequences.gamma_array(PP, J)
         slope = simulate.make_slope(PP, J)
-        mom = injected_moments(np.diag(gam), gam * slope.coeffs, n=10 ** 9)
+        mom = injected_moments(np.diag(gam), gam * slope, n=10 ** 9)
         for m in (1, 5, 17, 32):
-            want = float(functionals.coefficients(spec, m) @ slope.coeffs[:m])
+            want = float(functionals.coefficients(spec, m) @ slope[:m])
             got = plug_in(spec, mom, m)
             assert abs(got - want) < 1e-10

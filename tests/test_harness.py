@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -65,7 +66,7 @@ def reference_single_n(cfg, n):
     harness kept its records as per-n columns (draws on the calling
     thread, which does not change a record)."""
     cov = simulate.Covariance(cfg.model, simulate.default_truncation(n), cfg.mixing)
-    slope = simulate.make_slope(cfg.model, cov.dim, cfg.slope_scale)
+    slope = simulate.make_slope(cfg.model, cov.dim)
     target = simulate.true_value(cfg.spec, slope)
     m_ell = adaptive.cap_m_ell(cfg.spec, n)
     m_star, r_minimax = oracle.minimax_dimension(cfg.model, cfg.spec, 1.0 / n)
@@ -198,6 +199,18 @@ class TestFitRate:
         with pytest.raises(ValueError, match="log-log"):
             fit_rate([100, 200, 400], [1.0, 0.0, 1.0], "n")
 
+    @pytest.mark.parametrize("n, abscissa", [
+        ([1, 2, 4], "n_over_log_n"),
+        ([0, 2, 4], "n"),
+        ([2, 2, 2], "n"),
+        ([2, 4, 4], "n_over_log_n"),
+    ])
+    def test_degenerate_sample_sizes_rejected(self, n, abscissa):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sample size"):
+                fit_rate(n, [1.0, 0.5, 0.25], abscissa)
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_rate([100, 200], [1.0, 0.5], "n")
@@ -215,10 +228,10 @@ class TestStudyConfig:
 
     @pytest.mark.parametrize("setting, match", [
         ({"sigma": math.inf}, "sigma"),
-        ({"slope_scale": 2.0}, "slope_scale"),
-        ({"slope_scale": math.nan}, "slope_scale"),
+        ({"sigma": math.nan}, "sigma"),
+        ({"n_grid": (128, 64)}, "n_grid"),
         ({"sigma": -1.0}, "sigma"),
-        ({"slope_scale": 1.5}, "slope_scale"),
+        ({"replicates": 1}, "replicates"),
         ({"n_grid": (64.9, 128)}, "n_grid"),
         ({"replicates": 2.5}, "replicates"),
         ({"base_seed": -1}, "base_seed"),
@@ -234,8 +247,9 @@ class TestRunStudy:
         r2 = run_study(small_config(replicates=2))
         assert json.dumps(r1.to_json_dict()) == json.dumps(r2.to_json_dict())
 
-    def test_noiseless_zero_slope_has_zero_risk(self):
-        cfg = small_config(sigma=0.0, slope_scale=0.0, replicates=3)
+    def test_noiseless_zero_slope_has_zero_risk(self, monkeypatch):
+        monkeypatch.setattr(simulate, "make_slope", lambda model, J: np.zeros(J))
+        cfg = small_config(sigma=0.0, replicates=3)
         report = run_study(cfg)
         for row in report.rows:
             assert row["risk_adaptive"] == 0.0
@@ -570,9 +584,9 @@ class TestSandwich:
         J = 16
         slope = simulate.make_slope(PP, J)
         gam = np.arange(1, J + 1.0) ** -2.0
-        sig_y2 = 1.0 + float(np.sum(gam * slope.coeffs ** 2))
+        sig_y2 = 1.0 + float(np.sum(gam * slope ** 2))
         n = 500
-        mom = Moments(ghat=gam * slope.coeffs, gammahat=np.diag(gam),
+        mom = Moments(ghat=gam * slope, gammahat=np.diag(gam),
                       sigma2_y_hat=sig_y2, n=n)
         m_max = 4
         p_hat = adaptive.penalties(mom, SPEC, n, m_max)

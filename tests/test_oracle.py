@@ -240,14 +240,14 @@ class TestMinimaxDimension:
 
 def population_ingredients(spec, slope, sigma, m, theta=0.0):
     """sigma_m^2 and V_m of the population penalty at dimension m."""
-    cov = Covariance(PP, slope.dim, theta)
+    cov = Covariance(PP, len(slope), theta)
     sig_y2, quad, v = oracle._population_quantities(cov, spec, slope, sigma, m)
     return 2.0 * (sig_y2 + float(quad[m - 1])), float(v[m - 1])
 
 
 class TestTheoreticalPenalty:
     def test_zero_slope(self):
-        slope = simulate.SlopeSpec(coeffs=np.zeros(16), true_norm_beta_sq=0.0)
+        slope = np.zeros(16)
         sigma_m_sq, _ = population_ingredients(E1, slope, 1.3, 4)
         assert sigma_m_sq == pytest.approx(2 * 1.3 ** 2, rel=1e-14)
 
@@ -257,8 +257,8 @@ class TestTheoreticalPenalty:
         gam = sequences.gamma_array(PP, 32)
         for m in (1, 5, 12):
             sigma_m_sq, _ = population_ingredients(spec, slope, 1.0, m)
-            direct = float(np.sum(gam[:m] * slope.coeffs[:m] ** 2))
-            sig_y2 = 1.0 + float(np.sum(gam * slope.coeffs ** 2))
+            direct = float(np.sum(gam[:m] * slope[:m] ** 2))
+            sig_y2 = 1.0 + float(np.sum(gam * slope ** 2))
             assert sigma_m_sq == pytest.approx(2 * (sig_y2 + direct), rel=1e-12)
 
     def test_unit_coordinate_v_term(self):
@@ -278,7 +278,7 @@ class TestTheoreticalPenalty:
             assert curve[m - 1] == pytest.approx(p_m, rel=1e-14)
 
     def test_unit_coordinate_penalty(self):
-        slope = simulate.SlopeSpec(coeffs=np.zeros(16), true_norm_beta_sq=0.0)
+        slope = np.zeros(16)
         curve = theoretical_penalty_curve(Covariance(PP, 16), E1, slope, sigma=1.0,
                                           n=100, m_max=4)
         # sigma_m^2 = 2 and V_m = 1 at every m
@@ -298,9 +298,9 @@ class TestTheoreticalPenalty:
         spec = PointEval(t0=0.3)
         sigma_m_sq, _ = population_ingredients(spec, slope, 1.0, 4, theta=0.5)
         mat = dense(cov)
-        g = mat @ slope.coeffs
+        g = mat @ slope
         quad = float(g[:4] @ np.linalg.solve(mat[:4, :4], g[:4]))
-        sig_y2 = 1.0 + float(slope.coeffs @ g)
+        sig_y2 = 1.0 + float(slope @ g)
         assert sigma_m_sq == pytest.approx(2 * (sig_y2 + quad), rel=1e-12)
 
     def test_steep_rotated_weights_give_exact_population_v(self):
@@ -511,10 +511,9 @@ def penalty_curve_reference(model, spec, slope, sigma, n, m_max, cov=None):
     optional covariance, the diagonal one of the slope's truncation when
     none was given."""
     if cov is None:
-        cov = Covariance(model, slope.dim, 0.0)
-    phi = slope.coeffs
-    g = cov.apply(phi)
-    sig_y2 = sigma ** 2 + float(phi @ g)
+        cov = Covariance(model, len(slope), 0.0)
+    g = cov.apply(slope)
+    sig_y2 = sigma ** 2 + float(slope @ g)
     quad = cov.leading_quadratic_forms(g[:m_max])
     v = np.maximum.accumulate(
         cov.leading_quadratic_forms(functionals.coefficients(spec, m_max)))

@@ -14,7 +14,6 @@ from flradapt.sequences import Regime, SequenceModel
 from flradapt.simulate import (
     Covariance,
     Dataset,
-    SlopeSpec,
     draw_dataset,
     make_slope,
     true_value,
@@ -22,10 +21,6 @@ from flradapt.simulate import (
 
 PP = SequenceModel(regime=Regime.PP, p=1.0, a=1.0)
 EP = SequenceModel(regime=Regime.EP, p=0.5, a=1.0)
-
-
-def zero_slope(J):
-    return SlopeSpec(coeffs=np.zeros(J), true_norm_beta_sq=0.0)
 
 
 def default_cov(n, theta=0.0):
@@ -54,7 +49,7 @@ def draw_dataset_reference(cov, slope, n, sigma, seed):
     x = rng.standard_normal((n, cov.dim)) * np.sqrt(lam)
     if cov.theta != 0.0:
         x = rotate_pairs_reference(x, cov.theta)
-    y = x @ slope.coeffs + sigma * rng.standard_normal(n)
+    y = x @ slope + sigma * rng.standard_normal(n)
     return x, y
 
 
@@ -105,39 +100,50 @@ def effective_d_reference(cov):
     return float(max(1.0, math.sqrt(max(mu.max(), 1.0 / mu.min()))))
 
 
-def unit_slope(model, J, k):
-    coeffs = np.zeros(J)
-    coeffs[k - 1] = 1.0
-    return SlopeSpec(coeffs=coeffs,
-                     true_norm_beta_sq=math.exp(sequences.log_beta_at(model, k)))
+def unit_slope(J, k):
+    slope = np.zeros(J)
+    slope[k - 1] = 1.0
+    return slope
+
+
+def weighted_norm_sq(model, slope):
+    """sum_j beta_j slope_j^2, with the weights from ``log_beta_array``."""
+    beta = np.exp(sequences.log_beta_array(model, len(slope)))
+    return math.fsum((beta * slope ** 2).tolist())
 
 
 class TestMakeSlope:
     def test_single_coefficient_fills_radius(self):
-        slope = make_slope(PP, 1, slope_scale=1.0)
-        assert slope.coeffs[0] == pytest.approx(1.0, rel=1e-14)
+        slope = make_slope(PP, 1)
+        assert slope[0] == pytest.approx(math.sqrt(0.9), rel=1e-14)
 
     def test_norm_hits_scaled_radius(self):
         for model in (PP, EP, SequenceModel(regime=Regime.PE, p=1.0, a=0.5)):
-            slope = make_slope(model, 200, slope_scale=0.9)
-            assert slope.true_norm_beta_sq == pytest.approx(
+            slope = make_slope(model, 200)
+            assert weighted_norm_sq(model, slope) == pytest.approx(
                 0.9 * model.r, rel=1e-12
             )
 
     def test_recomputed_weighted_norm_matches(self):
         slope = make_slope(PP, 100)
         j = np.arange(1, 101, dtype=float)
-        direct = float(np.sum(j ** 2 * slope.coeffs ** 2))
-        assert direct == pytest.approx(slope.true_norm_beta_sq, rel=1e-12)
+        direct = float(np.sum(j ** 2 * slope ** 2))
+        assert direct == pytest.approx(weighted_norm_sq(PP, slope), rel=1e-12)
 
     def test_polynomial_shape(self):
         slope = make_slope(PP, 100)
-        assert slope.coeffs[1] / slope.coeffs[0] == pytest.approx(0.25, rel=1e-13)
+        assert slope[1] / slope[0] == pytest.approx(0.25, rel=1e-13)
 
     def test_respects_radius_field(self):
         big = SequenceModel(regime=Regime.PP, p=1.0, a=1.0, r=4.0)
-        slope = make_slope(big, 50, slope_scale=0.5)
-        assert slope.true_norm_beta_sq == pytest.approx(2.0, rel=1e-12)
+        slope = make_slope(big, 50)
+        assert weighted_norm_sq(big, slope) == pytest.approx(0.9 * 4.0, rel=1e-12)
+
+    def test_coefficients_are_read_only(self):
+        # every sampler thread of a study reads the one slope
+        slope = make_slope(PP, 16)
+        with pytest.raises(ValueError, match="read-only"):
+            slope[0] = 0.0
 
 
 class TestDrawDataset:
@@ -151,7 +157,7 @@ class TestDrawDataset:
     def test_noise_variance_with_zero_slope(self):
         n = 10 ** 5
         cov = default_cov(n)
-        data = draw_dataset(cov, zero_slope(cov.dim), n, 1.0, 7)
+        data = draw_dataset(cov, np.zeros(cov.dim), n, 1.0, 7)
         s2 = float(np.var(data.y, ddof=1))
         se = math.sqrt(2.0 / n)
         assert abs(s2 - 1.0) < 3 * se
@@ -160,7 +166,7 @@ class TestDrawDataset:
     def test_column_variances_match_eigenvalues(self, j):
         n = 10 ** 5
         cov = default_cov(n)
-        data = draw_dataset(cov, zero_slope(cov.dim), n, 1.0, 11)
+        data = draw_dataset(cov, np.zeros(cov.dim), n, 1.0, 11)
         lam = j ** -2.0
         s2 = float(np.var(data.x[:, j - 1], ddof=1))
         assert abs(s2 - lam) < 3 * lam * math.sqrt(2.0 / n)
@@ -169,7 +175,7 @@ class TestDrawDataset:
     def test_standardized_columns_look_gaussian(self, j):
         n = 10 ** 5
         cov = default_cov(n)
-        data = draw_dataset(cov, zero_slope(cov.dim), n, 1.0, 13)
+        data = draw_dataset(cov, np.zeros(cov.dim), n, 1.0, 13)
         z = data.x[:, j - 1] * j
         z = (z - z.mean()) / z.std()
         skew = float(np.mean(z ** 3))
@@ -183,7 +189,7 @@ class TestDrawDataset:
         J = simulate.default_truncation(n)
         slope = make_slope(PP, J)
         data = draw_dataset(Covariance(PP, J), slope, n, 1.0, 1)
-        resid = data.y - data.x @ slope.coeffs
+        resid = data.y - data.x @ slope
         lam = np.arange(1, J + 1) ** -2.0
         cov = resid @ data.x / n
         se = np.sqrt(lam / n)
@@ -192,7 +198,7 @@ class TestDrawDataset:
     def test_rotation_preserves_total_variance(self):
         n = 4 * 10 ** 4
         base, mixed = default_cov(n), default_cov(n, 0.7)
-        slope = zero_slope(base.dim)
+        slope = np.zeros(base.dim)
         d0 = draw_dataset(base, slope, n, 1.0, 23)
         d1 = draw_dataset(mixed, slope, n, 1.0, 23)
         # Givens rotations preserve the per-pair sum of squares row by row
@@ -299,7 +305,7 @@ class TestDrawDataset:
         # 9 fixed-seed 3-sigma checks on the first three coefficient pairs
         n = 10 ** 5
         cov = Covariance(PP, 68, 0.7)
-        data = draw_dataset(cov, zero_slope(cov.dim), n, 1.0, 41)
+        data = draw_dataset(cov, np.zeros(cov.dim), n, 1.0, 41)
         x = data.x[:, :6]
         mat, lam = dense(cov)[:6, :6], cov.eigenvalues()
         c, s = math.cos(0.7), math.sin(0.7)
@@ -313,8 +319,8 @@ class TestDrawDataset:
 
     def test_slope_dimension_mismatch_rejected(self):
         cov = default_cov(50)
-        with pytest.raises(ValueError):
-            draw_dataset(cov, zero_slope(cov.dim - 1), 50, 1.0, 1)
+        with pytest.raises(ValueError, match="slope has 127 coefficients, covariance has 128"):
+            draw_dataset(cov, np.zeros(cov.dim - 1), 50, 1.0, 1)
 
 
 class TestCovariance:
@@ -426,15 +432,15 @@ class TestCovariance:
 
 class TestTrueValue:
     def test_point_mass_on_first_coefficient(self):
-        assert true_value(PointEval(t0=0.0), unit_slope(PP, 50, 1)) == 1.0
+        assert true_value(PointEval(t0=0.0), unit_slope(50, 1)) == 1.0
 
     def test_full_average_of_pure_cosine_vanishes(self):
-        assert abs(true_value(LocalAverage(b=1.0), unit_slope(PP, 50, 2))) < 1e-15
+        assert abs(true_value(LocalAverage(b=1.0), unit_slope(50, 2))) < 1e-15
 
     def test_custom_coordinate_projection(self):
         slope = make_slope(PP, 64)
         spec = Custom(coeffs=(0.0, 0.0, 1.0))
-        assert true_value(spec, slope) == pytest.approx(float(slope.coeffs[2]), rel=1e-15)
+        assert true_value(spec, slope) == pytest.approx(float(slope[2]), rel=1e-15)
 
 
 class TestConfigValidation:
@@ -446,24 +452,22 @@ class TestConfigValidation:
 
     def test_too_small_truncation_rejected(self):
         with pytest.raises(ValueError, match=r"J = 100 is below 4 \* floor"):
-            draw_dataset(Covariance(PP, 100), zero_slope(100), 10 ** 6, 1.0, 0)
+            draw_dataset(Covariance(PP, 100), np.zeros(100), 10 ** 6, 1.0, 0)
 
     def test_nonpositive_sample_size_rejected(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
-            draw_dataset(default_cov(50), zero_slope(128), 0, 1.0, 0)
+            draw_dataset(default_cov(50), np.zeros(128), 0, 1.0, 0)
         with pytest.raises(ValueError, match="n must be an integer"):
-            draw_dataset(default_cov(50), zero_slope(128), 64.5, 1.0, 0)
+            draw_dataset(default_cov(50), np.zeros(128), 64.5, 1.0, 0)
 
-    def test_degenerate_noise_and_scale_rejected(self):
+    def test_degenerate_noise_rejected(self):
         with pytest.raises(ValueError, match="sigma must be a non-negative real"):
-            draw_dataset(default_cov(50), zero_slope(128), 50, -1.0, 0)
-        with pytest.raises(ValueError, match=r"slope_scale must lie in \[0, 1\]"):
-            make_slope(PP, 128, 1.5)
+            draw_dataset(default_cov(50), np.zeros(128), 50, -1.0, 0)
 
     @pytest.mark.parametrize("seed", [-3, 2.5, True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be"):
-            draw_dataset(default_cov(50), zero_slope(128), 50, 1.0, seed)
+            draw_dataset(default_cov(50), np.zeros(128), 50, 1.0, seed)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_nonfinite_mixing_rejected(self, theta):
@@ -487,7 +491,7 @@ class TestCsvRoundTrip:
 
     def test_header_shape(self, tmp_path):
         cov = default_cov(5)
-        data = draw_dataset(cov, zero_slope(cov.dim), 5, 1.0, 3)
+        data = draw_dataset(cov, np.zeros(cov.dim), 5, 1.0, 3)
         path = tmp_path / "data.csv"
         simulate.save_dataset_csv(data, path)
         header = path.read_text().splitlines()[0].split(",")
