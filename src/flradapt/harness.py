@@ -12,10 +12,10 @@ levels, a log-log rate fit, the selected-dimension histogram, and for
 diagonal covariances the frequency of the penalty sandwich event.
 
 Long draws go to a ``concurrent.futures`` thread pool with one thread per
-usable CPU, which draws at most threads + 1 replicates ahead of the calling
-thread; the caller estimates them in replicate order.  Each replicate has its
-own seed, so the records do not depend on the thread count.  A drawn dataset
-keeps only the regressor columns the estimator reads.
+usable CPU.  A pool thread draws and estimates a replicate, so its dataset
+dies there; the calling thread files the results in replicate order.  Each
+replicate has its own seed, so the records do not depend on the thread count.
+A drawn dataset keeps only the regressor columns the estimator reads.
 
 The replicate records of a grid point live in one :class:`ReplicateBlock`,
 one preallocated array per numeric field (about 50 bytes per replicate) and a
@@ -54,12 +54,11 @@ _EXPECTED_FAILURES = (
 # path than those of a wider row stride and can differ in the last bits
 MIN_KEPT_COLUMNS = 4
 
-# replicates are drawn on sampler threads only from this many normals per
-# replicate (n * J) on: below it the Python work around a draw, which holds
-# the interpreter lock, outweighs the lock-free normal fill, and handing the
-# lock between the sampler and the estimator costs more than it overlaps
-# (on a 2-vCPU VM at n = 256 threads were slower, at n = 500 even, at
-# n = 1000 a third faster)
+# replicates run on pool threads only from this many normals per replicate
+# (n * J) on: below it the Python work around a draw, which holds the
+# interpreter lock, outweighs the lock-free normal fill, and handing the lock
+# between threads costs more than it overlaps (on a 2-vCPU VM, with only the
+# draws on threads, n = 256 was slower, n = 500 even, n = 1000 a third faster)
 THREADED_MIN_NORMALS = 2 ** 16
 
 
@@ -74,19 +73,18 @@ def _sampler_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _drawn_in_order(draw, count: int, threads: int):
-    """Yield ``draw(rep)`` for rep = 0..count-1 in order.
+def _drawn_in_order(task, count: int, threads: int):
+    """Yield ``task(rep)`` for rep = 0..count-1 in order.
 
-    With no threads each replicate is drawn on the calling thread.  With
-    threads a pool draws ahead, at most ``threads + 1`` futures at a time,
-    so memory does not grow with the replicate count; each draw runs in a
-    copy of the caller's context, so the caller's numpy error state applies
-    to it, and a draw's exception is raised where its replicate is yielded.
-    Closing the generator cancels the draws not yet started and joins the
-    pool's threads.
+    With no threads each task runs on the calling thread.  With threads a
+    pool runs ahead, at most ``threads + 1`` futures at a time, so memory
+    does not grow with the replicate count; each task runs in a copy of the
+    caller's context (its numpy error state), and a task's exception is
+    raised where its replicate is yielded.  Closing the generator cancels
+    the tasks not yet started and joins the pool's threads.
     """
     if not threads:
-        yield from map(draw, range(count))
+        yield from map(task, range(count))
         return
     # imported here: concurrent.futures loads logging, which would add
     # about 10 ms to ``import flradapt`` for studies that never use a pool
@@ -95,7 +93,7 @@ def _drawn_in_order(draw, count: int, threads: int):
     pending = deque()
     try:
         for rep in range(count):
-            pending.append(pool.submit(contextvars.copy_context().run, draw, rep))
+            pending.append(pool.submit(contextvars.copy_context().run, task, rep))
             if len(pending) > threads:
                 yield pending.popleft().result()
         while pending:
@@ -239,21 +237,23 @@ def _run_single_n(cfg: StudyConfig, n: int):
         mu_n = _lower_dimension_bound(cfg, n, m_ell)
     columns = max(m_ell, MIN_KEPT_COLUMNS)
 
-    def draw(rep):
-        return simulate.draw_dataset(cov, slope, n, cfg.sigma, cfg.base_seed + rep, columns)
+    def replicate(rep):
+        # the dataset dies on this thread; an expected failure returns
+        # its "Kind: message"
+        data = simulate.draw_dataset(cov, slope, n, cfg.sigma, cfg.base_seed + rep, columns)
+        try:
+            return adaptive.adaptive_estimate(data, cfg.spec)
+        except _EXPECTED_FAILURES as err:
+            return f"{type(err).__name__}: {err}"
 
     block = ReplicateBlock.allocate(n, cfg.base_seed, cfg.replicates)
     threads = 0
     if n * cov.dim >= THREADED_MIN_NORMALS:
         threads = min(_sampler_threads(), cfg.replicates)
-    with closing(_drawn_in_order(draw, cfg.replicates, threads)) as drawn:
-        for rep in range(cfg.replicates):
-            try:
-                # the dataset is bound to no name: it is freed when the
-                # estimate returns, before the next replicate is taken
-                result = adaptive.adaptive_estimate(next(drawn), cfg.spec)
-            except _EXPECTED_FAILURES as err:
-                block.errors[rep] = f"{type(err).__name__}: {err}"
+    with closing(_drawn_in_order(replicate, cfg.replicates, threads)) as results:
+        for rep, result in enumerate(results):
+            if isinstance(result, str):
+                block.errors[rep] = result
                 continue
             est_all = result.diagnostics["estimates_all"]
             block.sq_err_adaptive[rep] = (result.value - target) ** 2

@@ -32,12 +32,12 @@ from ._util import check_int, floor_fourth_root, fmt
 # SLOPE_SCALE * r, so the slope sits strictly inside F_beta^r
 SLOPE_SCALE = 0.9
 
-# normals per row block of the sampler (1 MiB; 1024 rows at the default
-# truncation J = 128).  Longer blocks cost a sampler thread fewer
-# interpreter-lock round trips per draw.  A block's product with the slope
-# gave the bits of one BLAS thread with OpenBLAS on two threads too, which
-# the product over all rows of a long draw did not (n = 8003)
-SAMPLE_BLOCK = 2 ** 17
+# normals per row block of the sampler (256 KiB, 256 rows at J = 128; 1 MiB
+# blocks pass the interpreter lock less often, a headline study ran 6 %
+# faster on 2 vCPUs, but hold 1.5 MiB more per rotated draw).  A block's
+# product with the slope gave the one-thread bits with two OpenBLAS threads
+# too, which the product over all rows of a long draw did not (n = 8003)
+SAMPLE_BLOCK = 2 ** 15
 
 
 def check_mixing(theta: float) -> None:
@@ -275,11 +275,11 @@ def make_slope(model, J: int) -> np.ndarray:
 
 
 def _row_blocks(n: int, J: int) -> list:
-    """(lo, hi) row ranges of SAMPLE_BLOCK // J rows covering 0..n.  A
-    one-row remainder joins the block before it: the product of a one-row
-    block with the slope takes another BLAS path than the rows of a longer
-    block and can differ in the last bits."""
-    bounds = list(range(0, n, max(SAMPLE_BLOCK // J, 1))) + [n]
+    """(lo, hi) row ranges covering 0..n of SAMPLE_BLOCK // J rows rounded
+    down to a multiple of 8; a one-row remainder joins the block before it.
+    Each row's product with the slope then takes the BLAS path of one
+    product over all n rows (254-row blocks at J = 129 did not)."""
+    bounds = list(range(0, n, 8 * max(SAMPLE_BLOCK // (8 * J), 1))) + [n]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -291,13 +291,12 @@ def draw_dataset(cov: Covariance, slope: np.ndarray, n: int, sigma: float,
     coefficients) and the J slope coefficients ``slope``, fully determined
     by ``seed``.
 
-    The n x J standard normals are drawn SAMPLE_BLOCK at a time; each
-    block is scaled, rotated and multiplied into its rows of y, and the
-    noise is drawn after the last block.  Chunked fills continue one
-    stream, so the sample is bit for bit that of one n x J draw.  Every
-    block is drawn into one scratch block and copied into x; with
-    ``columns`` the regressors keep only their first ``columns``
-    coefficients, and x is n x columns while y still sees all J.
+    The n x J standard normals are drawn one row block at a time into one
+    scratch block, scaled, rotated, multiplied into their rows of y and
+    copied into x; the noise is drawn after the last block.  Chunked fills
+    continue one stream, so the sample is bit for bit that of one n x J
+    draw.  With ``columns`` the regressors keep only their first
+    ``columns`` coefficients: x is n x columns, y still sees all J.
     """
     check_int(n, "n", 1)
     check_sigma(sigma)

@@ -161,18 +161,24 @@ def reference_study_files(tmp_path, name, cfg):
     return {"report_path": report_path.read_bytes(), "raw_path": raw_path.read_bytes()}
 
 
-def fail_call(monkeypatch, k):
-    """Make the k-th ``adaptive_estimate`` call from now on raise the
-    expected ``AdaptiveEstimationError``."""
-    calls = []
-    estimate = adaptive.adaptive_estimate
+def fail_replicate(monkeypatch, n, seed, error=adaptive.AdaptiveEstimationError,
+                   message="synthetic failure"):
+    """Make ``adaptive_estimate`` raise ``error(message)`` on the dataset
+    drawn at sample size n with ``seed``, on whichever thread it runs:
+    each draw from now on carries its seed."""
+    draw, estimate = simulate.draw_dataset, adaptive.adaptive_estimate
+
+    def seeded_draw(cov, slope, n, sigma, seed, columns=None):
+        data = draw(cov, slope, n, sigma, seed, columns)
+        data.seed = seed
+        return data
 
     def failing(data, spec):
-        calls.append(data.n)
-        if len(calls) == k:
-            raise adaptive.AdaptiveEstimationError("synthetic failure")
+        if (data.n, data.seed) == (n, seed):
+            raise error(message)
         return estimate(data, spec)
 
+    monkeypatch.setattr(harness.simulate, "draw_dataset", seeded_draw)
     monkeypatch.setattr(harness.adaptive, "adaptive_estimate", failing)
 
 
@@ -315,14 +321,15 @@ class TestRunStudy:
 
     def test_no_dataset_outlives_its_replicate(self, monkeypatch, sampler_threads):
         # the study never builds an n x J matrix: each dataset keeps the
-        # max(m_ell, 4) columns the estimator reads; when a draw starts, at
-        # most threads + 1 datasets are alive (those drawn ahead and the one
-        # being estimated); a failed replicate is still recorded
+        # max(m_ell, 4) columns the estimator reads; a pool thread draws and
+        # estimates one replicate at a time and the dataset dies with its
+        # task, so when a draw starts only the other threads hold one each;
+        # a failed replicate is still recorded
         threads = 3
         sampler_threads(threads)
         lock = threading.Lock()
         drawn, alive_at_draw = [], []
-        draw, estimate = simulate.draw_dataset, adaptive.adaptive_estimate
+        draw = simulate.draw_dataset
 
         def tracked_draw(cov, slope, n, sigma, seed, columns=None):
             with lock:
@@ -332,24 +339,37 @@ class TestRunStudy:
                 drawn.append((weakref.ref(data), (n, data.dim)))
             return data
 
-        estimated = []
-
-        def fail_third(data, spec):
-            estimated.append(data.n)
-            if len(estimated) == 3:
-                raise adaptive.AdaptiveEstimationError("synthetic failure")
-            return estimate(data, spec)
-
         monkeypatch.setattr(harness.simulate, "draw_dataset", tracked_draw)
-        monkeypatch.setattr(harness.adaptive, "adaptive_estimate", fail_third)
+        fail_replicate(monkeypatch, 64, 101 + 2)
         report = run_study(small_config(replicates=40))
         assert len(drawn) == 120 and report.total_errors == 1
         assert report.blocks[0].errors[2] == (
             "AdaptiveEstimationError: synthetic failure")
-        assert max(alive_at_draw) <= threads + 1
+        assert max(alive_at_draw) <= threads - 1
         for _, (n, width) in drawn:
             assert width == max(adaptive.cap_m_ell(SPEC, n), harness.MIN_KEPT_COLUMNS)
             assert width < simulate.default_truncation(n)
+
+    def test_threaded_grid_point_peaks_at_one_replicate_per_thread(self, monkeypatch):
+        # a rotated n = 8000 grid point on two pool threads: each thread
+        # holds at most its dataset (x of 9 columns and y) and the sampler's
+        # 256 KiB row block with its two half-block rotation temporaries; the
+        # slack covers the estimator's n-vector workspace (64 KiB), the pool
+        # and the grid point's arrays
+        threads, n = 2, 8000
+        monkeypatch.setattr(harness, "_sampler_threads", lambda: threads)
+        cfg = small_config(n_grid=(n,), replicates=6, mixing=0.3)
+        run_study(cfg)  # fill the library's caches before measuring
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_study(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        x, y = n * max(adaptive.cap_m_ell(SPEC, n), harness.MIN_KEPT_COLUMNS) * 8, n * 8
+        row_block = 256 * 2 ** 10
+        assert peak <= threads * (x + y + 2 * row_block) + 128 * 2 ** 10
 
     def test_pool_draws_at_most_threads_plus_one_ahead(self):
         # while the caller holds replicate 0, the pool has started exactly
@@ -391,20 +411,27 @@ class TestRunStudy:
         assert one == four
 
     def test_default_threshold_uses_threads_for_long_draws_only(self, monkeypatch):
-        # n * J = 2^15 at n = 256 draws inline, 2^16 at n = 512 on threads
+        # n * J = 2^15 at n = 256 draws and estimates inline, 2^16 at n = 512
+        # does both on pool threads
         main = threading.main_thread()
-        threads_by_n = {}
-        draw = simulate.draw_dataset
+        on_main = {"draw": {}, "estimate": {}}
+        draw, estimate = simulate.draw_dataset, adaptive.adaptive_estimate
 
         def tracked_draw(cov, slope, n, sigma, seed, columns=None):
-            threads_by_n.setdefault(n, set()).add(
-                threading.current_thread() is main)
+            on_main["draw"].setdefault(n, set()).add(threading.current_thread() is main)
             return draw(cov, slope, n, sigma, seed, columns)
+
+        def tracked_estimate(data, spec):
+            on_main["estimate"].setdefault(data.n, set()).add(
+                threading.current_thread() is main)
+            return estimate(data, spec)
 
         monkeypatch.setattr(harness, "_sampler_threads", lambda: 2)
         monkeypatch.setattr(harness.simulate, "draw_dataset", tracked_draw)
+        monkeypatch.setattr(harness.adaptive, "adaptive_estimate", tracked_estimate)
         run_study(small_config(n_grid=(256, 512), replicates=4))
-        assert threads_by_n == {256: {True}, 512: {False}}
+        assert on_main == {"draw": {256: {True}, 512: {False}},
+                           "estimate": {256: {True}, 512: {False}}}
 
     def test_draw_error_propagates_and_threads_end(self, monkeypatch, sampler_threads):
         # a bug in a draw surfaces from run_study as it is, and no sampler
@@ -445,21 +472,16 @@ class TestRunStudy:
         threads = 3
         sampler_threads(threads)
         before = threading.active_count()
-        started, estimated = [], []
-        draw, estimate = simulate.draw_dataset, adaptive.adaptive_estimate
+        started = []
+        draw = simulate.draw_dataset
 
         def counted_draw(cov, slope, n, sigma, seed, columns=None):
             started.append(seed)
             return draw(cov, slope, n, sigma, seed, columns)
 
-        def fail_fifth(data, spec):
-            estimated.append(data.n)
-            if len(estimated) == 5:
-                raise TypeError("synthetic estimator bug")
-            return estimate(data, spec)
-
+        # the fifth replicate of the first grid point
         monkeypatch.setattr(harness.simulate, "draw_dataset", counted_draw)
-        monkeypatch.setattr(harness.adaptive, "adaptive_estimate", fail_fifth)
+        fail_replicate(monkeypatch, 64, 101 + 4, TypeError, "synthetic estimator bug")
         with pytest.raises(TypeError) as excinfo:
             run_study(small_config(replicates=20))
         # the pool is closed although the traceback still holds the frames
@@ -547,9 +569,8 @@ class TestReplicateColumns:
         # one failure in the second grid point: its row has an error cell
         # and an empty sandwich cell, as every rotated row has
         cfg = small_config(replicates=40, mixing=mixing)
-        fail_call(monkeypatch, 45)
+        fail_replicate(monkeypatch, 128, 101 + 4)
         columns = study_files(tmp_path, "columns", cfg)
-        fail_call(monkeypatch, 45)
         reference = reference_study_files(tmp_path, "reference", cfg)
         assert columns["report_path"] == reference["report_path"]
         assert columns["raw_path"] == reference["raw_path"]

@@ -53,14 +53,41 @@ def draw_dataset_reference(cov, slope, n, sigma, seed):
     return x, y
 
 
+def block_rows(J, block=None):
+    """Rows per row block of the sampler at J coefficients, with ``block``
+    normals per block (default ``simulate.SAMPLE_BLOCK``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(simulate, "SAMPLE_BLOCK", block)
+        return simulate._row_blocks(10 ** 6, J)[0][1]
+
+
 # the streamed sampler against the one-shot reference, at an even and an odd
-# J: short draws, row counts around one and two row blocks (one more row
-# would be a one-row last block), and long draws
+# J: short draws, row counts around one and two row blocks of the sampler and
+# of blocks of 2^17 normals (one more row would be a one-row last block), and
+# long draws
 STREAM_THETA = [0.0, 0.3]
 STREAM_J = [128, 129]
 STREAM_N = sorted({16, 17, 127, 128, 129, 130, 131, 257, 1001, 8003}
-                  | {k * (simulate.SAMPLE_BLOCK // J) + d
-                     for J in STREAM_J for k in (1, 2) for d in (0, 1, 2)})
+                  | {k * rows + d
+                     for J in STREAM_J for rows in (block_rows(J), 2 ** 17 // J)
+                     for k in (1, 2) for d in (0, 1, 2)})
+
+BLOCK_SIZES = [2 ** 13, 2 ** 15, 2 ** 17]
+BLOCK_J = [128, 129, 131]
+
+
+def block_edge_n(block, J):
+    """Row counts within two rows of the first two block edges of the
+    sampler with ``block`` normals per block."""
+    rows = block_rows(J, block)
+    return [k * rows + d for k in (1, 2) for d in (-2, -1, 0, 1, 2)]
+
+
+REFERENCE_CASES = sorted(
+    {(n, theta, J) for n in STREAM_N for theta in STREAM_THETA for J in STREAM_J}
+    | {(n, theta, J) for block in BLOCK_SIZES for J in BLOCK_J
+       for n in block_edge_n(block, J) for theta in STREAM_THETA})
 
 
 def stream_case(n, theta, J):
@@ -70,7 +97,7 @@ def stream_case(n, theta, J):
 
 @pytest.fixture(scope="module")
 def one_thread_responses(tmp_path_factory):
-    """y of ``draw_dataset_reference`` for every streamed case, computed in
+    """y of ``draw_dataset_reference`` for every reference case, computed in
     a child interpreter with one BLAS thread.  With more threads OpenBLAS
     splits the rows of one long product between them, which changes the
     last bits of the rows at a split (n = 8003 on two threads): the
@@ -81,7 +108,7 @@ def one_thread_responses(tmp_path_factory):
         "import sys, numpy as np, test_simulate as t\n"
         "np.savez(sys.argv[1], **{f'{n}_{theta}_{J}': "
         "t.draw_dataset_reference(*t.stream_case(n, theta, J))[1] "
-        "for n in t.STREAM_N for theta in t.STREAM_THETA for J in t.STREAM_J})\n"
+        "for n, theta, J in t.REFERENCE_CASES})\n"
     )
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
@@ -244,6 +271,18 @@ class TestDrawDataset:
             assert data.x.shape == (n, width)
             assert np.array_equal(data.x, x[:, :width]), columns
             assert np.array_equal(data.y, y), columns
+
+    @pytest.mark.parametrize("J", BLOCK_J)
+    @pytest.mark.parametrize("theta", STREAM_THETA)
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_stream_does_not_depend_on_the_block_size(self, one_thread_responses,
+                                                      monkeypatch, block, theta, J):
+        monkeypatch.setattr(simulate, "SAMPLE_BLOCK", block)
+        for n in block_edge_n(block, J):
+            case = stream_case(n, theta, J)
+            data = draw_dataset(*case)
+            assert np.array_equal(data.x, draw_dataset_reference(*case)[0]), n
+            assert np.array_equal(data.y, one_thread_responses[f"{n}_{theta}_{J}"]), n
 
     def test_column_count_out_of_range_rejected(self):
         case = stream_case(16, 0.0, 128)
