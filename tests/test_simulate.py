@@ -53,12 +53,11 @@ def draw_dataset_reference(cov, slope, n, sigma, seed):
     return x, y
 
 
-def block_rows(J, block=None):
-    """Rows per row block of the sampler at J coefficients, with ``block``
-    normals per block (default ``simulate.SAMPLE_BLOCK``)."""
+def block_rows(J, block):
+    """Rows per row block of the sampler at J coefficients with ``block``
+    normals per block."""
     with pytest.MonkeyPatch.context() as patch:
-        if block is not None:
-            patch.setattr(simulate, "SAMPLE_BLOCK", block)
+        patch.setattr(simulate, "SAMPLE_BLOCK", block)
         return simulate._row_blocks(10 ** 6, J)[0][1]
 
 
@@ -69,8 +68,8 @@ def block_rows(J, block=None):
 STREAM_THETA = [0.0, 0.3]
 STREAM_J = [128, 129]
 STREAM_N = sorted({16, 17, 127, 128, 129, 130, 131, 257, 1001, 8003}
-                  | {k * rows + d
-                     for J in STREAM_J for rows in (block_rows(J), 2 ** 17 // J)
+                  | {k * rows + d for J in STREAM_J
+                     for rows in (block_rows(J, simulate.SAMPLE_BLOCK), 2 ** 17 // J)
                      for k in (1, 2) for d in (0, 1, 2)})
 
 BLOCK_SIZES = [2 ** 13, 2 ** 15, 2 ** 17]
