@@ -77,17 +77,24 @@ def cap_m_ell(spec, n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m4 = floor_fourth_root(n)
-    prefix = functionals.gram_prefix(spec, m4)
-    admissible = np.nonzero(prefix <= n)[0]
-    if len(admissible) == 0:
+    cap = _admissible_cap(spec, n)
+    if cap == 0:
         warnings.warn(
             "functional coefficient mass exceeds n already at m = 1",
             DegenerateFunctionalWarning,
             stacklevel=2,
         )
         return 1
-    return int(admissible[-1]) + 1
+    return cap
+
+
+@functools.lru_cache(maxsize=256)
+def _admissible_cap(spec, n: int) -> int:
+    """The cap of :func:`cap_m_ell`, or 0 when no dimension is admissible;
+    kept per (spec, n), so the warning stays with the caller."""
+    prefix = functionals.gram_prefix(spec, floor_fourth_root(n))
+    admissible = np.nonzero(prefix <= n)[0]
+    return int(admissible[-1]) + 1 if len(admissible) else 0
 
 
 def cap_m_hat(inv_norms, gram_prefix, n: int, m_ell: int) -> int:
@@ -160,9 +167,11 @@ def contrasts(estimates, penalties) -> np.ndarray:
     pen = np.asarray(penalties, dtype=np.float64)
     if est.shape != pen.shape or est.ndim != 1 or len(est) == 0:
         raise ValueError("estimates and penalties must be equal-length 1-d")
-    terms = (est[None, :] - est[:, None]) ** 2 - pen[None, :]
+    terms = est - est[:, None]
+    terms *= terms
+    terms -= pen
     terms[_below_diagonal(len(est))] = -np.inf
-    return terms.max(axis=1)
+    return np.maximum.reduce(terms, axis=1)
 
 
 def select(contrasts, penalties) -> int:

@@ -7,12 +7,14 @@ rule, ``_eigen``, decomposes the leading block and decides singularity;
 ``galerkin_estimate`` reads the threshold decision and the solution off that
 one decomposition, so the two can never disagree, and ``solve_block``, which
 the penalties call twice per dimension, applies the same rule again on every
-call, so a candidate dimension costs three decompositions in all.
+call, so a candidate dimension costs three decompositions in all.  The trace
+that scales the singularity test is taken once per (moments, dimension) and
+kept on the :class:`Moments`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,12 +24,18 @@ SINGULARITY_RTOL = 1e-12
 
 @dataclass(eq=False)
 class Moments:
-    """Sample moments of (y, x) up to a maximal dimension M."""
+    """Sample moments of (y, x) up to a maximal dimension M.
+
+    The arrays are not to be changed after construction: they are checked
+    once, and the singularity floor of each leading block is kept.
+    """
 
     ghat: np.ndarray
     gammahat: np.ndarray
     sigma2_y_hat: float
     n: int
+    # dimension m -> singularity floor of the leading m x m block (_eigen)
+    _floors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.ghat = np.asarray(self.ghat, dtype=np.float64)
@@ -36,14 +44,19 @@ class Moments:
         m = len(self.ghat)
         if gam.shape != (m, m):
             raise ValueError("gammahat must be square and match ghat")
-        asym = np.abs(gam - gam.T).max()
-        scale = max(np.abs(gam).max(), 1e-300)
-        if asym > 1e-12 * scale:
-            raise ValueError(f"gammahat asymmetric beyond tolerance ({asym:.3g})")
-        if m:
-            w = np.linalg.eigvalsh(gam)
-            if w[0] < -1e-10 * max(gam.trace(), 0.0):
-                raise ValueError("gammahat is not positive semi-definite")
+        if not m:
+            raise ValueError("moments need at least one dimension")
+        # a matrix bitwise equal to its transpose, as empirical_moments
+        # makes, has no asymmetry to measure
+        if gam.tobytes() != gam.T.tobytes():
+            asym = np.abs(gam - gam.T).max()
+            scale = max(np.abs(gam).max(), 1e-300)
+            if asym > 1e-12 * scale:
+                raise ValueError(f"gammahat asymmetric beyond tolerance ({asym:.3g})")
+        w = np.linalg.eigvalsh(gam)
+        # the bound is never positive: a non-negative w[0] skips the trace
+        if w[0] < 0 and w[0] < -1e-10 * max(gam.trace(), 0.0):
+            raise ValueError("gammahat is not positive semi-definite")
         if self.sigma2_y_hat < 0:
             raise ValueError("sigma2_y_hat must be non-negative")
 
@@ -60,12 +73,14 @@ def empirical_moments(data, M: int) -> Moments:
     """
     if not (1 <= M <= data.dim):
         raise ValueError(f"M must lie in 1..{data.dim}, got {M}")
+    n, y = data.n, data.y
     xm = data.x[:, :M]
-    gam = xm.T @ xm / data.n
+    gam = xm.T @ xm / n
     gam = (gam + gam.T) / 2.0
-    ghat = xm.T @ data.y / data.n
-    s2 = float((data.y ** 2).mean())
-    return Moments(ghat=ghat, gammahat=gam, sigma2_y_hat=s2, n=data.n)
+    ghat = xm.T @ y / n
+    # the bits of float((y ** 2).mean()) without the mean's wrapper
+    s2 = float(np.add.reduce(y * y)) / n
+    return Moments(ghat=ghat, gammahat=gam, sigma2_y_hat=s2, n=n)
 
 
 def _eigen(mom: Moments, m: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -75,7 +90,10 @@ def _eigen(mom: Moments, m: int) -> tuple[np.ndarray, np.ndarray] | None:
         raise ValueError(f"m must lie in 1..{mom.dim}, got {m}")
     block = mom.gammahat[:m, :m]
     w, v = np.linalg.eigh(block)
-    if not w[0] > SINGULARITY_RTOL * max(float(block.trace()), 0.0) / m:
+    floor = mom._floors.get(m)
+    if floor is None:
+        floor = mom._floors[m] = SINGULARITY_RTOL * max(float(block.trace()), 0.0) / m
+    if not w[0] > floor:
         return None
     return w, v
 

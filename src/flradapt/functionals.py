@@ -94,8 +94,8 @@ class Custom:
 FunctionalSpec = PointEval | DerivativeEval | LocalAverage | Custom
 
 
-def coefficients_at(spec: FunctionalSpec, j: np.ndarray) -> np.ndarray:
-    """Coefficients [l]_j at every index of the integer array ``j`` (all >= 1).
+def coefficients_at(spec: FunctionalSpec, lo: int, hi: int) -> np.ndarray:
+    """Coefficients [l]_j at the block of indices j = lo+1..hi (0 <= lo < hi).
 
     Point evaluation gives the basis values psi_j(t0).  Derivatives use the
     phase-shift identities
@@ -103,37 +103,43 @@ def coefficients_at(spec: FunctionalSpec, j: np.ndarray) -> np.ndarray:
     (d/ds)^q sin(w s) = w^q sin(w s + q pi/2).
     Local averages integrate each basis function over [0, b] in closed form
     and divide by b.  Each entry depends on its own index only, so any block
-    of indices gives the same bits as the corresponding slice of the prefix.
+    gives the same bits as the corresponding slice of the prefix.  Even and
+    odd indices alternate, so each branch is evaluated on every second entry
+    only.
     """
-    j = np.asarray(j)
     if isinstance(spec, Custom):
-        out = np.zeros(j.shape)
-        inside = j <= len(spec.coeffs)
-        out[inside] = np.asarray(spec.coeffs)[j[inside] - 1]
+        out = np.zeros(hi - lo)
+        given = spec.coeffs[lo:hi]
+        out[:len(given)] = given
         return out
-    k = j // 2
-    even = j % 2 == 0
+    k = np.arange(lo + 1, hi + 1) // 2
+    out = np.empty(hi - lo)
+    # the entries of even j (the cosines of point evaluation) and of odd j
+    even, odd = slice((lo + 1) % 2, None, 2), slice(lo % 2, None, 2)
     if isinstance(spec, LocalAverage):
         wb = 2.0 * np.pi * k * spec.b
         # wb = 0 only at j = 1, overwritten below
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(even, SQRT2 * np.sin(wb) / wb,
-                           SQRT2 * (1.0 - np.cos(wb)) / wb)
+            out[even] = SQRT2 * np.sin(wb[even]) / wb[even]
+            out[odd] = SQRT2 * (1.0 - np.cos(wb[odd])) / wb[odd]
         first = 1.0
     elif isinstance(spec, DerivativeEval) and spec.q > 0:
         w = 2.0 * np.pi * k
         arg = w * spec.t0 + spec.q * np.pi / 2.0
         amp = SQRT2 * w ** spec.q
-        out = np.where(even, amp * np.cos(arg), amp * np.sin(arg))
+        out[even] = amp[even] * np.cos(arg[even])
+        out[odd] = amp[odd] * np.sin(arg[odd])
         first = 0.0
     elif isinstance(spec, (PointEval, DerivativeEval)):
         arg = 2.0 * np.pi * k * spec.t0
-        out = np.where(even, SQRT2 * np.cos(arg), SQRT2 * np.sin(arg))
+        out[even] = SQRT2 * np.cos(arg[even])
+        out[odd] = SQRT2 * np.sin(arg[odd])
         first = 1.0
     else:
         raise TypeError(f"unknown functional spec {spec!r}")
     # psi_1 = 1 is constant: its average is 1 and its derivatives vanish
-    out[j == 1] = first
+    if lo == 0:
+        out[0] = first
     return out
 
 
@@ -150,7 +156,7 @@ def _check_dimension(m) -> None:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _coefficient_prefix(spec: FunctionalSpec, m: int) -> np.ndarray:
-    return _read_only(coefficients_at(spec, np.arange(1, m + 1)))
+    return _read_only(coefficients_at(spec, 0, m))
 
 
 def coefficients(spec: FunctionalSpec, m: int) -> np.ndarray:

@@ -247,6 +247,13 @@ def _run_single_n(cfg: StudyConfig, n: int):
             return f"{type(err).__name__}: {err}"
 
     block = ReplicateBlock.allocate(n, cfg.base_seed, cfg.replicates)
+    # every replicate's estimates at dimensions 1..m_ell and, diagonal
+    # only, its penalties up to the sandwich's reach; both are scored in
+    # one pass once the grid point is done
+    estimates = np.empty((cfg.replicates, m_ell))
+    if diagonal:
+        reach = np.zeros(cfg.replicates, dtype=np.int64)
+        pen_hat = np.zeros((cfg.replicates, mu_n))
     threads = 0
     if n * cov.dim >= THREADED_MIN_NORMALS:
         threads = min(_sampler_threads(), cfg.replicates)
@@ -256,21 +263,27 @@ def _run_single_n(cfg: StudyConfig, n: int):
                 block.errors[rep] = result
                 continue
             est_all = result.diagnostics["estimates_all"]
+            estimates[rep] = est_all
+            # scalar squares take pow(x, 2), as numpy scalars do; the
+            # array square of the best fixed error below is x * x
             block.sq_err_adaptive[rep] = (result.value - target) ** 2
-            block.sq_err_best_fixed[rep] = np.min((est_all - target) ** 2)
             m_fixed = min(m_star, result.m_ell_cap)
-            block.sq_err_mstar[rep] = (est_all[m_fixed - 1] - target) ** 2
+            block.sq_err_mstar[rep] = (float(est_all[m_fixed - 1]) - target) ** 2
             block.m_hat[rep] = result.selected
             block.m_hat_cap[rep] = result.m_hat_cap
             block.m_ell_cap[rep] = result.m_ell_cap
             if diagonal:
-                k_max = min(result.m_hat_cap, mu_n)
-                p_hat = result.penalties[:k_max]
-                p_pop = p_theo[:k_max]
-                block.sandwich_ok[rep] = bool(
-                    np.all(p_pop <= p_hat)
-                    and np.all(p_hat <= SANDWICH_UPPER_FACTOR * p_pop)
-                )
+                k_max = reach[rep] = min(result.m_hat_cap, mu_n)
+                pen_hat[rep, :k_max] = result.penalties[:k_max]
+    ok = block.succeeded()
+    block.sq_err_best_fixed[ok] = np.min((estimates[ok] - target) ** 2, axis=1)
+    if diagonal:
+        # the sandwich p_pop <= p_hat <= factor * p_pop on the first k_max
+        # penalties of each replicate
+        p_pop = p_theo[:mu_n]
+        held = (p_pop <= pen_hat) & (pen_hat <= SANDWICH_UPPER_FACTOR * p_pop)
+        held |= np.arange(mu_n) >= reach[:, None]
+        block.sandwich_ok[ok] = held[ok].all(axis=1)
     theory = {
         "m_star": m_star,
         "m_diamond": m_diamond,
@@ -408,17 +421,37 @@ def write_raw_csv(report: StudyReport, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_RAW_COLUMNS)
         for block in report.blocks:
-            # sq_err_adaptive .. sandwich_ok; tolist() hands fmt the Python
-            # floats and ints the estimator produced
-            columns = [getattr(block, name).tolist() for name in _RAW_COLUMNS[3:10]]
-            for rep, (*numbers, sandwich) in enumerate(zip(*columns)):
-                head = [fmt(block.n), fmt(rep), fmt(block.base_seed + rep)]
-                error = block.errors.get(rep)
-                if error is None:
-                    writer.writerow(head + [fmt(v) for v in numbers]
-                                    + [_SANDWICH_CELLS[sandwich], ""])
-                else:
-                    writer.writerow(head + [""] * 7 + [error])
+            if block.errors:
+                writer.writerows(_raw_rows(block))
+            else:
+                # number cells are never quoted, so joining them gives the
+                # writer's bytes
+                end = writer.dialect.lineterminator
+                fh.writelines(",".join(row) + end for row in _raw_rows(block))
+
+
+def _raw_rows(block: ReplicateBlock):
+    """The raw CSV rows of one block, each cell as ``fmt`` writes it: tolist()
+    gives the Python floats, formatted by repr, and ints, formatted by str."""
+    count = len(block.m_hat)
+    rows = zip(
+        [fmt(block.n)] * count,
+        map(str, range(count)),
+        map(str, range(block.base_seed, block.base_seed + count)),
+        map(repr, block.sq_err_adaptive.tolist()),
+        map(repr, block.sq_err_best_fixed.tolist()),
+        map(repr, block.sq_err_mstar.tolist()),
+        map(str, block.m_hat.tolist()),
+        map(str, block.m_hat_cap.tolist()),
+        map(str, block.m_ell_cap.tolist()),
+        map(_SANDWICH_CELLS.__getitem__, block.sandwich_ok.tolist()),
+        [""] * count,
+    )
+    if not block.errors:
+        return rows
+    errors = block.errors
+    return (row if rep not in errors else row[:3] + ("",) * 7 + (errors[rep],)
+            for rep, row in enumerate(rows))
 
 
 def write_curves_csv(report: StudyReport, path) -> None:

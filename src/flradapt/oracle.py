@@ -44,7 +44,7 @@ class RegimeConditionError(ValueError):
 def _tail_terms(model, spec, lo: int, hi: int) -> np.ndarray:
     """The terms l_j^2 / beta_j for j = lo+1..hi, exactly 0 where l_j = 0."""
     j = np.arange(lo + 1, hi + 1)
-    ell2 = functionals.coefficients_at(spec, j) ** 2
+    ell2 = functionals.coefficients_at(spec, lo, hi) ** 2
     with np.errstate(under="ignore", invalid="ignore"):
         return np.where(ell2 == 0.0, 0.0,
                         ell2 * np.exp(-sequences.log_beta_at(model, j)))

@@ -235,7 +235,7 @@ class Dataset:
         self.x = np.asarray(self.x, dtype=np.float64)
         if self.y.ndim != 1 or self.x.ndim != 2 or len(self.y) != len(self.x):
             raise ValueError("y must be (n,), x must be (n, J)")
-        if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.x))):
+        if not (np.isfinite(self.y).all() and np.isfinite(self.x).all()):
             raise ValueError("dataset entries must all be finite")
 
     @property
@@ -351,13 +351,20 @@ def load_dataset_csv(path) -> Dataset:
             raise ValueError(f"{path}: empty file")
         if not header or header[0] != "y":
             raise ValueError(f"{path}: expected header starting with 'y'")
-        try:
-            rows = [[float(v) for v in row] for row in reader if row]
-        except ValueError as err:
-            raise ValueError(f"{path}, line {reader.line_num}: {err}") from None
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} fields, "
+                                 f"the header has {len(header)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as err:
+                raise ValueError(f"{path}, line {reader.line_num}: {err}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged or empty dataset")
     try:
         return Dataset(y=arr[:, 0], x=arr[:, 1:])
     except ValueError as err:  # a nan or inf cell

@@ -103,6 +103,17 @@ class TestSimulateEstimate:
         assert str(data) in lines[0]
 
 
+    def test_ragged_dataset(self, tmp_path, capsys):
+        data = tmp_path / "ragged.csv"
+        data.write_text("y,x1,x2\n1,2,3\n4,5\n")
+        code, _, err = run(
+            capsys, "estimate", "--data", str(data), "--functional", "point:0.3",
+        )
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert lines[0] == f"error: usage: {data}, line 3: 2 fields, the header has 3"
+
 class TestConfigFile:
     def test_config_drives_simulation(self, tmp_path, capsys):
         cfg = tmp_path / "study.yaml"

@@ -116,18 +116,61 @@ class TestIndexBlocks:
     def test_block_is_slice_of_prefix(self, spec):
         full = coefficients(spec, 10 ** 4)
         for lo, hi in ((0, 1), (1, 2), (2, 5), (0, 8192), (8192, 10 ** 4), (3, 9999)):
-            block = coefficients_at(spec, np.arange(lo + 1, hi + 1))
+            block = coefficients_at(spec, lo, hi)
             assert np.array_equal(block, full[lo:hi])
             assert not np.any(np.signbit(block[block == 0.0]))
 
     def test_first_coefficient(self, spec):
-        first = coefficients_at(spec, np.array([1]))[0]
+        first = coefficients_at(spec, 0, 1)[0]
         if isinstance(spec, DerivativeEval) and spec.q > 0:
             assert first == 0.0
         elif isinstance(spec, Custom):
             assert first == spec.coeffs[0]
         else:
             assert first == 1.0
+
+
+def coefficients_where(spec, j):
+    """The coefficients at the integer array ``j`` as they were evaluated
+    before each branch ran on its own parity: both branches at every index,
+    picked by ``np.where``."""
+    if isinstance(spec, Custom):
+        out = np.zeros(j.shape)
+        inside = j <= len(spec.coeffs)
+        out[inside] = np.asarray(spec.coeffs)[j[inside] - 1]
+        return out
+    k = j // 2
+    even = j % 2 == 0
+    if isinstance(spec, LocalAverage):
+        wb = 2.0 * np.pi * k * spec.b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(even, SQRT2 * np.sin(wb) / wb,
+                           SQRT2 * (1.0 - np.cos(wb)) / wb)
+        first = 1.0
+    elif isinstance(spec, DerivativeEval) and spec.q > 0:
+        w = 2.0 * np.pi * k
+        arg = w * spec.t0 + spec.q * np.pi / 2.0
+        amp = SQRT2 * w ** spec.q
+        out = np.where(even, amp * np.cos(arg), amp * np.sin(arg))
+        first = 0.0
+    else:
+        arg = 2.0 * np.pi * k * spec.t0
+        out = np.where(even, SQRT2 * np.cos(arg), SQRT2 * np.sin(arg))
+        first = 1.0
+    out[j == 1] = first
+    return out
+
+
+@pytest.mark.parametrize("t0", [0.3, 0.123456, 0.0, 1.0])
+@pytest.mark.parametrize("lo", [0, 3, 4, 5, 999_000])
+@pytest.mark.parametrize("length", [1, 2, 17, 8192])
+def test_parity_branches_match_the_where_form(t0, lo, length):
+    specs = [PointEval(t0=t0), DerivativeEval(t0=t0, q=1), DerivativeEval(t0=t0, q=2),
+             LocalAverage(b=max(t0, 0.05)), Custom(coeffs=tuple(np.linspace(-1, 1, 9)))]
+    j = np.arange(lo + 1, lo + length + 1)
+    for spec in specs:
+        got = coefficients_at(spec, lo, lo + length)
+        assert got.tobytes() == coefficients_where(spec, j).tobytes(), spec
 
 
 def bits(array: np.ndarray) -> bytes:
@@ -153,7 +196,7 @@ class TestMemoized:
                              DerivativeEval(t0=0.0, q=0), DerivativeEval(t0=-0.0, q=0),
                              Custom(coeffs=(0.0, -0.0, 1.0))]
         for spec in specs:
-            want = coefficients_at(spec, np.arange(1, m + 1))
+            want = coefficients_at(spec, 0, m)
             for _ in range(2):  # cold, then cached
                 assert bits(coefficients(spec, m)) == bits(want)
                 assert bits(gram_prefix(spec, m)) == bits(np.cumsum(want * want))
@@ -165,7 +208,7 @@ class TestMemoized:
         assert not np.signbit(PointEval(t0=-0.0).t0)
         assert not np.signbit(DerivativeEval(t0=-0.0, q=0).t0)
         assert not np.signbit(Custom(coeffs=(-0.0, 1.0)).coeffs[0])
-        cold = coefficients_at(PointEval(t0=-0.0), np.arange(1, 8))
+        cold = coefficients_at(PointEval(t0=-0.0), 0, 7)
         assert bits(coefficients(PointEval(t0=0.0), 7)) == bits(cold)
         assert bits(coefficients(PointEval(t0=-0.0), 7)) == bits(cold)
 

@@ -578,6 +578,49 @@ class TestReplicateColumns:
         assert raw[45] == "128,4,105,,,,,,,,AdaptiveEstimationError: synthetic failure"
         assert json.loads(columns["report_path"])["total_errors"] == 1
 
+    def test_scoring_pass_files_crafted_results_like_the_record_dicts(self, tmp_path,
+                                                                   monkeypatch):
+        # results crafted around the real ones reach what a few simulated
+        # draws rarely do: estimates whose squared error differs between
+        # pow(x, 2) and x * x, random bounds below the sandwich's reach, and
+        # penalties below, inside and above the sandwich
+        cfg = small_config(n_grid=(256, 1024, 4096), replicates=24)
+        estimate = adaptive.adaptive_estimate
+        theory = {}
+        for n in cfg.n_grid:
+            cov = simulate.Covariance(PP, simulate.default_truncation(n))
+            slope = simulate.make_slope(PP, cov.dim)
+            target = simulate.true_value(SPEC, slope)
+            candidates = target + np.random.default_rng(n).uniform(-1.0, 1.0, 200_000)
+            pool = [e for e in candidates.tolist()
+                    if (e - target) ** 2 != (e - target) * (e - target)]
+            m_ell = adaptive.cap_m_ell(SPEC, n)
+            p_theo = oracle.theoretical_penalty_curve(cov, SPEC, slope, 1.0, n, m_ell)
+            theory[n] = pool, p_theo
+
+        def crafted(data, spec):
+            real = estimate(data, spec)
+            pool, p_theo = theory[data.n]
+            rng = np.random.default_rng(int(data.y.view(np.uint64)[0] % 2 ** 32))
+            m_ell = real.m_ell_cap
+            cap = int(rng.integers(1, m_ell + 1))
+            est_all = np.array(rng.choice(pool, m_ell, replace=False))
+            pen = p_theo[:cap] * rng.choice([0.5, 2.0, 30.0], cap)
+            selected = int(rng.integers(1, cap + 1))
+            return adaptive.AdaptiveResult(
+                m_ell_cap=m_ell, m_hat_cap=cap, penalties=pen, contrasts=np.zeros(cap),
+                selected=selected, estimates=est_all[:cap],
+                value=float(est_all[selected - 1]),
+                diagnostics={"estimates_all": est_all})
+
+        monkeypatch.setattr(adaptive, "adaptive_estimate", crafted)
+        columns = study_files(tmp_path, "columns", cfg)
+        reference = reference_study_files(tmp_path, "reference", cfg)
+        assert columns["report_path"] == reference["report_path"]
+        assert columns["raw_path"] == reference["raw_path"]
+        flags = [line.split(",")[9] for line in columns["raw_path"].decode().splitlines()[1:]]
+        assert {"True", "False"} <= set(flags)
+
     def test_finished_report_keeps_under_100_bytes_per_replicate(self):
         # a dict per replicate record kept about 572 bytes; the columns keep
         # 49 bytes (3 float64, 3 int64, 1 int8) plus a fixed cost per grid

@@ -547,6 +547,21 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="empty.csv: empty file"):
             simulate.load_dataset_csv(path)
 
+    @pytest.mark.parametrize("row", ["4,5", "4,5,6,7"])
+    def test_ragged_row_rejected_with_its_path_and_line(self, tmp_path, row):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"y,x1,x2\n1,2,3\n{row}\n")
+        fields = len(row.split(","))
+        with pytest.raises(ValueError,
+                           match=f"ragged.csv, line 3: {fields} fields, the header has 3"):
+            simulate.load_dataset_csv(path)
+
+    def test_header_only_file_rejected_with_its_path(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("y,x1,x2\n")
+        with pytest.raises(ValueError, match="header.csv: no data rows"):
+            simulate.load_dataset_csv(path)
+
     def test_non_numeric_cell_rejected_with_its_path(self, tmp_path):
         path = tmp_path / "text.csv"
         path.write_text("y,x1\n1,2\n3,abc\n")
