@@ -7,14 +7,12 @@ rule, ``_eigen``, decomposes the leading block and decides singularity;
 ``galerkin_estimate`` reads the threshold decision and the solution off that
 one decomposition, so the two can never disagree, and ``solve_block``, which
 the penalties call twice per dimension, applies the same rule again on every
-call, so a candidate dimension costs three decompositions in all.  The trace
-that scales the singularity test is taken once per (moments, dimension) and
-kept on the :class:`Moments`.
+call, so a candidate dimension costs three decompositions in all.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,18 +22,12 @@ SINGULARITY_RTOL = 1e-12
 
 @dataclass(eq=False)
 class Moments:
-    """Sample moments of (y, x) up to a maximal dimension M.
-
-    The arrays are not to be changed after construction: they are checked
-    once, and the singularity floor of each leading block is kept.
-    """
+    """Sample moments of (y, x) up to a maximal dimension M."""
 
     ghat: np.ndarray
     gammahat: np.ndarray
     sigma2_y_hat: float
     n: int
-    # dimension m -> singularity floor of the leading m x m block (_eigen)
-    _floors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.ghat = np.asarray(self.ghat, dtype=np.float64)
@@ -90,10 +82,7 @@ def _eigen(mom: Moments, m: int) -> tuple[np.ndarray, np.ndarray] | None:
         raise ValueError(f"m must lie in 1..{mom.dim}, got {m}")
     block = mom.gammahat[:m, :m]
     w, v = np.linalg.eigh(block)
-    floor = mom._floors.get(m)
-    if floor is None:
-        floor = mom._floors[m] = SINGULARITY_RTOL * max(float(block.trace()), 0.0) / m
-    if not w[0] > floor:
+    if not w[0] > SINGULARITY_RTOL * max(float(block.trace()), 0.0) / m:
         return None
     return w, v
 

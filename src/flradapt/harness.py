@@ -421,13 +421,7 @@ def write_raw_csv(report: StudyReport, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_RAW_COLUMNS)
         for block in report.blocks:
-            if block.errors:
-                writer.writerows(_raw_rows(block))
-            else:
-                # number cells are never quoted, so joining them gives the
-                # writer's bytes
-                end = writer.dialect.lineterminator
-                fh.writelines(",".join(row) + end for row in _raw_rows(block))
+            writer.writerows(_raw_rows(block))
 
 
 def _raw_rows(block: ReplicateBlock):
@@ -447,11 +441,9 @@ def _raw_rows(block: ReplicateBlock):
         map(_SANDWICH_CELLS.__getitem__, block.sandwich_ok.tolist()),
         [""] * count,
     )
-    if not block.errors:
-        return rows
     errors = block.errors
-    return (row if rep not in errors else row[:3] + ("",) * 7 + (errors[rep],)
-            for rep, row in enumerate(rows))
+    for rep, row in enumerate(rows):
+        yield row if rep not in errors else row[:3] + ("",) * 7 + (errors[rep],)
 
 
 def write_curves_csv(report: StudyReport, path) -> None:

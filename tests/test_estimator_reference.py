@@ -2,7 +2,6 @@
 
 The reference below is the estimator as it stood before its per-replicate
 fixed costs were cut: it measures the asymmetry of every moment matrix,
-takes ``block.trace()`` on each of the three decompositions per dimension,
 recomputes the deterministic cap on every call, forms the mean square with
 ``(y ** 2).mean()`` and the contrasts with one out-of-place broadcast.  The
 library must give the same bits on every path: value, selection, caps,
@@ -244,19 +243,17 @@ def test_generated_moments_match_the_reference(inputs):
         assert mom is ref
         return
     for m in range(1, len(ghat) + 1):
-        # twice: the first call keeps the singularity floor, the second reads it
-        for _ in range(2):
-            got_norm, got = estimator.galerkin_estimate(mom, m)
-            want_norm, want = reference_galerkin_estimate(ref, m)
-            assert bits(got_norm) == bits(want_norm)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert bits(got) == bits(want)
-            got = estimator.solve_block(mom, m, ghat)
-            want = reference_solve_block(ref, m, ghat)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert bits(got) == bits(want)
+        got_norm, got = estimator.galerkin_estimate(mom, m)
+        want_norm, want = reference_galerkin_estimate(ref, m)
+        assert bits(got_norm) == bits(want_norm)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert bits(got) == bits(want)
+        got = estimator.solve_block(mom, m, ghat)
+        want = reference_solve_block(ref, m, ghat)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert bits(got) == bits(want)
     spec = Custom(coeffs=(1.0, -1.0, 0.5))
     try:
         want = reference_penalties(ref, spec, n, len(ghat))
