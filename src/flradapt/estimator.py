@@ -22,7 +22,11 @@ SINGULARITY_RTOL = 1e-12
 
 @dataclass(eq=False)
 class Moments:
-    """Sample moments of (y, x) up to a maximal dimension M."""
+    """Sample moments of (y, x) up to a maximal dimension M.
+
+    ``ghat`` and ``gammahat`` are read-only copies of the arrays given, so
+    the checks made here hold for as long as the moments live.
+    """
 
     ghat: np.ndarray
     gammahat: np.ndarray
@@ -30,17 +34,20 @@ class Moments:
     n: int
 
     def __post_init__(self):
-        self.ghat = np.asarray(self.ghat, dtype=np.float64)
-        self.gammahat = np.asarray(self.gammahat, dtype=np.float64)
-        gam = self.gammahat
-        m = len(self.ghat)
+        ghat = np.asarray(self.ghat, dtype=np.float64)
+        gam = np.asarray(self.gammahat, dtype=np.float64)
+        m = len(ghat)
         if gam.shape != (m, m):
             raise ValueError("gammahat must be square and match ghat")
         if not m:
             raise ValueError("moments need at least one dimension")
-        # a matrix bitwise equal to its transpose, as empirical_moments
-        # makes, has no asymmetry to measure
-        if gam.tobytes() != gam.T.tobytes():
+        # arrays over immutable bytes are read-only copies, and the bytes of
+        # gammahat are needed anyway: a matrix bitwise equal to its
+        # transpose, as empirical_moments makes, has no asymmetry to measure
+        raw = gam.tobytes()
+        self.ghat = np.frombuffer(ghat.tobytes()).reshape(ghat.shape)
+        self.gammahat = np.frombuffer(raw).reshape(m, m)
+        if raw != gam.T.tobytes():
             asym = np.abs(gam - gam.T).max()
             scale = max(np.abs(gam).max(), 1e-300)
             if asym > 1e-12 * scale:

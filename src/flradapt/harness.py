@@ -1,21 +1,29 @@
 """Monte Carlo risk studies over a grid of sample sizes.
 
-Each sample size builds one :class:`~flradapt.simulate.Covariance` (J =
-``default_truncation(n)``) and one slope: every replicate's draw samples from
-that covariance, and the population penalty reads it.  For each replicate
-the harness draws a dataset, runs the data-driven estimator, and records the
-squared error of the selected value next to two benchmarks: the
-per-replicate best fixed dimension (the realized minimum over all candidate
-dimensions, an optimistic stand-in for the infeasible oracle) and the fixed
-theoretically-optimal dimension.  Aggregates include theoretical risk
-levels, a log-log rate fit, the selected-dimension histogram, and for
-diagonal covariances the frequency of the penalty sandwich event.
+Each run of sample sizes with one J = ``default_truncation(n)`` builds one
+:class:`~flradapt.simulate.Covariance` and one slope: every replicate's
+draws sample from that covariance, and the population penalty reads it.
+For each replicate and sample size the harness draws a dataset, runs the
+data-driven estimator, and records the squared error of the selected value
+next to two benchmarks: the per-replicate best fixed dimension (the
+realized minimum over all candidate dimensions, an optimistic stand-in for
+the infeasible oracle) and the fixed theoretically-optimal dimension.
+Aggregates include theoretical risk levels, a log-log rate fit, the
+selected-dimension histogram, and for diagonal covariances the frequency of
+the penalty sandwich event.
 
-Long draws go to a ``concurrent.futures`` thread pool with one thread per
-usable CPU.  A pool thread draws and estimates a replicate, so its dataset
-dies there; the calling thread files the results in replicate order.  Each
-replicate has its own seed, so the records do not depend on the thread count.
-A drawn dataset keeps only the regressor columns the estimator reads.
+The grid runs replicate-major within each run of sample sizes that share J.
+Replicate ``rep`` draws every size from seed ``base_seed + rep``, so a
+smaller size's sample is a prefix of the same stream: one task per
+replicate walks the run's sizes in increasing order over one
+:class:`~flradapt.simulate.GridStream`, which draws each normal once, and
+estimates and drops each size's dataset before the next size is drawn.
+The grid points of a replicate therefore share their first rows, and their
+errors are positively correlated.  Tasks whose largest draw is long go to a
+``concurrent.futures`` thread pool with one thread per usable CPU; the
+calling thread files the results in replicate order.  Each replicate has its
+own seed, so the records do not depend on the thread count.  A drawn
+dataset keeps only the regressor columns the estimator reads.
 
 The replicate records of a grid point live in one :class:`ReplicateBlock`,
 one preallocated array per numeric field (about 50 bytes per replicate) and a
@@ -54,11 +62,12 @@ _EXPECTED_FAILURES = (
 # path than those of a wider row stride and can differ in the last bits
 MIN_KEPT_COLUMNS = 4
 
-# replicates run on pool threads only from this many normals per replicate
-# (n * J) on: below it the Python work around a draw, which holds the
-# interpreter lock, outweighs the lock-free normal fill, and handing the lock
-# between threads costs more than it overlaps (on a 2-vCPU VM, with only the
-# draws on threads, n = 256 was slower, n = 500 even, n = 1000 a third faster)
+# a run of sizes goes to pool threads only when its replicates' largest draw
+# has this many normals (n_max * J): below it the Python work around the
+# draws, which holds the interpreter lock, outweighs the lock-free normal
+# fill, and handing the lock between threads costs more than it overlaps (on
+# a 2-vCPU VM, with one draw per task and only the draws on threads, n = 256
+# was slower, n = 500 even, n = 1000 a third faster)
 THREADED_MIN_NORMALS = 2 ** 16
 
 
@@ -219,82 +228,128 @@ def _lower_dimension_bound(cfg, n: int, m_ell: int) -> int:
                               n, m_ell)
 
 
-def _run_single_n(cfg: StudyConfig, n: int):
-    """The replicate records of one sample size, plus per-n theory."""
-    cov = simulate.Covariance(cfg.model, simulate.default_truncation(n), cfg.mixing)
+class _GridPoint:
+    """The per-n constants of one sample size and the records its replicates
+    are filed into.  ``file`` takes each replicate's result in replicate
+    order; ``finish`` scores them in one pass and returns the block and the
+    per-n theory."""
+
+    def __init__(self, cfg: StudyConfig, cov, slope, n: int):
+        self.cfg, self.n = cfg, n
+        self.target = simulate.true_value(cfg.spec, slope)
+        m_ell = adaptive.cap_m_ell(cfg.spec, n)
+        self.m_star, self.r_minimax = oracle.minimax_dimension(cfg.model, cfg.spec, 1.0 / n)
+        self.m_diamond, self.r_adaptive = oracle.minimax_dimension(
+            cfg.model, cfg.spec, (1.0 + math.log(n)) / n
+        )
+        self.diagonal = cov.is_diagonal
+        if self.diagonal:
+            self.p_theo = oracle.theoretical_penalty_curve(
+                cov, cfg.spec, slope, cfg.sigma, n, m_ell)
+            self.mu_n = _lower_dimension_bound(cfg, n, m_ell)
+        self.columns = max(m_ell, MIN_KEPT_COLUMNS)
+        self.block = ReplicateBlock.allocate(n, cfg.base_seed, cfg.replicates)
+        # every replicate's estimates at dimensions 1..m_ell and, diagonal
+        # only, its penalties up to the sandwich's reach; both are scored in
+        # one pass once every replicate is filed
+        self.estimates = np.empty((cfg.replicates, m_ell))
+        if self.diagonal:
+            self.reach = np.zeros(cfg.replicates, dtype=np.int64)
+            self.pen_hat = np.zeros((cfg.replicates, self.mu_n))
+
+    def file(self, rep: int, result) -> None:
+        block = self.block
+        if isinstance(result, str):
+            block.errors[rep] = result
+            return
+        est_all = result.diagnostics["estimates_all"]
+        self.estimates[rep] = est_all
+        # scalar squares take pow(x, 2), as numpy scalars do; the array
+        # square of the best fixed error in finish is x * x
+        block.sq_err_adaptive[rep] = (result.value - self.target) ** 2
+        m_fixed = min(self.m_star, result.m_ell_cap)
+        block.sq_err_mstar[rep] = (float(est_all[m_fixed - 1]) - self.target) ** 2
+        block.m_hat[rep] = result.selected
+        block.m_hat_cap[rep] = result.m_hat_cap
+        block.m_ell_cap[rep] = result.m_ell_cap
+        if self.diagonal:
+            k_max = self.reach[rep] = min(result.m_hat_cap, self.mu_n)
+            self.pen_hat[rep, :k_max] = result.penalties[:k_max]
+
+    def finish(self) -> tuple:
+        cfg, block = self.cfg, self.block
+        ok = block.succeeded()
+        block.sq_err_best_fixed[ok] = np.min((self.estimates[ok] - self.target) ** 2, axis=1)
+        if self.diagonal:
+            # the sandwich p_pop <= p_hat <= factor * p_pop on the first
+            # k_max penalties of each replicate
+            p_pop, pen_hat = self.p_theo[:self.mu_n], self.pen_hat
+            held = (p_pop <= pen_hat) & (pen_hat <= SANDWICH_UPPER_FACTOR * p_pop)
+            held |= np.arange(self.mu_n) >= self.reach[:, None]
+            block.sandwich_ok[ok] = held[ok].all(axis=1)
+        theory = {
+            "m_star": self.m_star,
+            "m_diamond": self.m_diamond,
+            "r_star_minimax": self.r_minimax,
+            "r_star_adaptive": self.r_adaptive,
+            "target": self.target,
+            "side_condition_ratio": oracle.side_condition_ratio(
+                cfg.model, cfg.spec, self.n, self.m_diamond
+            ),
+        }
+        return block, theory
+
+
+def _truncation_runs(n_grid) -> list:
+    """The grid split into runs of consecutive sample sizes that share
+    J = ``default_truncation(n)``."""
+    runs = []
+    for n in n_grid:
+        if runs and simulate.default_truncation(runs[-1][-1]) == simulate.default_truncation(n):
+            runs[-1].append(n)
+        else:
+            runs.append([n])
+    return runs
+
+
+def _run_sizes(cfg: StudyConfig, sizes: list) -> list:
+    """The replicate records and per-n theory of sample sizes that share J,
+    one (block, theory) pair per size.
+
+    One task per replicate walks the sizes in increasing order over one
+    :class:`~flradapt.simulate.GridStream` of the replicate's seed: each
+    size's dataset is drawn, estimated and dropped before the next size's
+    rows are drawn.
+    """
+    cov = simulate.Covariance(cfg.model, simulate.default_truncation(sizes[0]), cfg.mixing)
     slope = simulate.make_slope(cfg.model, cov.dim)
-    target = simulate.true_value(cfg.spec, slope)
-    m_ell = adaptive.cap_m_ell(cfg.spec, n)
-    m_star, r_minimax = oracle.minimax_dimension(cfg.model, cfg.spec, 1.0 / n)
-    m_diamond, r_adaptive = oracle.minimax_dimension(
-        cfg.model, cfg.spec, (1.0 + math.log(n)) / n
-    )
-    diagonal = cov.is_diagonal
-    p_theo = None
-    mu_n = None
-    if diagonal:
-        p_theo = oracle.theoretical_penalty_curve(cov, cfg.spec, slope, cfg.sigma, n, m_ell)
-        mu_n = _lower_dimension_bound(cfg, n, m_ell)
-    columns = max(m_ell, MIN_KEPT_COLUMNS)
+    points = [_GridPoint(cfg, cov, slope, n) for n in sizes]
+    width = max(point.columns for point in points)
 
     def replicate(rep):
-        # the dataset dies on this thread; an expected failure returns
-        # its "Kind: message"
-        data = simulate.draw_dataset(cov, slope, n, cfg.sigma, cfg.base_seed + rep, columns)
-        try:
-            return adaptive.adaptive_estimate(data, cfg.spec)
-        except _EXPECTED_FAILURES as err:
-            return f"{type(err).__name__}: {err}"
+        # each dataset dies on this thread before the next one is drawn;
+        # an expected failure gives its "Kind: message"
+        seed = cfg.base_seed + rep
+        stream = simulate.GridStream(cov, slope, seed, sizes, width)
+        results = []
+        for point in points:
+            data = simulate.draw_dataset(cov, slope, point.n, cfg.sigma, seed,
+                                         point.columns, stream=stream)
+            try:
+                results.append(adaptive.adaptive_estimate(data, cfg.spec))
+            except _EXPECTED_FAILURES as err:
+                results.append(f"{type(err).__name__}: {err}")
+            del data
+        return results
 
-    block = ReplicateBlock.allocate(n, cfg.base_seed, cfg.replicates)
-    # every replicate's estimates at dimensions 1..m_ell and, diagonal
-    # only, its penalties up to the sandwich's reach; both are scored in
-    # one pass once the grid point is done
-    estimates = np.empty((cfg.replicates, m_ell))
-    if diagonal:
-        reach = np.zeros(cfg.replicates, dtype=np.int64)
-        pen_hat = np.zeros((cfg.replicates, mu_n))
     threads = 0
-    if n * cov.dim >= THREADED_MIN_NORMALS:
+    if sizes[-1] * cov.dim >= THREADED_MIN_NORMALS:
         threads = min(_sampler_threads(), cfg.replicates)
     with closing(_drawn_in_order(replicate, cfg.replicates, threads)) as results:
-        for rep, result in enumerate(results):
-            if isinstance(result, str):
-                block.errors[rep] = result
-                continue
-            est_all = result.diagnostics["estimates_all"]
-            estimates[rep] = est_all
-            # scalar squares take pow(x, 2), as numpy scalars do; the
-            # array square of the best fixed error below is x * x
-            block.sq_err_adaptive[rep] = (result.value - target) ** 2
-            m_fixed = min(m_star, result.m_ell_cap)
-            block.sq_err_mstar[rep] = (float(est_all[m_fixed - 1]) - target) ** 2
-            block.m_hat[rep] = result.selected
-            block.m_hat_cap[rep] = result.m_hat_cap
-            block.m_ell_cap[rep] = result.m_ell_cap
-            if diagonal:
-                k_max = reach[rep] = min(result.m_hat_cap, mu_n)
-                pen_hat[rep, :k_max] = result.penalties[:k_max]
-    ok = block.succeeded()
-    block.sq_err_best_fixed[ok] = np.min((estimates[ok] - target) ** 2, axis=1)
-    if diagonal:
-        # the sandwich p_pop <= p_hat <= factor * p_pop on the first k_max
-        # penalties of each replicate
-        p_pop = p_theo[:mu_n]
-        held = (p_pop <= pen_hat) & (pen_hat <= SANDWICH_UPPER_FACTOR * p_pop)
-        held |= np.arange(mu_n) >= reach[:, None]
-        block.sandwich_ok[ok] = held[ok].all(axis=1)
-    theory = {
-        "m_star": m_star,
-        "m_diamond": m_diamond,
-        "r_star_minimax": r_minimax,
-        "r_star_adaptive": r_adaptive,
-        "target": target,
-        "side_condition_ratio": oracle.side_condition_ratio(
-            cfg.model, cfg.spec, n, m_diamond
-        ),
-    }
-    return block, theory
+        for rep, replicate_results in enumerate(results):
+            for point, result in zip(points, replicate_results):
+                point.file(rep, result)
+    return [point.finish() for point in points]
 
 
 def _aggregate(block: ReplicateBlock, theory: dict) -> dict:
@@ -336,10 +391,10 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     """
     rows = []
     blocks = []
-    for n in cfg.n_grid:
-        block, theory = _run_single_n(cfg, n)
-        blocks.append(block)
-        rows.append(_aggregate(block, theory))
+    for sizes in _truncation_runs(cfg.n_grid):
+        for block, theory in _run_sizes(cfg, sizes):
+            blocks.append(block)
+            rows.append(_aggregate(block, theory))
     total = len(cfg.n_grid) * cfg.replicates
     total_errors = sum(row["errors"] for row in rows)
     if total_errors > 0.01 * total:

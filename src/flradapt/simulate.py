@@ -12,6 +12,8 @@ oracle reads its population quantities from ``Covariance.apply``,
 which take products, eigenvalues and quadratic forms pair by pair in closed
 form, with no dense J x J matrix.  Responses follow
 y_i = <slope, x_i> + sigma * eps_i with independent standard normal noise.
+A :class:`GridStream` hands :func:`draw_dataset` the samples of one seed at
+several sample sizes, drawing each normal once for all of them.
 :func:`true_value` is the functional evaluated on the slope's coefficients,
 the target every estimate is scored against.
 """
@@ -285,8 +287,153 @@ def _row_blocks(n: int, J: int) -> list:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+class GridStream:
+    """The draws of one seed for an increasing grid of sample sizes.
+
+    The sample of size n with a seed is the first n * J normals of the
+    seed's generator, as n rows, then n normals of noise.  So a smaller
+    size's rows are a prefix of a larger size's, and its noise normals are
+    the raw normals of the rows right after its own or, past the largest
+    size's rows, the start of the largest size's noise.  A stream draws each
+    of these normals once: :func:`draw_dataset` with ``stream=`` hands out
+    ``sizes`` in increasing order, and each call draws only the rows and the
+    noise its size still lacks, capturing a smaller size's noise from the
+    raw rows before they are scaled.
+
+    The stream keeps the first ``columns`` coefficients of every row in one
+    shared array, the products of the largest size's row blocks with the
+    slope, and the current row block with all J coefficients.  A row's
+    product with the slope can take other last bits in a block of another
+    shape, so the last row block of every smaller size,
+    ``_row_blocks(n, J)[-1]``, is also multiplied by the slope in its own
+    shape while its rows are in the row block.  Every dataset is then bit
+    for bit the one drawn for its size alone.
+    """
+
+    def __init__(self, cov: Covariance, slope: np.ndarray, seed: int, sizes,
+                 columns: int):
+        self.cov, self.slope, self.seed = cov, slope, seed
+        self.sizes = tuple(sizes)
+        self.columns = columns
+        if not self.sizes or any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
+            raise ValueError("stream sizes must be a strictly increasing sequence")
+        if not 1 <= columns <= cov.dim:
+            raise ValueError(f"columns must lie in 1..{cov.dim}, got {columns}")
+        self._handed = 0  # sizes handed out so far
+        self._rng = None  # the generator and the arrays come with the first draw
+
+    def _start(self) -> None:
+        J, n_max = self.cov.dim, self.sizes[-1]
+        common = _row_blocks(n_max, J)
+        # (lo, hi, size) row ranges to multiply by the slope, in the order
+        # their last row is drawn: the largest size's blocks (size None) and
+        # each smaller size's last block where it is not one of them
+        jobs = [(lo, hi, None) for lo, hi in common]
+        shared = set(common)
+        for n in self.sizes[:-1]:
+            last = _row_blocks(n, J)[-1]
+            if last not in shared:
+                jobs.append((*last, n))
+        self._jobs = sorted(jobs, key=lambda job: job[1])
+        self._rng = np.random.default_rng(self.seed)
+        # the kept columns and the slope products of the largest size's rows
+        self._x, self._signal = np.empty((n_max, self.columns)), np.empty(n_max)
+        # the rows [base, rows) with all J coefficients.  A job spans at most
+        # one block and one row, and every pending job starts at or after
+        # base, so shifting out the rows before the pending jobs' first one
+        # always leaves room for the next job
+        self._block = np.empty((max(hi - lo for lo, hi, _ in jobs), J))
+        self._base = self._rows = self._job = 0
+        self._own = {}  # smaller size -> products of its last row block
+        self._noise = {}  # size -> its noise normals, filled as drawn
+        self._tail = 0  # normals drawn past the largest size's rows
+
+    def _noise_of(self, n: int) -> np.ndarray:
+        noise = self._noise.get(n)
+        if noise is None:
+            noise = self._noise[n] = np.empty(n)
+        return noise
+
+    def _capture(self, first: int, rows: np.ndarray) -> None:
+        """Copy the raw normals of ``rows``, stream positions first.., that
+        are noise of a smaller size not yet handed out."""
+        J = self.cov.dim
+        flat = rows.reshape(-1)
+        stop = first + len(flat)
+        for n in self.sizes[self._handed:-1]:
+            lo = n * J
+            if lo >= stop:
+                break
+            a, b = max(first, lo), min(stop, lo + n)
+            if a < b:
+                self._noise_of(n)[a - lo:b - lo] = flat[a - first:b - first]
+
+    def _draw_rows(self, stop: int) -> None:
+        """Draw the rows up to ``stop``: fill, capture noise, scale, rotate,
+        keep their columns, and multiply every finished job by the slope."""
+        block, jobs = self._block, self._jobs
+        while self._rows < stop:
+            start = self._rows
+            end = min(stop, jobs[self._job][1])
+            if end - self._base > len(block):
+                keep = min(lo for lo, _, _ in jobs[self._job:])
+                block[:start - keep] = block[keep - self._base:start - self._base]
+                self._base = keep
+            rows = block[start - self._base:end - self._base]
+            self._rng.standard_normal(out=rows)
+            self._capture(start * self.cov.dim, rows)
+            rows *= self.cov.sampling_scale
+            self.cov.rotate(rows)
+            self._x[start:end] = rows[:, :self.columns]
+            self._rows = end
+            while self._job < len(jobs) and jobs[self._job][1] == end:
+                lo, hi, size = jobs[self._job]
+                product = block[lo - self._base:hi - self._base] @ self.slope
+                if size is None:
+                    self._signal[lo:hi] = product
+                else:
+                    self._own[size] = product
+                self._job += 1
+        if self._job == len(jobs):
+            self._block = None
+
+    def take(self, cov: Covariance, slope: np.ndarray, n: int, sigma: float,
+             seed: int, columns: int) -> tuple:
+        """(y, x) of the next size ``n``: x C-contiguous, n x ``columns``."""
+        if cov is not self.cov or slope is not self.slope or seed != self.seed:
+            raise ValueError("a stream draws with the covariance, slope and seed it was made for")
+        if self._handed == len(self.sizes) or n != self.sizes[self._handed]:
+            raise ValueError(f"the stream's next size is not {n}")
+        if columns > self.columns:
+            raise ValueError(f"the stream keeps {self.columns} columns, not {columns}")
+        if self._rng is None:
+            self._start()
+        J, n_max = cov.dim, self.sizes[-1]
+        self._draw_rows(min(n_max, n + -(-n // J)))
+        past = n * J + n - n_max * J  # noise normals past the largest size's rows
+        if past > self._tail:
+            self._rng.standard_normal(out=self._noise_of(n_max)[self._tail:past])
+            self._tail = past
+        # y is sigma * noise + the slope products, formed in the noise array
+        y = self._noise.pop(n)
+        if 0 < past and n < n_max:
+            y[n - past:] = self._noise[n_max][:past]
+        y *= sigma
+        own = self._own.pop(n, None)
+        cut = n if own is None else n - len(own)
+        y[:cut] += self._signal[:cut]
+        if own is not None:
+            y[cut:] += own
+        x = self._x[:n]
+        if columns < self.columns:
+            x = np.ascontiguousarray(x[:, :columns])
+        self._handed += 1
+        return y, x
+
+
 def draw_dataset(cov: Covariance, slope: np.ndarray, n: int, sigma: float,
-                 seed: int, columns: Optional[int] = None) -> Dataset:
+                 seed: int, columns: Optional[int] = None, *,
+                 stream: Optional[GridStream] = None) -> Dataset:
     """n i.i.d. pairs with regressors of covariance ``cov`` (J = ``cov.dim``
     coefficients) and the J slope coefficients ``slope``, fully determined
     by ``seed``.
@@ -297,6 +444,11 @@ def draw_dataset(cov: Covariance, slope: np.ndarray, n: int, sigma: float,
     continue one stream, so the sample is bit for bit that of one n x J
     draw.  With ``columns`` the regressors keep only their first
     ``columns`` coefficients: x is n x columns, y still sees all J.
+
+    ``stream`` is a :class:`GridStream` of ``seed`` whose next size is n: the
+    call then draws only what the stream's smaller sizes have not drawn
+    yet, and returns the same dataset.  Without it the call is the one-size
+    stream.
     """
     check_int(n, "n", 1)
     check_sigma(sigma)
@@ -311,20 +463,9 @@ def draw_dataset(cov: Covariance, slope: np.ndarray, n: int, sigma: float,
     width = J if columns is None else columns
     if not 1 <= width <= J:
         raise ValueError(f"columns must lie in 1..{J}, got {columns}")
-    rng = np.random.default_rng(seed)
-    x = np.empty((n, width))
-    y = np.empty(n)
-    blocks = _row_blocks(n, J)
-    scratch = np.empty((max(hi - lo for lo, hi in blocks), J))
-    for lo, hi in blocks:
-        block = scratch[:hi - lo]
-        rng.standard_normal(out=block)
-        block *= cov.sampling_scale
-        cov.rotate(block)
-        y[lo:hi] = block @ slope
-        x[lo:hi] = block[:, :width]
-    del block, scratch
-    y += sigma * rng.standard_normal(n)
+    if stream is None:
+        stream = GridStream(cov, slope, seed, (n,), width)
+    y, x = stream.take(cov, slope, n, sigma, seed, width)
     return Dataset(y=y, x=x)
 
 

@@ -79,6 +79,28 @@ class TestEmpiricalMoments:
             injected_moments([[1.0, 0.5], [0.4, 1.0]], [0.0, 0.0])
 
 
+class TestMomentsOwnTheirArrays:
+    def test_changing_the_callers_arrays_leaves_the_estimate(self):
+        # g[0, 1] = 0.9 makes g an asymmetric matrix that Moments refuses;
+        # a Moments sharing g would solve with eigh's lower triangle
+        ghat, g = np.array([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]])
+        mom = Moments(ghat, g, 1.0, 100)
+        inv_norm, coeffs = galerkin_estimate(mom, 2)
+        g[0, 1] = 0.9
+        ghat[0] = -3.0
+        again_norm, again = galerkin_estimate(mom, 2)
+        assert again_norm == inv_norm and np.array_equal(again, coeffs)
+        np.testing.assert_allclose(coeffs, np.linalg.solve([[2.0, 0.5], [0.5, 1.0]],
+                                                           [1.0, 2.0]), atol=1e-14)
+
+    def test_arrays_are_read_only(self):
+        mom = Moments(np.array([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]]), 1.0, 100)
+        with pytest.raises(ValueError):
+            mom.gammahat[0, 1] = 0.9
+        with pytest.raises(ValueError):
+            mom.ghat[0] = 0.0
+
+
 class TestSpectralNormInverse:
     # the inverse norm the threshold rule reads, on the leading full block
     @staticmethod

@@ -168,8 +168,8 @@ def fail_replicate(monkeypatch, n, seed, error=adaptive.AdaptiveEstimationError,
     each draw from now on carries its seed."""
     draw, estimate = simulate.draw_dataset, adaptive.adaptive_estimate
 
-    def seeded_draw(cov, slope, n, sigma, seed, columns=None):
-        data = draw(cov, slope, n, sigma, seed, columns)
+    def seeded_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
+        data = draw(cov, slope, n, sigma, seed, columns, stream=stream)
         data.seed = seed
         return data
 
@@ -321,20 +321,20 @@ class TestRunStudy:
 
     def test_no_dataset_outlives_its_replicate(self, monkeypatch, sampler_threads):
         # the study never builds an n x J matrix: each dataset keeps the
-        # max(m_ell, 4) columns the estimator reads; a pool thread draws and
-        # estimates one replicate at a time and the dataset dies with its
-        # task, so when a draw starts only the other threads hold one each;
-        # a failed replicate is still recorded
+        # max(m_ell, 4) columns the estimator reads; a pool thread walks one
+        # replicate's sizes and drops each dataset before the next draw, so
+        # when a draw starts only the other threads hold one each; a failed
+        # replicate is still recorded
         threads = 3
         sampler_threads(threads)
         lock = threading.Lock()
         drawn, alive_at_draw = [], []
         draw = simulate.draw_dataset
 
-        def tracked_draw(cov, slope, n, sigma, seed, columns=None):
+        def tracked_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
             with lock:
                 alive_at_draw.append(sum(ref() is not None for ref, _ in drawn))
-            data = draw(cov, slope, n, sigma, seed, columns)
+            data = draw(cov, slope, n, sigma, seed, columns, stream=stream)
             with lock:
                 drawn.append((weakref.ref(data), (n, data.dim)))
             return data
@@ -370,6 +370,44 @@ class TestRunStudy:
         x, y = n * max(adaptive.cap_m_ell(SPEC, n), harness.MIN_KEPT_COLUMNS) * 8, n * 8
         row_block = 256 * 2 ** 10
         assert peak <= threads * (x + y + 2 * row_block) + 128 * 2 ** 10
+
+    def test_threaded_grid_peaks_at_one_stream_per_thread(self, monkeypatch):
+        # a rotated 500..8000 grid on two pool threads: a thread walks one
+        # replicate's sizes over one stream, which holds the kept columns and
+        # responses of the largest size and one row block, and it holds one
+        # size's dataset at a time; the budget is the one-point test's above
+        # plus the smaller sizes' noise vectors, which the stream fills from
+        # rows drawn ahead.  Every size's dataset at once would be about
+        # 0.43 MiB more per thread
+        threads, sizes = 2, (500, 1000, 2000, 4000, 8000)
+        monkeypatch.setattr(harness, "_sampler_threads", lambda: threads)
+        cfg = small_config(n_grid=sizes, replicates=6, mixing=0.3)
+        run_study(cfg)  # fill the library's caches before measuring
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_study(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = sizes[-1]
+        x, y = n * max(adaptive.cap_m_ell(SPEC, n), harness.MIN_KEPT_COLUMNS) * 8, n * 8
+        row_block, noise = 256 * 2 ** 10, sum(sizes[:-1]) * 8
+        assert peak <= threads * (x + y + 2 * row_block + noise) + 128 * 2 ** 10
+
+    @pytest.mark.parametrize("mixing", [0.0, 0.3])
+    def test_grid_spanning_two_truncations_writes_the_reference_files(
+            self, tmp_path, monkeypatch, mixing):
+        # J = 128 up to n = 128 and 136 from n = 256 on: each run of sizes
+        # that share J walks its own streams, the first inline and the
+        # second, with n * J = 69,632 normals at n = 512, on the pool
+        monkeypatch.setattr(simulate, "default_truncation", lambda n: 128 if n <= 128 else 136)
+        cfg = small_config(n_grid=(64, 128, 256, 512), replicates=8, mixing=mixing)
+        assert harness._truncation_runs(cfg.n_grid) == [[64, 128], [256, 512]]
+        files = study_files(tmp_path, "grid", cfg)
+        reference = reference_study_files(tmp_path, "reference", cfg)
+        assert files["report_path"] == reference["report_path"]
+        assert files["raw_path"] == reference["raw_path"]
 
     def test_pool_draws_at_most_threads_plus_one_ahead(self):
         # while the caller holds replicate 0, the pool has started exactly
@@ -411,15 +449,16 @@ class TestRunStudy:
         assert one == four
 
     def test_default_threshold_uses_threads_for_long_draws_only(self, monkeypatch):
-        # n * J = 2^15 at n = 256 draws and estimates inline, 2^16 at n = 512
-        # does both on pool threads
+        # the threshold judges a replicate's largest draw: n * J = 2^15 at
+        # n = 256 draws and estimates the whole grid inline, 2^16 at n = 512
+        # does both on pool threads for every grid point, n = 256 included
         main = threading.main_thread()
         on_main = {"draw": {}, "estimate": {}}
         draw, estimate = simulate.draw_dataset, adaptive.adaptive_estimate
 
-        def tracked_draw(cov, slope, n, sigma, seed, columns=None):
+        def tracked_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
             on_main["draw"].setdefault(n, set()).add(threading.current_thread() is main)
-            return draw(cov, slope, n, sigma, seed, columns)
+            return draw(cov, slope, n, sigma, seed, columns, stream=stream)
 
         def tracked_estimate(data, spec):
             on_main["estimate"].setdefault(data.n, set()).add(
@@ -429,9 +468,14 @@ class TestRunStudy:
         monkeypatch.setattr(harness, "_sampler_threads", lambda: 2)
         monkeypatch.setattr(harness.simulate, "draw_dataset", tracked_draw)
         monkeypatch.setattr(harness.adaptive, "adaptive_estimate", tracked_estimate)
+        run_study(small_config(n_grid=(64, 256), replicates=4))
+        assert on_main == {"draw": {64: {True}, 256: {True}},
+                           "estimate": {64: {True}, 256: {True}}}
+        on_main["draw"].clear()
+        on_main["estimate"].clear()
         run_study(small_config(n_grid=(256, 512), replicates=4))
-        assert on_main == {"draw": {256: {True}, 512: {False}},
-                           "estimate": {256: {True}, 512: {False}}}
+        assert on_main == {"draw": {256: {False}, 512: {False}},
+                           "estimate": {256: {False}, 512: {False}}}
 
     def test_draw_error_propagates_and_threads_end(self, monkeypatch, sampler_threads):
         # a bug in a draw surfaces from run_study as it is, and no sampler
@@ -440,10 +484,10 @@ class TestRunStudy:
         before = threading.active_count()
         draw = simulate.draw_dataset
 
-        def broken_draw(cov, slope, n, sigma, seed, columns=None):
+        def broken_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
             if n == 128 and seed == 101 + 5:
                 raise TypeError("synthetic draw bug")
-            return draw(cov, slope, n, sigma, seed, columns)
+            return draw(cov, slope, n, sigma, seed, columns, stream=stream)
 
         monkeypatch.setattr(harness.simulate, "draw_dataset", broken_draw)
         with pytest.raises(TypeError, match="synthetic draw bug"):
@@ -456,9 +500,9 @@ class TestRunStudy:
         # runs in a copy of the caller's context
         draw = simulate.draw_dataset
 
-        def underflowing_draw(cov, slope, n, sigma, seed, columns=None):
+        def underflowing_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
             np.multiply(1e-300, 1e-300)
-            return draw(cov, slope, n, sigma, seed, columns)
+            return draw(cov, slope, n, sigma, seed, columns, stream=stream)
 
         monkeypatch.setattr(harness.simulate, "draw_dataset", underflowing_draw)
         cfg = small_config(n_grid=(64,), replicates=4)
@@ -475,11 +519,12 @@ class TestRunStudy:
         started = []
         draw = simulate.draw_dataset
 
-        def counted_draw(cov, slope, n, sigma, seed, columns=None):
+        def counted_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
             started.append(seed)
-            return draw(cov, slope, n, sigma, seed, columns)
+            return draw(cov, slope, n, sigma, seed, columns, stream=stream)
 
-        # the fifth replicate of the first grid point
+        # the first grid point of the fifth replicate; a task draws every
+        # grid point of its replicate, so the tasks started are counted
         monkeypatch.setattr(harness.simulate, "draw_dataset", counted_draw)
         fail_replicate(monkeypatch, 64, 101 + 4, TypeError, "synthetic estimator bug")
         with pytest.raises(TypeError) as excinfo:
@@ -488,7 +533,7 @@ class TestRunStudy:
         # that refer to it
         assert threading.active_count() == before
         assert str(excinfo.value) == "synthetic estimator bug"
-        assert len(started) <= 5 + threads + 1
+        assert len(set(started)) <= 5 + threads + 1
 
     def test_sampler_warnings_reach_the_caller(self, monkeypatch, sampler_threads):
         # rotated pe with a = 1: gamma_j underflows below j = 27 < J, and
@@ -498,9 +543,9 @@ class TestRunStudy:
         on_main = []
         draw = simulate.draw_dataset
 
-        def tracked_draw(cov, slope, n, sigma, seed, columns=None):
+        def tracked_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
             on_main.append(threading.current_thread() is main)
-            return draw(cov, slope, n, sigma, seed, columns)
+            return draw(cov, slope, n, sigma, seed, columns, stream=stream)
 
         monkeypatch.setattr(harness.simulate, "draw_dataset", tracked_draw)
         with pytest.warns(sequences.UnderflowWarning):

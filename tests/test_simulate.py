@@ -361,6 +361,54 @@ class TestDrawDataset:
             draw_dataset(cov, np.zeros(cov.dim - 1), 50, 1.0, 1)
 
 
+def stream_grids(block, J):
+    """Grids of one seed's stream: sizes 7 mod 8 (255, 263, whose last row
+    blocks end in the product's remainder rows), the one-row merge at 257
+    and at the sampler's first two block edges, close sizes whose noise runs
+    past the largest size's rows (1000, 1005), and a one-size grid."""
+    rows = block_rows(J, block)
+    return [(16, 255, 257, 263, 1000, 1005),
+            (rows - 1, rows + 1, 2 * rows + 1),
+            (263,)]
+
+
+class TestGridStream:
+    @pytest.mark.parametrize("J", BLOCK_J)
+    @pytest.mark.parametrize("theta", STREAM_THETA)
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_stream_gives_the_datasets_of_independent_draws(self, monkeypatch,
+                                                           block, theta, J):
+        monkeypatch.setattr(simulate, "SAMPLE_BLOCK", block)
+        cov, slope = Covariance(PP, J, theta), make_slope(PP, J)
+        for sizes in stream_grids(block, J):
+            seed = 1000 + sizes[-1]
+            # the widest columns on a middle size: the others copy theirs
+            columns = [4 + (i % 3) for i in range(len(sizes))]
+            stream = simulate.GridStream(cov, slope, seed, sizes, max(columns))
+            for n, width in zip(sizes, columns):
+                data = draw_dataset(cov, slope, n, 0.5, seed, width, stream=stream)
+                alone = draw_dataset(cov, slope, n, 0.5, seed, width)
+                assert data.x.shape == (n, width) and data.x.flags.c_contiguous
+                assert np.array_equal(data.x, alone.x), (sizes, n)
+                assert np.array_equal(data.y, alone.y), (sizes, n)
+
+    def test_stream_hands_out_its_sizes_in_order(self):
+        cov, slope = default_cov(64), make_slope(PP, 128)
+        stream = simulate.GridStream(cov, slope, 3, (32, 64), 4)
+        with pytest.raises(ValueError, match="next size is not 64"):
+            draw_dataset(cov, slope, 64, 1.0, 3, 4, stream=stream)
+        with pytest.raises(ValueError, match="seed it was made for"):
+            draw_dataset(cov, slope, 32, 1.0, 4, 4, stream=stream)
+        with pytest.raises(ValueError, match="keeps 4 columns"):
+            draw_dataset(cov, slope, 32, 1.0, 3, 5, stream=stream)
+        draw_dataset(cov, slope, 32, 1.0, 3, 4, stream=stream)
+        draw_dataset(cov, slope, 64, 1.0, 3, 4, stream=stream)
+        with pytest.raises(ValueError, match="next size is not 64"):
+            draw_dataset(cov, slope, 64, 1.0, 3, 4, stream=stream)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            simulate.GridStream(cov, slope, 3, (64, 32), 4)
+
+
 class TestCovariance:
     def test_diagonal_matrix(self, dense):
         cov = Covariance(PP, 4)
