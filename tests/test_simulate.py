@@ -382,7 +382,8 @@ class TestGridStream:
         cov, slope = Covariance(PP, J, theta), make_slope(PP, J)
         for sizes in stream_grids(block, J):
             seed = 1000 + sizes[-1]
-            # the widest columns on a middle size: the others copy theirs
+            # sizes keep 4, 5 or 6 columns; those below the stream's 6 get
+            # copies, the others views
             columns = [4 + (i % 3) for i in range(len(sizes))]
             stream = simulate.GridStream(cov, slope, seed, sizes, max(columns))
             for n, width in zip(sizes, columns):
