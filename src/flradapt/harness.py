@@ -16,8 +16,8 @@ The grid runs replicate-major within each run of sample sizes that share J.
 Replicate ``rep`` draws every size from seed ``base_seed + rep``, so a
 smaller size's sample is a prefix of the same stream: one task per
 replicate walks the run's sizes in increasing order over one
-:class:`~flradapt.simulate.GridStream`, which draws each normal once, and
-estimates and drops each size's dataset before the next size is drawn.
+:class:`~flradapt.simulate.GridStream`, which draws each normal once, in
+one pass, and estimates and drops one size's dataset at a time.
 The grid points of a replicate therefore share their first rows, and their
 errors are positively correlated.  Tasks whose largest draw is long go to a
 ``concurrent.futures`` thread pool with one thread per usable CPU; the
@@ -63,11 +63,12 @@ _EXPECTED_FAILURES = (
 MIN_KEPT_COLUMNS = 4
 
 # a run of sizes goes to pool threads only when its replicates' largest draw
-# has this many normals (n_max * J): below it the Python work around the
-# draws, which holds the interpreter lock, outweighs the lock-free normal
-# fill, and handing the lock between threads costs more than it overlaps (on
-# a 2-vCPU VM, with one draw per task and only the draws on threads, n = 256
-# was slower, n = 500 even, n = 1000 a third faster)
+# has this many normals (n_max * J): below it a replicate is mostly Python
+# work, which holds the interpreter lock, and two threads buy no steady wall
+# time for more processor time (on a 2-vCPU VM, with a whole replicate per
+# task, small_n's 16..256 grid at 2^15 normals was faster on two threads in
+# 9 of 10 alternated rounds of one batch and 2 of 10 of the next, for 19-45 %
+# more process time)
 THREADED_MIN_NORMALS = 2 ** 16
 
 
@@ -317,9 +318,9 @@ def _run_sizes(cfg: StudyConfig, sizes: list) -> list:
     one (block, theory) pair per size.
 
     One task per replicate walks the sizes in increasing order over one
-    :class:`~flradapt.simulate.GridStream` of the replicate's seed: each
-    size's dataset is drawn, estimated and dropped before the next size's
-    rows are drawn.
+    :class:`~flradapt.simulate.GridStream` of the replicate's seed, which
+    draws every size's normals on the first call: each size's dataset is
+    estimated and dropped before the next size's is handed out.
     """
     cov = simulate.Covariance(cfg.model, simulate.default_truncation(sizes[0]), cfg.mixing)
     slope = simulate.make_slope(cfg.model, cov.dim)
@@ -327,7 +328,7 @@ def _run_sizes(cfg: StudyConfig, sizes: list) -> list:
     width = max(point.columns for point in points)
 
     def replicate(rep):
-        # each dataset dies on this thread before the next one is drawn;
+        # each dataset dies on this thread before the next one is handed out;
         # an expected failure gives its "Kind: message"
         seed = cfg.base_seed + rep
         stream = simulate.GridStream(cov, slope, seed, sizes, width)

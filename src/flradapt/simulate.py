@@ -295,19 +295,19 @@ class GridStream:
     size's rows are a prefix of a larger size's, and its noise normals are
     the raw normals of the rows right after its own or, past the largest
     size's rows, the start of the largest size's noise.  A stream draws each
-    of these normals once: :func:`draw_dataset` with ``stream=`` hands out
-    ``sizes`` in increasing order, and each call draws only the rows and the
-    noise its size still lacks, capturing a smaller size's noise from the
-    raw rows before they are scaled.
+    of these normals once, in one pass on its first :meth:`take`: the
+    largest size's rows one row block at a time, copying a smaller size's
+    noise out of the raw rows before they are scaled, then the largest
+    size's noise.  :func:`draw_dataset` with ``stream=`` then hands out
+    ``sizes`` in increasing order.
 
     The stream keeps the first ``columns`` coefficients of every row in one
     shared array, the products of the largest size's row blocks with the
-    slope, and the current row block with all J coefficients.  A row's
-    product with the slope can take other last bits in a block of another
-    shape, so the last row block of every smaller size,
-    ``_row_blocks(n, J)[-1]``, is also multiplied by the slope in its own
-    shape while its rows are in the row block.  Every dataset is then bit
-    for bit the one drawn for its size alone.
+    slope, and every size's noise.  A row's product with the slope can take
+    other last bits in a block of another shape, so the last row block of
+    every smaller size, ``_row_blocks(n, J)[-1]``, is also multiplied by the
+    slope in its own shape when its last row is drawn.  Every dataset is
+    then bit for bit the one drawn for its size alone.
     """
 
     def __init__(self, cov: Covariance, slope: np.ndarray, seed: int, sizes,
@@ -320,82 +320,50 @@ class GridStream:
         if not 1 <= columns <= cov.dim:
             raise ValueError(f"columns must lie in 1..{cov.dim}, got {columns}")
         self._handed = 0  # sizes handed out so far
-        self._rng = None  # the generator and the arrays come with the first draw
+        self._x = None  # the arrays come with the first take
 
-    def _start(self) -> None:
-        J, n_max = self.cov.dim, self.sizes[-1]
-        common = _row_blocks(n_max, J)
-        # (lo, hi, size) row ranges to multiply by the slope, in the order
-        # their last row is drawn: the largest size's blocks (size None) and
-        # each smaller size's last block where it is not one of them
-        jobs = [(lo, hi, None) for lo, hi in common]
-        shared = set(common)
-        for n in self.sizes[:-1]:
-            last = _row_blocks(n, J)[-1]
-            if last not in shared:
-                jobs.append((*last, n))
-        self._jobs = sorted(jobs, key=lambda job: job[1])
-        self._rng = np.random.default_rng(self.seed)
-        # the kept columns and the slope products of the largest size's rows
+    def _draw(self) -> None:
+        """Draw every normal of the stream and multiply its rows by the
+        slope."""
+        cov, slope, J = self.cov, self.slope, self.cov.dim
+        n_max, smaller = self.sizes[-1], self.sizes[:-1]
+        rng = np.random.default_rng(self.seed)
+        blocks = _row_blocks(n_max, J)
         self._x, self._signal = np.empty((n_max, self.columns)), np.empty(n_max)
-        # the rows [base, rows) with all J coefficients.  A job spans at most
-        # one block and one row, and every pending job starts at or after
-        # base, so shifting out the rows before the pending jobs' first one
-        # always leaves room for the next job
-        self._block = np.empty((max(hi - lo for lo, hi, _ in jobs), J))
-        self._base = self._rows = self._job = 0
+        self._noise = {n: np.empty(n) for n in smaller}
         self._own = {}  # smaller size -> products of its last row block
-        self._noise = {}  # size -> its noise normals, filled as drawn
-        self._tail = 0  # normals drawn past the largest size's rows
-
-    def _noise_of(self, n: int) -> np.ndarray:
-        noise = self._noise.get(n)
-        if noise is None:
-            noise = self._noise[n] = np.empty(n)
-        return noise
-
-    def _capture(self, first: int, rows: np.ndarray) -> None:
-        """Copy the raw normals of ``rows``, stream positions first.., that
-        are noise of a smaller size not yet handed out."""
-        J = self.cov.dim
-        flat = rows.reshape(-1)
-        stop = first + len(flat)
-        for n in self.sizes[self._handed:-1]:
-            lo = n * J
-            if lo >= stop:
-                break
-            a, b = max(first, lo), min(stop, lo + n)
-            if a < b:
-                self._noise_of(n)[a - lo:b - lo] = flat[a - first:b - first]
-
-    def _draw_rows(self, stop: int) -> None:
-        """Draw the rows up to ``stop``: fill, capture noise, scale, rotate,
-        keep their columns, and multiply every finished job by the slope."""
-        block, jobs = self._block, self._jobs
-        while self._rows < stop:
-            start = self._rows
-            end = min(stop, jobs[self._job][1])
-            if end - self._base > len(block):
-                keep = min(lo for lo, _, _ in jobs[self._job:])
-                block[:start - keep] = block[keep - self._base:start - self._base]
-                self._base = keep
-            rows = block[start - self._base:end - self._base]
-            self._rng.standard_normal(out=rows)
-            self._capture(start * self.cov.dim, rows)
-            rows *= self.cov.sampling_scale
-            self.cov.rotate(rows)
-            self._x[start:end] = rows[:, :self.columns]
-            self._rows = end
-            while self._job < len(jobs) and jobs[self._job][1] == end:
-                lo, hi, size = jobs[self._job]
-                product = block[lo - self._base:hi - self._base] @ self.slope
-                if size is None:
-                    self._signal[lo:hi] = product
-                else:
-                    self._own[size] = product
-                self._job += 1
-        if self._job == len(jobs):
-            self._block = None
+        lasts = [(n, *_row_blocks(n, J)[-1]) for n in smaller]
+        carried = {}  # smaller size -> its last row block, filled so far
+        buffer = np.empty((max(hi - lo for lo, hi in blocks), J))
+        for lo, hi in blocks:
+            block = buffer[:hi - lo]
+            rng.standard_normal(out=block)
+            raw = block.reshape(-1)
+            for n in smaller:  # noise at stream positions n * J .. n * J + n
+                a, b = max(lo * J, n * J), min(hi * J, n * J + n)
+                if a < b:
+                    self._noise[n][a - n * J:b - n * J] = raw[a - lo * J:b - lo * J]
+            block *= cov.sampling_scale
+            cov.rotate(block)
+            self._x[lo:hi] = block[:, :self.columns]
+            self._signal[lo:hi] = block @ slope
+            for n, first, last in lasts:
+                if first < hi < last:  # a one-row merge: it ends in the next block
+                    carried[n] = np.empty((last - first, J))
+                    carried[n][:hi - first] = block[first - lo:]
+                elif lo < last <= hi and first < lo:
+                    carried[n][lo - first:] = block[:last - lo]
+                    self._own[n] = carried.pop(n) @ slope
+                elif lo < last <= hi:
+                    self._own[n] = block[first - lo:last - lo] @ slope
+        # free the row block first, so that a stream never holds it and the
+        # largest size's noise at once
+        del buffer, block, raw
+        noise = self._noise[n_max] = rng.standard_normal(n_max)
+        for n in smaller:
+            past = n * J + n - n_max * J  # noise normals past the rows
+            if past > 0:
+                self._noise[n][n - past:] = noise[:past]
 
     def take(self, cov: Covariance, slope: np.ndarray, n: int, sigma: float,
              seed: int, columns: int) -> tuple:
@@ -406,18 +374,10 @@ class GridStream:
             raise ValueError(f"the stream's next size is not {n}")
         if columns > self.columns:
             raise ValueError(f"the stream keeps {self.columns} columns, not {columns}")
-        if self._rng is None:
-            self._start()
-        J, n_max = cov.dim, self.sizes[-1]
-        self._draw_rows(min(n_max, n + -(-n // J)))
-        past = n * J + n - n_max * J  # noise normals past the largest size's rows
-        if past > self._tail:
-            self._rng.standard_normal(out=self._noise_of(n_max)[self._tail:past])
-            self._tail = past
+        if self._x is None:
+            self._draw()
         # y is sigma * noise + the slope products, formed in the noise array
         y = self._noise.pop(n)
-        if 0 < past and n < n_max:
-            y[n - past:] = self._noise[n_max][:past]
         y *= sigma
         own = self._own.pop(n, None)
         cut = n if own is None else n - len(own)
@@ -446,9 +406,9 @@ def draw_dataset(cov: Covariance, slope: np.ndarray, n: int, sigma: float,
     ``columns`` coefficients: x is n x columns, y still sees all J.
 
     ``stream`` is a :class:`GridStream` of ``seed`` whose next size is n: the
-    call then draws only what the stream's smaller sizes have not drawn
-    yet, and returns the same dataset.  Without it the call is the one-size
-    stream.
+    call then hands out that size from the stream, which draws all its
+    sizes at once on its first call, and returns the same dataset.  Without
+    it the call is the one-size stream.
     """
     check_int(n, "n", 1)
     check_sigma(sigma)

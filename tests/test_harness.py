@@ -374,11 +374,11 @@ class TestRunStudy:
     def test_threaded_grid_peaks_at_one_stream_per_thread(self, monkeypatch):
         # a rotated 500..8000 grid on two pool threads: a thread walks one
         # replicate's sizes over one stream, which holds the kept columns and
-        # responses of the largest size and one row block, and it holds one
-        # size's dataset at a time; the budget is the one-point test's above
-        # plus the smaller sizes' noise vectors, which the stream fills from
-        # rows drawn ahead.  Every size's dataset at once would be about
-        # 0.43 MiB more per thread
+        # responses of the largest size and, while it draws, one row block,
+        # and it holds one size's dataset at a time; the budget is the
+        # one-point test's above plus the smaller sizes' noise vectors, which
+        # the stream copies out of its rows as it draws them.  Every size's
+        # dataset at once would be about 0.43 MiB more per thread
         threads, sizes = 2, (500, 1000, 2000, 4000, 8000)
         monkeypatch.setattr(harness, "_sampler_threads", lambda: threads)
         cfg = small_config(n_grid=sizes, replicates=6, mixing=0.3)

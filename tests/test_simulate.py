@@ -393,6 +393,56 @@ class TestGridStream:
                 assert np.array_equal(data.x, alone.x), (sizes, n)
                 assert np.array_equal(data.y, alone.y), (sizes, n)
 
+    def test_merged_last_block_is_multiplied_in_its_own_shape(self):
+        # a size one row past a block edge ends in a merged block that
+        # starts in the largest size's first row block and ends in its
+        # second.  The last row's product there differs from the one in the
+        # second block for a few seeds, so the stream carries the block's
+        # rows over; the seeds must include such a one
+        J = 129
+        rows = block_rows(J, simulate.SAMPLE_BLOCK)
+        cov, slope = Covariance(PP, J, 0.0), make_slope(PP, J)
+        sizes, differ = (rows + 1, 2 * rows), 0
+        for seed in range(200):
+            stream = simulate.GridStream(cov, slope, seed, sizes, 4)
+            data = draw_dataset(cov, slope, rows + 1, 0.0, seed, 4, stream=stream)
+            alone = draw_dataset(cov, slope, rows + 1, 0.0, seed, 4)
+            assert np.array_equal(data.y, alone.y), seed
+            largest = draw_dataset(cov, slope, 2 * rows, 0.0, seed, 4, stream=stream)
+            differ += not np.array_equal(largest.y[:rows + 1], alone.y)
+        assert differ > 0
+
+    @pytest.mark.parametrize("theta", STREAM_THETA)
+    def test_stream_draws_each_normal_once(self, monkeypatch, theta):
+        # a grid costs the normals of its largest size's sample, and one
+        # size drawn alone those of its own sample
+        default_rng, generators = np.random.default_rng, []
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng, self.normals = default_rng(seed), 0
+                generators.append(self)
+
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                drawn = self.rng.standard_normal(size, dtype, out)
+                self.normals += np.size(drawn)
+                return drawn
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        J = 128
+        cov, slope = Covariance(PP, J, theta), make_slope(PP, J)
+        for sizes in [(500, 1000, 2000, 4000, 8000),
+                      *stream_grids(simulate.SAMPLE_BLOCK, J)]:
+            generators.clear()
+            stream = simulate.GridStream(cov, slope, 5, sizes, 6)
+            for n in sizes:
+                draw_dataset(cov, slope, n, 1.0, 5, 6, stream=stream)
+            assert [g.normals for g in generators] == [sizes[-1] * J + sizes[-1]], sizes
+        for n in (17, 500, 8003):
+            generators.clear()
+            draw_dataset(cov, slope, n, 1.0, 5)
+            assert [g.normals for g in generators] == [n * J + n], n
+
     def test_stream_hands_out_its_sizes_in_order(self):
         cov, slope = default_cov(64), make_slope(PP, 128)
         stream = simulate.GridStream(cov, slope, 3, (32, 64), 4)
