@@ -43,7 +43,6 @@ from .adaptive import (
     select,
     adaptive_estimate,
     check_selection_bound,
-    selection_bound_suite,
 )
 from .oracle import (
     RateDescriptor,

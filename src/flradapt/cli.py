@@ -3,16 +3,15 @@
 Subcommands: ``simulate`` writes a dataset CSV, ``estimate`` reads one and
 prints the selection result as JSON, ``mc-study`` runs a Monte Carlo study
 and writes its report files, ``rates`` prints the theoretical risk curve and
-closed-form rate orders, ``check-lemma`` runs the randomized suite for the
-deterministic selection error bound.
+closed-form rate orders.
 
 Configuration comes from an optional YAML file (sections ``model``,
 ``functional``, ``simulate``, ``study``, ``output``); every flag overrides
 the matching config key, and an unknown section or key is a config error.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure,
-3 property-check violation.  Errors print one machine-parsable line on
-stderr: ``error: <category>: <detail>``.
+Exit codes: 0 success, 1 usage or configuration error, 2 numerical failure.
+Errors print one machine-parsable line on stderr: ``error: <category>:
+<detail>``.
 """
 from __future__ import annotations
 
@@ -31,7 +30,6 @@ from ._util import check_int
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
-EXIT_PROPERTY = 3
 
 
 class ConfigError(Exception):
@@ -301,23 +299,6 @@ def _cmd_rates(args):
     return EXIT_OK
 
 
-def _cmd_check_lemma(args):
-    result = adaptive.selection_bound_suite(args.instances, args.seed)
-    print(
-        f"selection error bound: {result.instances} instances, "
-        f"{result.violations} violations"
-    )
-    if not result.passed:
-        first = result.first_violation
-        print(
-            f"error: property: bound violated at m={first.witness} "
-            f"(lhs={first.lhs!r} rhs={first.rhs_at_witness!r})",
-            file=sys.stderr,
-        )
-        return EXIT_PROPERTY
-    return EXIT_OK
-
-
 def _add_model_flags(sub):
     sub.add_argument("--regime", choices=[r.value for r in sequences.Regime])
     sub.add_argument("--p", type=float)
@@ -369,11 +350,6 @@ def build_parser():
     rates.add_argument("--n", type=int)
     rates.add_argument("--m-search", dest="m_search", type=int)
     rates.set_defaults(func=_cmd_rates)
-
-    lemma = subs.add_parser("check-lemma", help="randomized suite for the selection error bound")
-    lemma.add_argument("--instances", type=int, default=10000)
-    lemma.add_argument("--seed", type=int, default=0)
-    lemma.set_defaults(func=_cmd_check_lemma)
     return parser
 
 

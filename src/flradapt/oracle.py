@@ -208,13 +208,6 @@ class RateDescriptor:
     log_exponent: float = 0.0
     loglog_exponent: float = 0.0
 
-    def evaluate(self, n: float) -> float:
-        log_n = math.log(n)
-        out = n ** self.n_exponent * log_n ** self.log_exponent
-        if self.loglog_exponent:
-            out *= math.log(log_n) ** self.loglog_exponent
-        return out
-
     def label(self) -> str:
         parts = []
         if self.n_exponent:

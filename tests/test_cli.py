@@ -373,24 +373,12 @@ class TestRates:
             assert doc[key] == row[key], key
 
 
-class TestCheckLemma:
-    def test_default_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "check-lemma", "--instances", "2000", "--seed", "7")
-        assert code == 0
-        assert "0 violations" in out
-
-    @pytest.mark.parametrize("count", ["0", "-5"])
-    def test_nonpositive_instance_count_is_a_usage_error(self, capsys, count):
-        code, out, err = run(capsys, "check-lemma", "--instances", count)
-        assert code == 1 and out == ""
-        assert err == f"error: usage: instances must be >= 1, got {count}\n"
-
-
 class TestParserErrors:
     @pytest.mark.parametrize("argv, detail", [
         (("simulate", "--n", "2.5"), "flradapt simulate: argument --n: invalid int value: '2.5'"),
         (("bogus",), "argument command: invalid choice: 'bogus'"),
         (("rates", "--bogus", "1"), "unrecognized arguments: --bogus 1"),
+        (("check-lemma",), "argument command: invalid choice: 'check-lemma'"),
     ])
     def test_parser_error_is_one_usage_line(self, capsys, argv, detail):
         code, out, err = run(capsys, *argv)
