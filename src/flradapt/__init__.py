@@ -50,7 +50,6 @@ from .oracle import (
     RegimeConditionError,
     minimax_dimension,
     rate_exponent,
-    check_link_bounds,
 )
 from .harness import (
     StudyConfig,

@@ -1,5 +1,5 @@
 """Theoretical quantities: risk curves, optimal dimensions, closed-form rate
-orders, theoretical penalties, and bound checks for the population covariance.
+orders and theoretical penalties.
 
 The central object is the risk functional
 
@@ -224,41 +224,6 @@ def _require(condition: bool, description: str) -> None:
         raise RegimeConditionError(f"rate formula requires {description}")
 
 
-def rate_order(model, s: float, mode: str) -> RateDescriptor:
-    """Closed-form risk order for squared coefficients of order j^(-2s).
-
-    Implements every branch of the comparison between s - a and 1/2; the
-    three named functional families reach only the first branch under their
-    own parameter conditions, but the descriptor is defined for all s.
-    """
-    if mode not in ("minimax", "adaptive"):
-        raise ValueError(f"mode must be 'minimax' or 'adaptive', got {mode!r}")
-    p, a = model.p, model.a
-    regime = model.regime
-    delta = s - a
-    if regime is sequences.Regime.PE:
-        return RateDescriptor(0.0, -(2 * p + 2 * s - 1) / (2 * a), 0.0)
-    if regime is sequences.Regime.PP:
-        if delta < 0.5:
-            e = (2 * p + 2 * s - 1) / (2 * p + 2 * a)
-            if mode == "minimax":
-                return RateDescriptor(-e, 0.0, 0.0)
-            return RateDescriptor(-e, e, 0.0)
-        if delta == 0.5:
-            return RateDescriptor(-1.0, 1.0 if mode == "minimax" else 2.0, 0.0)
-        return RateDescriptor(-1.0, 0.0 if mode == "minimax" else 1.0, 0.0)
-    # exponential regularity weights
-    if delta < 0.5:
-        if mode == "minimax":
-            return RateDescriptor(-1.0, (2 * a - 2 * s + 1) / (2 * p), 0.0)
-        return RateDescriptor(-1.0, (2 * p + 2 * a - 2 * s + 1) / (2 * p), 0.0)
-    if delta == 0.5:
-        if mode == "minimax":
-            return RateDescriptor(-1.0, 0.0, 1.0)
-        return RateDescriptor(-1.0, 1.0, 1.0)
-    return RateDescriptor(-1.0, 0.0 if mode == "minimax" else 1.0, 0.0)
-
-
 def rate_exponent(model, spec, mode: str) -> RateDescriptor:
     """Closed-form order of the attainable risk for one functional family.
 
@@ -287,64 +252,15 @@ def rate_exponent(model, spec, mode: str) -> RateDescriptor:
     elif isinstance(spec, functionals.LocalAverage):
         if regime is sequences.Regime.PP:
             _require(p + a > 1.5, "p + a > 3/2 (local average, pp)")
-    return rate_order(model, s, mode)
-
-
-@dataclass(frozen=True, eq=False)
-class LinkBoundsReport:
-    """Sanity bounds tying covariance blocks to the eigenvalue weights.
-
-    For any covariance in the class with link constant d, the products
-    gamma_m * ||Gamma_m^-1|| and the ratios V_m / V_m^gamma must lie in
-    [1/d, 4 d^3]; the diagonal construction gives exactly 1.
-    """
-
-    d: float
-    lower: float
-    upper: float
-    gamma_inv_norm: np.ndarray
-    v_ratio: np.ndarray
-
-    @property
-    def ok(self) -> bool:
-        vals = np.concatenate([self.gamma_inv_norm, self.v_ratio])
-        return bool(np.all(vals >= self.lower) and np.all(vals <= self.upper))
-
-
-def check_link_bounds(cov, spec, m_max: int) -> LinkBoundsReport:
-    """Verify the weight/inverse-norm link bounds of ``cov`` for
-    m = 1..m_max.
-
-    The smallest eigenvalue and the quadratic form l_m' Gamma_m^-1 l_m of
-    each leading block come in closed form from
-    ``Covariance.leading_min_eigenvalues`` and
-    ``Covariance.leading_quadratic_forms``: a numerical eigensolver or solve
-    loses them once the weights span hundreds of decades (rotated ``pe``,
-    a = 1).  Raises ValueError when some gamma_j with j <= m_max is clamped
-    to the smallest normal double: past that index the products and the
-    quadratic forms no longer describe the model.
-    """
-    if cov.dim < m_max:
-        raise ValueError(f"m_max = {m_max} exceeds the covariance dim {cov.dim}")
-    # the weights of exactly 1..m_max: an index past m_max may underflow
-    gam = sequences.gamma_array(cov.model, m_max)
-    clamped = np.flatnonzero(gam == sequences.MIN_NORMAL)
-    if len(clamped):
-        first = int(clamped[0]) + 1
-        raise ValueError(
-            f"gamma_j is clamped to the smallest normal double from j = {first}; "
-            f"link bounds need m_max <= {first - 1}, got {m_max}"
-        )
-    ell = functionals.coefficients(spec, m_max)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_gamma = np.cumsum(np.where(ell == 0.0, 0.0, ell ** 2 / gam))
-    gamma_inv_norm = gam / cov.leading_min_eigenvalues(m_max)
-    # diagonal blocks: the quadratic form equals the weighted prefix sum term
-    # for term, so the ratio is one identically
-    v_ratio = np.ones(m_max)
-    if not cov.is_diagonal:
-        v = np.maximum.accumulate(cov.leading_quadratic_forms(ell))
-        np.divide(v, v_gamma, out=v_ratio, where=v_gamma > 0)
-    d = cov.effective_d()
-    return LinkBoundsReport(d=d, lower=1.0 / d, upper=4.0 * d ** 3,
-                            gamma_inv_norm=gamma_inv_norm, v_ratio=v_ratio)
+    if mode not in ("minimax", "adaptive"):
+        raise ValueError(f"mode must be 'minimax' or 'adaptive', got {mode!r}")
+    # s <= 1 for the three families and pp and ep need a > 1/2, so s - a < 1/2:
+    # the orders of s - a >= 1/2 never arise
+    if regime is sequences.Regime.PE:
+        return RateDescriptor(0.0, -(2 * p + 2 * s - 1) / (2 * a), 0.0)
+    if regime is sequences.Regime.PP:
+        e = (2 * p + 2 * s - 1) / (2 * p + 2 * a)
+        return RateDescriptor(-e, 0.0 if mode == "minimax" else e, 0.0)
+    if mode == "minimax":
+        return RateDescriptor(-1.0, (2 * a - 2 * s + 1) / (2 * p), 0.0)
+    return RateDescriptor(-1.0, (2 * p + 2 * a - 2 * s + 1) / (2 * p), 0.0)

@@ -58,8 +58,8 @@ class SequenceModel:
         Radius of the slope ellipsoid, r > 0.
 
     The link constant between the covariance and the eigenvalue weights is
-    not a model parameter: ``simulate.Covariance.effective_d`` computes it
-    from the covariance construction.
+    not a model parameter: it follows from the covariance construction,
+    ``simulate.Covariance``.
     """
 
     regime: Regime

@@ -7,10 +7,9 @@ coefficient pairs produces a non-diagonal covariance with the same spectrum.
 That rotation is one rule in :class:`Covariance`, the one description of
 the population's regressors: :func:`draw_dataset` samples from it (J is
 ``cov.dim``) and applies the rotation to the drawn rows in place, and the
-oracle reads its population quantities from ``Covariance.apply``,
-``effective_d``, ``leading_min_eigenvalues`` and ``leading_quadratic_forms``,
-which take products, eigenvalues and quadratic forms pair by pair in closed
-form, with no dense J x J matrix.  Responses follow
+oracle reads its population quantities from ``Covariance.apply`` and
+``leading_quadratic_forms``, which take products and quadratic forms pair by
+pair in closed form, with no dense J x J matrix.  Responses follow
 y_i = <slope, x_i> + sigma * eps_i with independent standard normal noise.
 A :class:`GridStream` hands :func:`draw_dataset` the samples of one seed at
 several sample sizes, drawing each normal once for all of them.
@@ -130,34 +129,16 @@ class Covariance:
         edge[:len(cut)] = cut
         return edge
 
-    def leading_min_eigenvalues(self, m_max: int) -> np.ndarray:
-        """Smallest eigenvalue of each leading m x m block of the
-        covariance, m = 1..m_max, in closed form.
-
-        A leading block is block-diagonal: each complete rotated pair keeps
-        its two weights gamma_{2k-1}, gamma_{2k} as eigenvalues, and an odd
-        block adds the one diagonal entry at its edge (:meth:`_edge_entries`).
-        """
-        if not 1 <= m_max <= self.dim:
-            raise ValueError(f"m_max must lie in 1..{self.dim}, got {m_max}")
-        lam = self.eigenvalues()
-        lam_min = np.minimum.accumulate(lam[:m_max])
-        edge = self._edge_entries(lam, m_max)
-        # the smallest weight of the complete pairs ahead of each odd block
-        whole = np.concatenate(([np.inf], lam_min[1:2 * len(edge) - 1:2]))
-        lam_min[0::2] = np.minimum(whole, edge)
-        return lam_min
-
     def leading_quadratic_forms(self, vec: np.ndarray) -> np.ndarray:
         """vec_m' Gamma_m^-1 vec_m over the leading m x m blocks of the
         covariance, m = 1..len(vec), in closed form.
 
-        With the block structure of :meth:`leading_min_eigenvalues`, a
-        complete pair adds (c v_{2k-1} + s v_{2k})^2 / gamma_{2k-1} +
+        A leading block is block-diagonal: a complete rotated pair adds
+        (c v_{2k-1} + s v_{2k})^2 / gamma_{2k-1} +
         (c v_{2k} - s v_{2k-1})^2 / gamma_{2k}, and an odd block m adds
-        v_m^2 over its edge entry.  Every term is non-negative, so no solve
-        loses the form when the weights span hundreds of decades (rotated
-        ``pe``, a = 1).
+        v_m^2 over the diagonal entry at its edge (:meth:`_edge_entries`).
+        Every term is non-negative, so no solve loses the form when the
+        weights span hundreds of decades (rotated ``pe``, a = 1).
         """
         vec = np.asarray(vec, dtype=float)
         m_max = len(vec)
@@ -201,28 +182,6 @@ class Covariance:
         blocks[:, 1, 1] = s * s * w1 + c * c * w2
         blocks[:, 0, 1] = blocks[:, 1, 0] = c * s * (w1 - w2)
         return blocks
-
-    def effective_d(self) -> float:
-        """Smallest link constant for which the quadratic-form sandwich
-        d^-2 ||h||^2_{gamma^2} <= ||T h||^2 <= d^2 ||h||^2_{gamma^2} holds.
-
-        Per rotated pair, with w = gamma^2 and B its rotated block, the
-        eigenvalues of diag(w)^-1 B are mu and 1/mu (the determinant is 1)
-        and their sum is t = 2 c^2 + s^2 (rho + 1/rho), rho = w_{2k-1} / w_{2k},
-        so mu_max = t/2 + sqrt(t^2/4 - 1).  rho comes from the log weights,
-        so no weight underflows; 1 for the diagonal construction.
-        """
-        if self.is_diagonal or self.dim < 2:
-            return 1.0
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        first, second = self._pairs(sequences.log_gamma_array(self.model, self.dim))
-        log_rho = 2.0 * (first - second)
-        with np.errstate(over="ignore"):
-            half_t = c * c + s * s * np.cosh(log_rho)
-        # t/2 >= 1 exactly; the clamp keeps a rounded c^2 + s^2 < 1 from a
-        # NaN, and two square roots keep t^2 from overflowing
-        mu_max = half_t + np.sqrt(np.maximum(half_t - 1.0, 0.0)) * np.sqrt(half_t + 1.0)
-        return float(max(1.0, math.sqrt(mu_max.max())))
 
 
 @dataclass(eq=False)

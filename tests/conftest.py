@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,15 @@ def dense_covariance_matrix(cov):
     pair = np.arange(0, 2 * (cov.dim // 2), 2)[:, None, None]
     mat[pair + [[0], [1]], pair + [[0, 1]]] = cov.pair_blocks(lam)
     return mat
+
+
+def effective_d_reference(cov):
+    """Link constant from the numerical eigenvalues of diag(w)^-1 B for each
+    rotated block B of diag(gamma^2), w = gamma^2."""
+    lam2 = cov.eigenvalues() ** 2
+    w = np.stack([lam2[0:2 * (cov.dim // 2):2], lam2[1:2 * (cov.dim // 2):2]], axis=-1)
+    mu = np.linalg.eigvals(cov.pair_blocks(lam2) / w[..., None]).real
+    return float(max(1.0, math.sqrt(max(mu.max(), 1.0 / mu.min()))))
 
 
 @pytest.fixture

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from flradapt import adaptive, estimator, functionals, harness, oracle, sequences, simulate
+from flradapt import adaptive, estimator, functionals, harness, sequences, simulate
 from flradapt.functionals import DerivativeEval, LocalAverage, PointEval
 from flradapt.sequences import Regime, SequenceModel
+
+from conftest import dense_covariance_matrix, effective_d_reference
 
 PP_UNIT = SequenceModel(regime=Regime.PP, p=1.0, a=1.0)
 # signal level for the rate study: with the unit radius the pinned n-grid sits
@@ -154,15 +156,36 @@ def test_criterion_5_diagonal_closed_forms():
     )
 
 
+def link_bounds(cov, spec):
+    """The link constant d of ``cov``, the products gamma_m / lambda_min(Gamma_m)
+    and the ratios V_m / V_m^gamma for m = 1..dim, from the dense covariance:
+    V_m is the running maximum of l_m' Gamma_m^-1 l_m and V_m^gamma the sum
+    of l_j^2 / gamma_j over j <= m."""
+    mat = dense_covariance_matrix(cov)
+    gam = cov.eigenvalues()
+    ell = functionals.coefficients(spec, cov.dim)
+    blocks = range(1, cov.dim + 1)
+    products = gam / [np.linalg.eigvalsh(mat[:m, :m])[0] for m in blocks]
+    v = np.maximum.accumulate(
+        [ell[:m] @ np.linalg.solve(mat[:m, :m], ell[:m]) for m in blocks])
+    return effective_d_reference(cov), products, v / np.cumsum(ell ** 2 / gam)
+
+
 def test_criterion_6_link_bounds():
-    diag = oracle.check_link_bounds(simulate.Covariance(PP_UNIT, 32), POINT, 32)
-    diag_exact = bool(np.all(diag.gamma_inv_norm == 1.0))
-    rot_cov = simulate.Covariance(PP_UNIT, 32, theta=0.6)
-    rot = oracle.check_link_bounds(rot_cov, POINT, 32)
-    ok = diag_exact and diag.ok and rot.ok and rot.d > 1.0
+    # every covariance of the class with link constant d has its products and
+    # ratios in [1/d, 4 d^3]; the diagonal construction has d = 1 and
+    # products exactly 1
+    d, products, ratios = link_bounds(simulate.Covariance(PP_UNIT, 32), POINT)
+    ok = d == 1.0 and bool(np.all(products == 1.0)) and np.allclose(ratios, 1.0, rtol=1e-12)
+    details = []
+    for theta in (0.6, math.pi / 2):
+        d, products, ratios = link_bounds(simulate.Covariance(PP_UNIT, 32, theta), POINT)
+        values = np.concatenate([products, ratios])
+        ok = ok and d > 1.0 and bool(np.all((values >= 1.0 / d) & (values <= 4.0 * d ** 3)))
+        details.append(f"d {d:.3f} at theta {theta:.3f}")
     assert verdict(
         6, "weight/inverse-norm link bounds (diagonal exact, rotated within [1/d, 4d^3])",
-        ok, f"rotated d {rot.d:.3f}",
+        ok, ", ".join(details),
     )
 
 

@@ -8,7 +8,6 @@ from flradapt import functionals, oracle, sequences, simulate
 from flradapt.functionals import Custom, DerivativeEval, LocalAverage, PointEval
 from flradapt.oracle import (
     RateDescriptor,
-    check_link_bounds,
     minimax_dimension,
     rate_exponent,
     risk_curve,
@@ -20,6 +19,9 @@ from flradapt.simulate import Covariance
 PP = SequenceModel(regime=Regime.PP, p=1.0, a=1.0)
 PE = SequenceModel(regime=Regime.PE, p=1.0, a=0.5)
 EP = SequenceModel(regime=Regime.EP, p=0.5, a=1.0)
+
+PE_2 = SequenceModel(regime=Regime.PE, p=2.0, a=1.0)
+EP_2 = SequenceModel(regime=Regime.EP, p=2.0, a=1.0)
 
 E1 = Custom(coeffs=(1.0,))
 
@@ -304,9 +306,9 @@ class TestTheoreticalPenalty:
         assert sigma_m_sq == pytest.approx(2 * (sig_y2 + quad), rel=1e-12)
 
     def test_steep_rotated_weights_give_exact_population_v(self):
-        # the 700-digit ratios of the link-bounds test below, from the same
-        # closed form; a solve over the whole leading block read 0.539,
-        # 0.539, 8.8e-3, 5.9e-21, 6.5e-6
+        # the 700-digit ratios of the quadratic-form test in test_simulate.py,
+        # from the same closed form; a solve over the whole leading block
+        # read 0.539, 0.539, 8.8e-3, 5.9e-21, 6.5e-6
         pe = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
         spec = PointEval(t0=0.3)
         slope = simulate.make_slope(pe, 26)
@@ -339,35 +341,31 @@ class TestRateExponent:
         assert rate_exponent(PE, PointEval(t0=0.3), "minimax") == want
         assert rate_exponent(PE, PointEval(t0=0.3), "adaptive") == want
 
-    def test_pp_local_average(self):
-        desc = rate_exponent(PP, LocalAverage(b=0.5), "minimax")
-        assert desc == RateDescriptor(-(2 + 1) / 4, 0.0, 0.0)
-        desc = rate_exponent(PP, LocalAverage(b=0.5), "adaptive")
-        assert desc == RateDescriptor(-0.75, 0.75, 0.0)
+    # pe and ep with p = 2, a = 1: the labels of ``flradapt rates``
+    @pytest.mark.parametrize("model, minimax, adaptive", [
+        (PP, RateDescriptor(-(2 + 1) / 4, 0.0, 0.0), RateDescriptor(-0.75, 0.75, 0.0)),
+        (PE_2, RateDescriptor(0.0, -2.5, 0.0), RateDescriptor(0.0, -2.5, 0.0)),
+        (EP_2, RateDescriptor(-1.0, 0.25, 0.0), RateDescriptor(-1.0, 1.25, 0.0)),
+    ], ids=["pp", "pe", "ep"])
+    def test_local_average(self, model, minimax, adaptive):
+        assert rate_exponent(model, LocalAverage(b=0.5), "minimax") == minimax
+        assert rate_exponent(model, LocalAverage(b=0.5), "adaptive") == adaptive
 
-    def test_pp_derivative(self):
-        model = SequenceModel(regime=Regime.PP, p=2.0, a=1.0)
-        desc = rate_exponent(model, DerivativeEval(t0=0.3, q=1), "minimax")
-        assert desc == RateDescriptor(-(4 - 2 - 1) / 6, 0.0, 0.0)
+    @pytest.mark.parametrize("model, minimax, adaptive", [
+        (SequenceModel(regime=Regime.PP, p=2.0, a=1.0),
+         RateDescriptor(-(4 - 2 - 1) / 6, 0.0, 0.0), RateDescriptor(-1 / 6, 1 / 6, 0.0)),
+        (PE_2, RateDescriptor(0.0, -0.5, 0.0), RateDescriptor(0.0, -0.5, 0.0)),
+        (EP_2, RateDescriptor(-1.0, 1.25, 0.0), RateDescriptor(-1.0, 2.25, 0.0)),
+    ], ids=["pp", "pe", "ep"])
+    def test_derivative(self, model, minimax, adaptive):
+        assert rate_exponent(model, DerivativeEval(t0=0.3, q=1), "minimax") == minimax
+        assert rate_exponent(model, DerivativeEval(t0=0.3, q=1), "adaptive") == adaptive
 
     def test_ep_point_eval(self):
         desc = rate_exponent(EP, PointEval(t0=0.3), "minimax")
         assert desc == RateDescriptor(-1.0, (2 * 1.0 + 1) / (2 * 0.5), 0.0)
         desc = rate_exponent(EP, PointEval(t0=0.3), "adaptive")
         assert desc == RateDescriptor(-1.0, (2 * 0.5 + 2 * 1.0 + 1) / (2 * 0.5), 0.0)
-
-    def test_boundary_branches_on_decay_exponent(self):
-        # the named families only reach s - a < 1/2 under their conditions;
-        # the boundary and fast branches are exposed through the raw order
-        boundary = oracle.rate_order(PP, s=1.5, mode="minimax")  # s - a = 1/2
-        assert boundary == RateDescriptor(-1.0, 1.0, 0.0)
-        assert oracle.rate_order(PP, s=1.5, mode="adaptive") == RateDescriptor(-1.0, 2.0, 0.0)
-        fast = oracle.rate_order(PP, s=3.0, mode="minimax")  # s - a > 1/2
-        assert fast == RateDescriptor(-1.0, 0.0, 0.0)
-        assert oracle.rate_order(PP, s=3.0, mode="adaptive") == RateDescriptor(-1.0, 1.0, 0.0)
-        assert oracle.rate_order(EP, s=1.5, mode="minimax") == RateDescriptor(-1.0, 0.0, 1.0)
-        assert oracle.rate_order(EP, s=1.5, mode="adaptive") == RateDescriptor(-1.0, 1.0, 1.0)
-        assert oracle.rate_order(EP, s=3.0, mode="adaptive") == RateDescriptor(-1.0, 1.0, 0.0)
 
     def test_out_of_regime_rejected_with_named_condition(self):
         small_p = SequenceModel(regime=Regime.PP, p=0.4, a=1.5)
@@ -403,105 +401,6 @@ class TestSideCondition:
         assert got == pytest.approx(want, rel=1e-12)
 
 
-class TestLinkBounds:
-    def test_m_max_beyond_covariance_rejected(self):
-        with pytest.raises(ValueError, match="m_max"):
-            check_link_bounds(Covariance(PP, 7, 0.3), PointEval(t0=0.3), 8)
-
-    def test_diagonal_products_exactly_one(self):
-        report = check_link_bounds(Covariance(PP, 32), PointEval(t0=0.3), 32)
-        assert np.all(report.gamma_inv_norm == 1.0)
-        assert np.all(report.v_ratio == 1.0)
-        assert report.d == 1.0 and report.ok
-
-    def test_unit_coordinate_diagonal(self):
-        report = check_link_bounds(Covariance(PP, 8), E1, 8)
-        assert np.all(report.v_ratio == 1.0)
-
-    def test_rotated_construction_within_bounds(self):
-        cov = Covariance(PP, 32, theta=0.6)
-        report = check_link_bounds(cov, PointEval(t0=0.3), 32)
-        assert report.d > 1.0
-        assert report.ok
-
-    def test_quarter_turn_within_bounds(self):
-        cov = Covariance(PP, 16, theta=math.pi / 2)
-        report = check_link_bounds(cov, PointEval(t0=0.3), 16)
-        assert report.ok
-
-    @pytest.mark.parametrize("theta", [0.3, 0.7])
-    @pytest.mark.parametrize("dim", [16, 32])
-    def test_closed_form_minimum_eigenvalues_match_eigvalsh(self, dim, theta, dense):
-        cov = Covariance(PP, dim, theta)
-        mat = dense(cov)
-        want = [np.linalg.eigvalsh(mat[:m, :m])[0] for m in range(1, dim + 1)]
-        np.testing.assert_allclose(cov.leading_min_eigenvalues(dim), want, rtol=1e-12)
-        # a leading block of odd size 15 < dim cuts the pair (15, 16)
-        report = check_link_bounds(cov, PointEval(t0=0.3), dim)
-        assert np.all(report.gamma_inv_norm[1::2] == 1.0)
-        assert np.all(report.gamma_inv_norm[0::2] > 1.0)
-
-    @pytest.mark.parametrize("model", [PP, PE, EP])
-    def test_diagonal_minimum_eigenvalues_are_the_weights(self, model):
-        cov = Covariance(model, 12)
-        assert np.array_equal(cov.leading_min_eigenvalues(12), cov.eigenvalues())
-        report = check_link_bounds(cov, PointEval(t0=0.3), 12)
-        assert np.all(report.gamma_inv_norm == 1.0)
-
-    def test_steep_rotated_weights_give_meaningful_norms(self):
-        # the weights of pe with a = 1 span 1 to 1e-293 by m = 26, where
-        # eigvalsh returned negative smallest eigenvalues
-        pe = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
-        cov = Covariance(pe, 40, theta=0.3)
-        with pytest.warns(sequences.UnderflowWarning):
-            report = check_link_bounds(cov, PointEval(t0=0.3), 26)
-        norms = report.gamma_inv_norm
-        assert np.all(np.isfinite(norms)) and np.all(norms > 0.0)
-        assert np.all(norms[1::2] == 1.0)
-        # a cut pair: gamma_m / (c^2 gamma_m + s^2 gamma_{m+1}) ~ 1 / c^2
-        c = math.cos(0.3)
-        np.testing.assert_allclose(norms[20::2], 1.0 / c ** 2, rtol=1e-12)
-
-    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.7, math.pi / 2])
-    @pytest.mark.parametrize("dim", [16, 17, 32])
-    def test_closed_form_quadratic_forms_match_solve(self, dim, theta, dense):
-        # odd dim ends in an unpaired weight; m < dim odd cuts a pair
-        cov = Covariance(PP, dim, theta)
-        mat = dense(cov)
-        for spec in (PointEval(t0=0.3), E1):
-            ell = functionals.coefficients(spec, dim)
-            want = [ell[:m] @ np.linalg.solve(mat[:m, :m], ell[:m])
-                    for m in range(1, dim + 1)]
-            np.testing.assert_allclose(cov.leading_quadratic_forms(ell), want,
-                                       rtol=1e-12)
-        with pytest.raises(ValueError, match="len"):
-            cov.leading_quadratic_forms(np.ones(dim + 1))
-
-    def test_steep_rotated_weights_give_exact_quadratic_forms(self):
-        # each pair solved by hand at 700 digits with mpmath; a solve over
-        # the whole leading block read 0.539, 0.539, 8.8e-3, 5.9e-21, 6.5e-6
-        pe = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
-        cov = Covariance(pe, 40, theta=0.3)
-        with pytest.warns(sequences.UnderflowWarning):
-            report = check_link_bounds(cov, PointEval(t0=0.3), 26)
-        at = np.array([20, 21, 22, 24, 26]) - 1
-        np.testing.assert_allclose(report.v_ratio[at],
-                                   [1.529, 1.529, 0.913, 1.697, 1.369], rtol=1e-3)
-
-    def test_clamped_gamma_raises_instead_of_nan(self):
-        # exp(-(j^2 - 1)) falls below the smallest normal double from j = 27
-        pe = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
-        cov = Covariance(pe, 40, theta=0.3)
-        for m_max in (27, 40):
-            with pytest.warns(sequences.UnderflowWarning), \
-                    pytest.raises(ValueError, match="from j = 27"):
-                check_link_bounds(cov, PointEval(t0=0.3), m_max)
-        with pytest.warns(sequences.UnderflowWarning):  # from cov.eigenvalues()
-            report = check_link_bounds(cov, PointEval(t0=0.3), 26)
-        assert np.all(np.isfinite(report.gamma_inv_norm))
-        assert np.all(np.isfinite(report.v_ratio))
-
-
 def penalty_curve_reference(model, spec, slope, sigma, n, m_max, cov=None):
     """The population penalty as computed when it took the model and an
     optional covariance, the diagonal one of the slope's truncation when
@@ -517,29 +416,12 @@ def penalty_curve_reference(model, spec, slope, sigma, n, m_max, cov=None):
     return factor * 2.0 * (sig_y2 + quad) * v
 
 
-def link_bounds_reference(model, spec, m_max, cov=None):
-    """(d, gamma_inv_norm, v_ratio) of the link-bounds check as computed when
-    it took the model and an optional covariance, the diagonal one of
-    dimension m_max when none was given."""
-    if cov is None:
-        cov = Covariance(model, m_max, 0.0)
-    gam = sequences.gamma_array(model, m_max)
-    ell = functionals.coefficients(spec, m_max)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_gamma = np.cumsum(np.where(ell == 0.0, 0.0, ell ** 2 / gam))
-    v_ratio = np.ones(m_max)
-    if not cov.is_diagonal:
-        v = np.maximum.accumulate(cov.leading_quadratic_forms(ell))
-        np.divide(v, v_gamma, out=v_ratio, where=v_gamma > 0)
-    return cov.effective_d(), gam / cov.leading_min_eigenvalues(m_max), v_ratio
-
-
 PE_STEEP = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
 
 
-# (model, dim, theta, m_max) of every covariance this file hands the two
-# population functions; theta = 0 with the default dimension is the
-# covariance the model-taking signatures built when given none
+# (model, dim, theta, m_max) of every covariance this file hands the
+# population penalty; theta = 0 with the default dimension is the
+# covariance the model-taking signature built when given none
 @pytest.mark.parametrize("model, dim, theta, m_max", [
     (PP, 32, 0.0, 12), (PP, 16, 0.0, 4), (PP, 16, 0.5, 4), (PE_STEEP, 26, 0.3, 26),
 ])
@@ -553,21 +435,3 @@ def test_penalty_curve_keeps_its_values(model, dim, theta, m_max):
             want = penalty_curve_reference(model, spec, slope, 1.3, 500, m_max,
                                            None if theta == 0.0 else cov)
             assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("model, dim, theta, m_max", [
-    (PP, 32, 0.0, 32), (PP, 8, 0.0, 8), (PP, 32, 0.6, 32), (PP, 16, math.pi / 2, 16),
-    (PP, 16, 0.3, 16), (PP, 16, 0.7, 16), (PP, 32, 0.3, 32), (PP, 32, 0.7, 32),
-    (PP, 12, 0.0, 12), (PE, 12, 0.0, 12), (EP, 12, 0.0, 12), (PE_STEEP, 40, 0.3, 26),
-])
-def test_link_bounds_keep_their_values(model, dim, theta, m_max):
-    cov = Covariance(model, dim, theta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sequences.UnderflowWarning)
-        for spec in (PointEval(t0=0.3), E1):
-            report = check_link_bounds(cov, spec, m_max)
-            d, norms, ratios = link_bounds_reference(
-                model, spec, m_max, None if theta == 0.0 else cov)
-            assert report.d == d
-            assert np.array_equal(report.gamma_inv_norm, norms)
-            assert np.array_equal(report.v_ratio, ratios)

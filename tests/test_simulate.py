@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flradapt import harness, sequences, simulate
+from flradapt import functionals, harness, sequences, simulate
 from flradapt.estimator import empirical_moments
 from flradapt.functionals import Custom, LocalAverage, PointEval
 from flradapt.sequences import Regime, SequenceModel
@@ -21,6 +21,8 @@ from flradapt.simulate import (
 
 PP = SequenceModel(regime=Regime.PP, p=1.0, a=1.0)
 EP = SequenceModel(regime=Regime.EP, p=0.5, a=1.0)
+
+E1 = Custom(coeffs=(1.0,))
 
 
 def default_cov(n, theta=0.0):
@@ -115,15 +117,6 @@ def one_thread_responses(tmp_path_factory):
     subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
     with np.load(path) as responses:
         return dict(responses)
-
-
-def effective_d_reference(cov):
-    """Link constant from the numerical eigenvalues of diag(w)^-1 B for each
-    rotated block B of diag(gamma^2), w = gamma^2."""
-    lam2 = cov.eigenvalues() ** 2
-    w = np.stack([lam2[0:2 * (cov.dim // 2):2], lam2[1:2 * (cov.dim // 2):2]], axis=-1)
-    mu = np.linalg.eigvals(cov.pair_blocks(lam2) / w[..., None]).real
-    return float(max(1.0, math.sqrt(max(mu.max(), 1.0 / mu.min()))))
 
 
 def unit_slope(J, k):
@@ -464,26 +457,11 @@ class TestCovariance:
     def test_diagonal_matrix(self, dense):
         cov = Covariance(PP, 4)
         np.testing.assert_array_equal(dense(cov), np.diag([1, 0.25, 1 / 9, 0.0625]))
-        assert cov.effective_d() == 1.0
 
     def test_rotated_matrix_has_same_spectrum(self, dense):
         cov = Covariance(PP, 8, theta=0.6)
         lam = np.sort(np.linalg.eigvalsh(dense(cov)))
         np.testing.assert_allclose(lam, np.sort(cov.eigenvalues()), rtol=1e-12)
-
-    def test_effective_d_bounds_quadratic_form(self, dense):
-        cov = Covariance(PP, 8, theta=0.6)
-        d = cov.effective_d()
-        assert d >= 1.0
-        mat = dense(cov)
-        g2 = cov.eigenvalues() ** 2
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            h = rng.standard_normal(8)
-            num = float(h @ (mat @ (mat @ h)))
-            den = float(h @ (g2 * h))
-            ratio = num / den
-            assert d ** -2 * (1 - 1e-12) <= ratio <= d ** 2 * (1 + 1e-12)
 
     @pytest.mark.parametrize("dim", [8, 16, 129])
     @pytest.mark.parametrize("theta", [0.5, 0.6, math.pi / 2])
@@ -546,25 +524,35 @@ class TestCovariance:
         assert Covariance(PP, 6).rotate(x) is x
         np.testing.assert_array_equal(x, np.arange(12.0).reshape(2, 6))
 
-    @pytest.mark.parametrize("model", [PP, SequenceModel(regime=Regime.PE, p=1.0, a=0.5)])
-    @pytest.mark.parametrize("theta", [0.3, 0.7])
-    @pytest.mark.parametrize("dim", [8, 16, 40])
-    def test_closed_form_d_matches_pair_eigenvalues(self, model, theta, dim):
-        cov = Covariance(model, dim, theta)
-        assert cov.effective_d() == pytest.approx(effective_d_reference(cov), rel=1e-15)
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.7, math.pi / 2])
+    @pytest.mark.parametrize("dim", [16, 17, 32])
+    def test_closed_form_quadratic_forms_match_solve(self, dim, theta, dense):
+        # odd dim ends in an unpaired weight; m < dim odd cuts a pair
+        cov = Covariance(PP, dim, theta)
+        mat = dense(cov)
+        for spec in (PointEval(t0=0.3), E1):
+            ell = functionals.coefficients(spec, dim)
+            want = [ell[:m] @ np.linalg.solve(mat[:m, :m], ell[:m])
+                    for m in range(1, dim + 1)]
+            np.testing.assert_allclose(cov.leading_quadratic_forms(ell), want,
+                                       rtol=1e-12)
+        with pytest.raises(ValueError, match="len"):
+            cov.leading_quadratic_forms(np.ones(dim + 1))
 
-    @pytest.mark.parametrize("dim", [8, 40])
-    def test_d_finite_for_steep_exponential_weights(self, dim):
-        # pe with a = 1: the last pair's weight ratio is e^30 at dim 8 and
-        # e^158 at dim 40, where gamma_40^2 = exp(-2 * 1599) has underflowed
-        model = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
-        d = Covariance(model, dim, 0.3).effective_d()
-        assert math.isfinite(d) and d > 1.0
-
-    def test_quarter_turn_d_is_weight_ratio(self):
-        cov = Covariance(PP, 4, theta=math.pi / 2)
-        # swapping a pair demands d = gamma_{2k-1} / gamma_{2k}; worst pair (1,2)
-        assert cov.effective_d() == pytest.approx(4.0, rel=1e-9)
+    def test_steep_rotated_weights_give_exact_quadratic_forms(self):
+        # the ratios V_m / V_m^gamma of the running maximum V_m of the forms
+        # to sum_{j<=m} l_j^2 / gamma_j; each pair solved by hand at 700
+        # digits with mpmath.  A solve over the whole leading block read
+        # 0.539, 0.539, 8.8e-3, 5.9e-21, 6.5e-6
+        pe = SequenceModel(regime=Regime.PE, p=1.0, a=1.0)
+        cov = Covariance(pe, 40, theta=0.3)
+        ell = functionals.coefficients(PointEval(t0=0.3), 26)
+        with pytest.warns(sequences.UnderflowWarning):  # gamma_j from j = 27
+            v = np.maximum.accumulate(cov.leading_quadratic_forms(ell))
+        v_gamma = np.cumsum(ell ** 2 / sequences.gamma_array(pe, 26))
+        at = np.array([20, 21, 22, 24, 26]) - 1
+        np.testing.assert_allclose((v / v_gamma)[at],
+                                   [1.529, 1.529, 0.913, 1.697, 1.369], rtol=1e-3)
 
 
 class TestTrueValue:
