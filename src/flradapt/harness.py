@@ -21,14 +21,16 @@ one pass, and estimates and drops one size's dataset at a time.
 The grid points of a replicate therefore share their first rows, and their
 errors are positively correlated.  Tasks whose largest draw is long go to a
 ``concurrent.futures`` thread pool with one thread per usable CPU; the
-calling thread files the results in replicate order.  Each replicate has its
+calling thread files the records in replicate order.  Each replicate has its
 own seed, so the records do not depend on the thread count.  A drawn
 dataset keeps only the regressor columns the estimator reads.
 
-The replicate records of a grid point live in one :class:`ReplicateBlock`,
-one preallocated array per numeric field (about 50 bytes per replicate) and a
-map from failed replicates to their error; ``StudyReport.blocks`` keeps one
-block per sample size, and ``write_raw_csv`` writes them row by row.
+A task scores each result into its replicate's record on the thread that
+estimated it and drops the result.  The records of a grid point live in one
+:class:`ReplicateBlock`, one preallocated array per numeric field (49 bytes
+per replicate) and a map from failed replicates to their error;
+``StudyReport.blocks`` keeps one block per sample size, and
+``write_raw_csv`` writes them row by row.
 """
 from __future__ import annotations
 
@@ -230,10 +232,11 @@ def _lower_dimension_bound(cfg, n: int, m_ell: int) -> int:
 
 
 class _GridPoint:
-    """The per-n constants of one sample size and the records its replicates
-    are filed into.  ``file`` takes each replicate's result in replicate
-    order; ``finish`` scores them in one pass and returns the block and the
-    per-n theory."""
+    """The per-n constants of one sample size and the block its replicates
+    are filed into.  ``score`` turns a replicate's result into its record on
+    the thread that estimated it, so no result outlives its replicate;
+    ``file`` stores the records in replicate order and ``finish`` returns
+    the block and its per-n row of the report."""
 
     def __init__(self, cfg: StudyConfig, cov, slope, n: int):
         self.cfg, self.n = cfg, n
@@ -245,60 +248,84 @@ class _GridPoint:
         )
         self.diagonal = cov.is_diagonal
         if self.diagonal:
-            self.p_theo = oracle.theoretical_penalty_curve(
-                cov, cfg.spec, slope, cfg.sigma, n, m_ell)
-            self.mu_n = _lower_dimension_bound(cfg, n, m_ell)
+            # the sandwich p_pop <= p_hat <= factor * p_pop reaches at most mu_n
+            p_theo = oracle.theoretical_penalty_curve(cov, cfg.spec, slope, cfg.sigma, n, m_ell)
+            p_pop = p_theo[:_lower_dimension_bound(cfg, n, m_ell)]
+            self.p_pop = p_pop.tolist()
+            self.p_upper = (SANDWICH_UPPER_FACTOR * p_pop).tolist()
         self.columns = max(m_ell, MIN_KEPT_COLUMNS)
         self.block = ReplicateBlock.allocate(n, cfg.base_seed, cfg.replicates)
-        # every replicate's estimates at dimensions 1..m_ell and, diagonal
-        # only, its penalties up to the sandwich's reach; both are scored in
-        # one pass once every replicate is filed
-        self.estimates = np.empty((cfg.replicates, m_ell))
-        if self.diagonal:
-            self.reach = np.zeros(cfg.replicates, dtype=np.int64)
-            self.pen_hat = np.zeros((cfg.replicates, self.mu_n))
 
-    def file(self, rep: int, result) -> None:
-        block = self.block
-        if isinstance(result, str):
-            block.errors[rep] = result
-            return
-        est_all = result.diagnostics["estimates_all"]
-        self.estimates[rep] = est_all
-        # scalar squares take pow(x, 2), as numpy scalars do; the array
-        # square of the best fixed error in finish is x * x
-        block.sq_err_adaptive[rep] = (result.value - self.target) ** 2
+    def score(self, result) -> tuple:
+        """One replicate's record: the squared errors at the selected, the best
+        fixed and the m* dimension, m_hat, the two caps and the sandwich code.
+
+        The adaptive and m* errors are ``pow(x, 2)`` and the best fixed one the
+        least ``x * x``, which differ in the last bit for about one double in a
+        thousand; the split stays because study outputs keep their bytes.  It
+        works on Python floats, faster than numpy for a replicate's few values.
+        """
+        target = self.target
+        est_all = result.diagnostics["estimates_all"].tolist()
+        squares = [(e - target) * (e - target) for e in est_all]
         m_fixed = min(self.m_star, result.m_ell_cap)
-        block.sq_err_mstar[rep] = (float(est_all[m_fixed - 1]) - self.target) ** 2
-        block.m_hat[rep] = result.selected
-        block.m_hat_cap[rep] = result.m_hat_cap
-        block.m_ell_cap[rep] = result.m_ell_cap
+        sandwich = -1
         if self.diagonal:
-            k_max = self.reach[rep] = min(result.m_hat_cap, self.mu_n)
-            self.pen_hat[rep, :k_max] = result.penalties[:k_max]
+            # zip stops at k_max = min(m_hat_cap, mu_n)
+            p_hat = result.penalties[:result.m_hat_cap].tolist()
+            sandwich = int(all(low <= p <= high
+                               for low, p, high in zip(self.p_pop, p_hat, self.p_upper)))
+        return (
+            (result.value - target) ** 2,
+            # NaN when any square is, as numpy's min gives it
+            math.nan if any(map(math.isnan, squares)) else min(squares),
+            (est_all[m_fixed - 1] - target) ** 2,
+            result.selected, result.m_hat_cap, result.m_ell_cap, sandwich,
+        )
+
+    def file(self, rep: int, record) -> None:
+        """Store replicate ``rep``'s record, or its ``"Kind: message"``."""
+        block = self.block
+        if isinstance(record, str):
+            block.errors[rep] = record
+            return
+        (block.sq_err_adaptive[rep], block.sq_err_best_fixed[rep], block.sq_err_mstar[rep],
+         block.m_hat[rep], block.m_hat_cap[rep], block.m_ell_cap[rep],
+         block.sandwich_ok[rep]) = record
 
     def finish(self) -> tuple:
+        """The block and its per-n row of the report."""
         cfg, block = self.cfg, self.block
         ok = block.succeeded()
-        block.sq_err_best_fixed[ok] = np.min((self.estimates[ok] - self.target) ** 2, axis=1)
-        if self.diagonal:
-            # the sandwich p_pop <= p_hat <= factor * p_pop on the first
-            # k_max penalties of each replicate
-            p_pop, pen_hat = self.p_theo[:self.mu_n], self.pen_hat
-            held = (p_pop <= pen_hat) & (pen_hat <= SANDWICH_UPPER_FACTOR * p_pop)
-            held |= np.arange(self.mu_n) >= self.reach[:, None]
-            block.sandwich_ok[ok] = held[ok].all(axis=1)
-        theory = {
+        good = int(np.count_nonzero(ok))
+        row = {
+            "n": self.n,
+            "replicates_ok": good,
+            "errors": len(block.errors),
             "m_star": self.m_star,
             "m_diamond": self.m_diamond,
             "r_star_minimax": self.r_minimax,
             "r_star_adaptive": self.r_adaptive,
-            "target": self.target,
+            "true_value": self.target,
             "side_condition_ratio": oracle.side_condition_ratio(
                 cfg.model, cfg.spec, self.n, self.m_diamond
             ),
         }
-        return block, theory
+        if good:
+            ad = block.sq_err_adaptive[ok]
+            row["risk_adaptive"] = float(np.mean(ad))
+            row["se_adaptive"] = float(np.std(ad, ddof=1) / math.sqrt(len(ad)))
+            row["risk_best_fixed"] = float(np.mean(block.sq_err_best_fixed[ok]))
+            row["risk_mstar_fixed"] = float(np.mean(block.sq_err_mstar[ok]))
+            # np.unique returns the selected dimensions in ascending order
+            dims, counts = np.unique(block.m_hat[ok], return_counts=True)
+            row["m_hat_histogram"] = dict(zip(map(str, dims.tolist()), counts.tolist()))
+            flags = block.sandwich_ok[ok]
+            checked = int(np.count_nonzero(flags >= 0))
+            row["sandwich_frequency"] = (
+                float(int(np.count_nonzero(flags == 1)) / checked) if checked else None
+            )
+        return block, row
 
 
 def _truncation_runs(n_grid) -> list:
@@ -314,13 +341,13 @@ def _truncation_runs(n_grid) -> list:
 
 
 def _run_sizes(cfg: StudyConfig, sizes: list) -> list:
-    """The replicate records and per-n theory of sample sizes that share J,
-    one (block, theory) pair per size.
+    """The replicate blocks and per-n rows of sample sizes that share J,
+    one (block, row) pair per size.
 
     One task per replicate walks the sizes in increasing order over one
     :class:`~flradapt.simulate.GridStream` of the replicate's seed, which
     draws every size's normals on the first call: each size's dataset is
-    estimated and dropped before the next size's is handed out.
+    estimated, scored and dropped before the next size's is handed out.
     """
     cov = simulate.Covariance(cfg.model, simulate.default_truncation(sizes[0]), cfg.mixing)
     slope = simulate.make_slope(cfg.model, cov.dim)
@@ -328,60 +355,29 @@ def _run_sizes(cfg: StudyConfig, sizes: list) -> list:
     width = max(point.columns for point in points)
 
     def replicate(rep):
-        # each dataset dies on this thread before the next one is handed out;
-        # an expected failure gives its "Kind: message"
+        # each dataset and result dies on this thread before the next size
+        # is handed out; an expected failure gives its "Kind: message"
         seed = cfg.base_seed + rep
         stream = simulate.GridStream(cov, slope, seed, sizes, width)
-        results = []
+        records = []
         for point in points:
             data = simulate.draw_dataset(cov, slope, point.n, cfg.sigma, seed,
                                          point.columns, stream=stream)
             try:
-                results.append(adaptive.adaptive_estimate(data, cfg.spec))
+                records.append(point.score(adaptive.adaptive_estimate(data, cfg.spec)))
             except _EXPECTED_FAILURES as err:
-                results.append(f"{type(err).__name__}: {err}")
+                records.append(f"{type(err).__name__}: {err}")
             del data
-        return results
+        return records
 
     threads = 0
     if sizes[-1] * cov.dim >= THREADED_MIN_NORMALS:
         threads = min(_sampler_threads(), cfg.replicates)
-    with closing(_drawn_in_order(replicate, cfg.replicates, threads)) as results:
-        for rep, replicate_results in enumerate(results):
-            for point, result in zip(points, replicate_results):
-                point.file(rep, result)
+    with closing(_drawn_in_order(replicate, cfg.replicates, threads)) as replicates:
+        for rep, records in enumerate(replicates):
+            for point, record in zip(points, records):
+                point.file(rep, record)
     return [point.finish() for point in points]
-
-
-def _aggregate(block: ReplicateBlock, theory: dict) -> dict:
-    ok = block.succeeded()
-    good = int(np.count_nonzero(ok))
-    row = {
-        "n": block.n,
-        "replicates_ok": good,
-        "errors": len(block.errors),
-        "m_star": theory["m_star"],
-        "m_diamond": theory["m_diamond"],
-        "r_star_minimax": theory["r_star_minimax"],
-        "r_star_adaptive": theory["r_star_adaptive"],
-        "true_value": theory["target"],
-        "side_condition_ratio": theory["side_condition_ratio"],
-    }
-    if good:
-        ad = block.sq_err_adaptive[ok]
-        row["risk_adaptive"] = float(np.mean(ad))
-        row["se_adaptive"] = float(np.std(ad, ddof=1) / math.sqrt(len(ad)))
-        row["risk_best_fixed"] = float(np.mean(block.sq_err_best_fixed[ok]))
-        row["risk_mstar_fixed"] = float(np.mean(block.sq_err_mstar[ok]))
-        # np.unique returns the selected dimensions in ascending order
-        dims, counts = np.unique(block.m_hat[ok], return_counts=True)
-        row["m_hat_histogram"] = dict(zip(map(str, dims.tolist()), counts.tolist()))
-        flags = block.sandwich_ok[ok]
-        checked = int(np.count_nonzero(flags >= 0))
-        row["sandwich_frequency"] = (
-            float(int(np.count_nonzero(flags == 1)) / checked) if checked else None
-        )
-    return row
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:
@@ -393,9 +389,9 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     rows = []
     blocks = []
     for sizes in _truncation_runs(cfg.n_grid):
-        for block, theory in _run_sizes(cfg, sizes):
+        for block, row in _run_sizes(cfg, sizes):
             blocks.append(block)
-            rows.append(_aggregate(block, theory))
+            rows.append(row)
     total = len(cfg.n_grid) * cfg.replicates
     total_errors = sum(row["errors"] for row in rows)
     if total_errors > 0.01 * total:

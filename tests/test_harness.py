@@ -350,6 +350,42 @@ class TestRunStudy:
             assert width == max(adaptive.cap_m_ell(SPEC, n), harness.MIN_KEPT_COLUMNS)
             assert width < simulate.default_truncation(n)
 
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_no_result_outlives_its_replicate(self, monkeypatch, sampler_threads, threads):
+        # a result is scored into its record on the thread that estimated it
+        # and dropped there: when the calling thread files a replicate, none
+        # of that replicate's results is alive, inline or on pool threads
+        sampler_threads(threads)
+        cfg = small_config(replicates=12)
+        lock = threading.Lock()
+        results = {rep: [] for rep in range(cfg.replicates)}
+        alive_at_file = []
+        draw, estimate, file = simulate.draw_dataset, adaptive.adaptive_estimate, \
+            harness._GridPoint.file
+
+        def seeded_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
+            data = draw(cov, slope, n, sigma, seed, columns, stream=stream)
+            data.seed = seed
+            return data
+
+        def tracked_estimate(data, spec):
+            result = estimate(data, spec)
+            with lock:
+                results[data.seed - cfg.base_seed].append(weakref.ref(result))
+            return result
+
+        def checked_file(point, rep, record):
+            with lock:
+                alive_at_file.append(sum(ref() is not None for ref in results[rep]))
+            file(point, rep, record)
+
+        monkeypatch.setattr(harness.simulate, "draw_dataset", seeded_draw)
+        monkeypatch.setattr(harness.adaptive, "adaptive_estimate", tracked_estimate)
+        monkeypatch.setattr(harness._GridPoint, "file", checked_file)
+        run_study(cfg)
+        assert [len(refs) for refs in results.values()] == [3] * cfg.replicates
+        assert alive_at_file == [0] * (3 * cfg.replicates)
+
     def test_threaded_grid_point_peaks_at_one_replicate_per_thread(self, monkeypatch):
         # a rotated n = 8000 grid point on two pool threads: each thread
         # holds at most its dataset (x of 9 columns and y) and the sampler's
@@ -665,6 +701,44 @@ class TestReplicateColumns:
         assert columns["raw_path"] == reference["raw_path"]
         flags = [line.split(",")[9] for line in columns["raw_path"].decode().splitlines()[1:]]
         assert {"True", "False"} <= set(flags)
+
+    def test_best_fixed_error_is_nan_where_an_estimate_is(self):
+        # the record loop took numpy's min of the squares, which is NaN when
+        # any square is, wherever it stands
+        n = 256
+        cov = simulate.Covariance(PP, simulate.default_truncation(n))
+        slope = simulate.make_slope(PP, cov.dim)
+        point = harness._GridPoint(small_config(n_grid=(n,)), cov, slope, n)
+        result = adaptive.adaptive_estimate(
+            simulate.draw_dataset(cov, slope, n, 1.0, 7, point.columns), SPEC)
+        est_all = result.diagnostics["estimates_all"]
+        assert point.score(result)[1] == float(np.min((est_all - point.target) ** 2))
+        for k in range(len(est_all)):
+            result.diagnostics["estimates_all"] = np.where(np.arange(len(est_all)) == k,
+                                                           np.nan, est_all)
+            assert math.isnan(point.score(result)[1])
+
+    def test_peak_grows_by_one_record_per_replicate(self):
+        # a grid point keeps a replicate's record and nothing else: 49 bytes
+        # in its block's columns (3 float64, 3 int64, 1 int8); holding every
+        # replicate's estimates at m <= m_ell and its penalties up to the
+        # sandwich's reach until the grid point ends would add
+        # 8 (m_ell + mu_n + 1) bytes, 32 to 48 on this grid
+        grid = (16, 32, 64, 128, 256)
+        run_study(small_config(n_grid=grid, replicates=2))  # fill the caches
+
+        def peak(replicates):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_study(small_config(n_grid=grid, replicates=replicates))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        replicates = 100
+        growth = peak(2 * replicates) - peak(replicates)
+        assert growth <= 64 * len(grid) * replicates
 
     def test_finished_report_keeps_under_100_bytes_per_replicate(self):
         # a dict per replicate record kept about 572 bytes; the columns keep
