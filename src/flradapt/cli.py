@@ -51,7 +51,7 @@ _CONFIG_KEYS = {
     "functional": ("kind",),
     "simulate": ("n", "sigma", "seed", "theta"),
     "study": ("n_grid", "replicates", "base_seed", "n"),
-    "output": ("dir", "dataset", "report", "raw", "curves"),
+    "output": ("dir", "dataset"),
 }
 
 
@@ -226,10 +226,6 @@ def _cmd_mc_study(args):
     if n_grid is None:
         raise ConfigError("study n_grid missing (study.n_grid or --n-grid)")
     out_dir = _pick(cfg, "output", "dir", args.out_dir, default=".", cast=os.fspath)
-
-    def out_file(key, default):
-        return os.path.join(out_dir, _pick(cfg, "output", key, None, default, os.fspath))
-
     study = harness.StudyConfig(
         model=model,
         spec=spec,
@@ -239,9 +235,9 @@ def _cmd_mc_study(args):
                          cast=_int),
         base_seed=_pick(cfg, "study", "base_seed", args.base_seed, default=0, cast=_int),
         mixing=_pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=float),
-        report_path=out_file("report", "study_report.json"),
-        raw_path=out_file("raw", "study_raw.csv"),
-        curves_path=out_file("curves", "study_curves.csv"),
+        report_path=os.path.join(out_dir, "study_report.json"),
+        raw_path=os.path.join(out_dir, "study_raw.csv"),
+        curves_path=os.path.join(out_dir, "study_curves.csv"),
     )
     os.makedirs(out_dir, exist_ok=True)
     report = harness.run_study(study)

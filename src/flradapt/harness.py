@@ -26,9 +26,10 @@ own seed, so the records do not depend on the thread count.  A drawn
 dataset keeps only the regressor columns the estimator reads.
 
 A task scores each result into its replicate's record on the thread that
-estimated it and drops the result.  The records of a grid point live in one
-:class:`ReplicateBlock`, one preallocated array per numeric field (49 bytes
-per replicate) and a map from failed replicates to their error;
+estimated it and drops the result.  A record is one packed :data:`RECORD`
+(49 bytes), whose fields are the raw CSV's record columns.  The records of a
+grid point live in one :class:`ReplicateBlock`, a preallocated array of R
+records and a map from failed replicates to their error;
 ``StudyReport.blocks`` keeps one block per sample size, and
 ``write_raw_csv`` writes them row by row.
 """
@@ -141,48 +142,43 @@ class StudyConfig:
         simulate.check_mixing(self.mixing)
 
 
-# raw CSV cell of each ReplicateBlock.sandwich_ok code
+# one replicate's record, its fields in the raw CSV's order; packed, so a
+# record takes 49 bytes: the squared errors at the selected, the best fixed
+# and the m* dimension, m_hat, the two caps and the sandwich code (1 where
+# the penalty sandwich held, 0 where it did not and -1 where it was not
+# checked: a rotated covariance, or a failure)
+RECORD = np.dtype([
+    ("sq_err_adaptive", "f8"), ("sq_err_best_fixed", "f8"), ("sq_err_mstar", "f8"),
+    ("m_hat", "i8"), ("m_hat_cap", "i8"), ("m_ell_cap", "i8"),
+    ("sandwich_ok", "i1"),
+])
+
+# raw CSV cell of each sandwich_ok code
 _SANDWICH_CELLS = {-1: "", 0: "False", 1: "True"}
 
 
 @dataclass(eq=False)
 class ReplicateBlock:
-    """The replicate records of one sample size, one array per field.
+    """The replicate records of one sample size, one :data:`RECORD` each.
 
     Replicate ``rep`` drew with seed ``base_seed + rep``.  A failed replicate
-    has its ``"Kind: message"`` in ``errors`` and NaN or 0 in the columns.
-    ``sandwich_ok`` is 1 where the penalty sandwich held, 0 where it did not
-    and -1 where it was not checked (a rotated covariance, or a failure).
+    has its ``"Kind: message"`` in ``errors`` and NaN, 0 or -1 in its record.
     """
 
     n: int
     base_seed: int
-    sq_err_adaptive: np.ndarray
-    sq_err_best_fixed: np.ndarray
-    sq_err_mstar: np.ndarray
-    m_hat: np.ndarray
-    m_hat_cap: np.ndarray
-    m_ell_cap: np.ndarray
-    sandwich_ok: np.ndarray
+    records: np.ndarray
     errors: dict
 
     @classmethod
     def allocate(cls, n: int, base_seed: int, replicates: int) -> "ReplicateBlock":
-        return cls(
-            n=n, base_seed=base_seed,
-            sq_err_adaptive=np.full(replicates, np.nan),
-            sq_err_best_fixed=np.full(replicates, np.nan),
-            sq_err_mstar=np.full(replicates, np.nan),
-            m_hat=np.zeros(replicates, dtype=np.int64),
-            m_hat_cap=np.zeros(replicates, dtype=np.int64),
-            m_ell_cap=np.zeros(replicates, dtype=np.int64),
-            sandwich_ok=np.full(replicates, -1, dtype=np.int8),
-            errors={},
-        )
+        records = np.empty(replicates, RECORD)
+        records[:] = (math.nan, math.nan, math.nan, 0, 0, 0, -1)
+        return cls(n=n, base_seed=base_seed, records=records, errors={})
 
     def succeeded(self) -> np.ndarray:
         """Boolean mask of the replicates that did not fail."""
-        ok = np.ones(len(self.m_hat), dtype=bool)
+        ok = np.ones(len(self.records), dtype=bool)
         ok[list(self.errors)] = False
         return ok
 
@@ -257,8 +253,7 @@ class _GridPoint:
         self.block = ReplicateBlock.allocate(n, cfg.base_seed, cfg.replicates)
 
     def score(self, result) -> tuple:
-        """One replicate's record: the squared errors at the selected, the best
-        fixed and the m* dimension, m_hat, the two caps and the sandwich code.
+        """One replicate's record, its values in :data:`RECORD` order.
 
         The adaptive and m* errors are ``pow(x, 2)`` and the best fixed one the
         least ``x * x``, which differ in the last bit for about one double in a
@@ -285,18 +280,15 @@ class _GridPoint:
 
     def file(self, rep: int, record) -> None:
         """Store replicate ``rep``'s record, or its ``"Kind: message"``."""
-        block = self.block
         if isinstance(record, str):
-            block.errors[rep] = record
-            return
-        (block.sq_err_adaptive[rep], block.sq_err_best_fixed[rep], block.sq_err_mstar[rep],
-         block.m_hat[rep], block.m_hat_cap[rep], block.m_ell_cap[rep],
-         block.sandwich_ok[rep]) = record
+            self.block.errors[rep] = record
+        else:
+            self.block.records[rep] = record
 
     def finish(self) -> tuple:
         """The block and its per-n row of the report."""
         cfg, block = self.cfg, self.block
-        ok = block.succeeded()
+        records, ok = block.records, block.succeeded()
         good = int(np.count_nonzero(ok))
         row = {
             "n": self.n,
@@ -312,15 +304,15 @@ class _GridPoint:
             ),
         }
         if good:
-            ad = block.sq_err_adaptive[ok]
+            ad = records["sq_err_adaptive"][ok]
             row["risk_adaptive"] = float(np.mean(ad))
             row["se_adaptive"] = float(np.std(ad, ddof=1) / math.sqrt(len(ad)))
-            row["risk_best_fixed"] = float(np.mean(block.sq_err_best_fixed[ok]))
-            row["risk_mstar_fixed"] = float(np.mean(block.sq_err_mstar[ok]))
+            row["risk_best_fixed"] = float(np.mean(records["sq_err_best_fixed"][ok]))
+            row["risk_mstar_fixed"] = float(np.mean(records["sq_err_mstar"][ok]))
             # np.unique returns the selected dimensions in ascending order
-            dims, counts = np.unique(block.m_hat[ok], return_counts=True)
+            dims, counts = np.unique(records["m_hat"][ok], return_counts=True)
             row["m_hat_histogram"] = dict(zip(map(str, dims.tolist()), counts.tolist()))
-            flags = block.sandwich_ok[ok]
+            flags = records["sandwich_ok"][ok]
             checked = int(np.count_nonzero(flags >= 0))
             row["sandwich_frequency"] = (
                 float(int(np.count_nonzero(flags == 1)) / checked) if checked else None
@@ -460,10 +452,7 @@ def write_report_json(report: StudyReport, path) -> None:
         fh.write("\n")
 
 
-_RAW_COLUMNS = (
-    "n", "replicate", "seed", "sq_err_adaptive", "sq_err_best_fixed",
-    "sq_err_mstar", "m_hat", "m_hat_cap", "m_ell_cap", "sandwich_ok", "error",
-)
+_RAW_COLUMNS = ("n", "replicate", "seed", *RECORD.names, "error")
 
 
 def write_raw_csv(report: StudyReport, path) -> None:
@@ -476,26 +465,29 @@ def write_raw_csv(report: StudyReport, path) -> None:
             writer.writerows(_raw_rows(block))
 
 
+def _record_cells(records: np.ndarray, name: str):
+    """The raw CSV cells of one record field, each as ``fmt`` writes it:
+    tolist() gives the Python floats, formatted by repr, and ints, formatted
+    by str."""
+    values = records[name].tolist()
+    if name == "sandwich_ok":
+        return map(_SANDWICH_CELLS.__getitem__, values)
+    return map(repr if RECORD[name].kind == "f" else str, values)
+
+
 def _raw_rows(block: ReplicateBlock):
-    """The raw CSV rows of one block, each cell as ``fmt`` writes it: tolist()
-    gives the Python floats, formatted by repr, and ints, formatted by str."""
-    count = len(block.m_hat)
+    """The raw CSV rows of one block."""
+    records, count = block.records, len(block.records)
     rows = zip(
         [fmt(block.n)] * count,
         map(str, range(count)),
         map(str, range(block.base_seed, block.base_seed + count)),
-        map(repr, block.sq_err_adaptive.tolist()),
-        map(repr, block.sq_err_best_fixed.tolist()),
-        map(repr, block.sq_err_mstar.tolist()),
-        map(str, block.m_hat.tolist()),
-        map(str, block.m_hat_cap.tolist()),
-        map(str, block.m_ell_cap.tolist()),
-        map(_SANDWICH_CELLS.__getitem__, block.sandwich_ok.tolist()),
+        *(_record_cells(records, name) for name in RECORD.names),
         [""] * count,
     )
-    errors = block.errors
+    errors, failed = block.errors, ("",) * len(RECORD)
     for rep, row in enumerate(rows):
-        yield row if rep not in errors else row[:3] + ("",) * 7 + (errors[rep],)
+        yield row if rep not in errors else row[:3] + failed + (errors[rep],)
 
 
 def write_curves_csv(report: StudyReport, path) -> None:

@@ -411,6 +411,8 @@ def load_dataset_csv(path) -> Dataset:
             raise ValueError(f"{path}: empty file")
         if not header or header[0] != "y":
             raise ValueError(f"{path}: expected header starting with 'y'")
+        if len(header) == 1:
+            raise ValueError(f"{path}: no x columns")
         rows = []
         for row in reader:
             if not row:

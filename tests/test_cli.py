@@ -114,6 +114,16 @@ class TestSimulateEstimate:
         assert len(lines) == 1, err
         assert lines[0] == f"error: usage: {data}, line 3: 2 fields, the header has 3"
 
+    def test_dataset_without_x_columns(self, tmp_path, capsys):
+        data = tmp_path / "y_only.csv"
+        data.write_text("y\n1.0\n2.0\n")
+        code, out, err = run(
+            capsys, "estimate", "--data", str(data), "--functional", "point:0.3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: usage: {data}: no x columns\n"
+
 class TestConfigFile:
     def test_config_drives_simulation(self, tmp_path, capsys):
         cfg = tmp_path / "study.yaml"
@@ -171,6 +181,9 @@ class TestConfigKeys:
         "study: {penalty_constant: 700.0}",                 # removed penalty constant
         "simulate: {n: 64, J: 128}",                        # removed truncation
         "simualte: {n: 64}",                                # unknown section
+        "output: {report: study_report.json}",              # removed file names
+        "output: {raw: study_raw.csv}",
+        "output: {curves: study_curves.csv}",
     ])
     def test_unknown_key_or_section_is_a_config_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.yaml"
@@ -235,18 +248,21 @@ VALUES_BASE = {
     "functional": {"kind": "point", "t0": 0.3},
     "simulate": {"n": 64, "sigma": 0.5},
     "study": {"n_grid": [64], "replicates": 2},
-    "output": {"report": "report.json"},
+    "output": {},
 }
 
 
 class TestConfigValues:
-    def run_config(self, capsys, work, command, cfg):
+    def run_config(self, capsys, monkeypatch, work, command, cfg):
+        # a study writes into output.dir, which is "." where the key is
+        # absent or null: run it in out_dir
         work.mkdir()
         path = work / "cfg.yaml"
         path.write_text(yaml.safe_dump(cfg))
         out_dir = work / "out"
-        out = (("--out-dir", str(out_dir)) if command == "mc-study"
-               else ("--out", str(work / "data.csv")))
+        out_dir.mkdir()
+        monkeypatch.chdir(out_dir)
+        out = () if command == "mc-study" else ("--out", str(work / "data.csv"))
         code, _, err = run(capsys, command, "--config", str(path), *out)
         return code, err, out_dir
 
@@ -260,20 +276,23 @@ class TestConfigValues:
         ("mc-study", "model", "p", [1]),
         ("mc-study", "simulate", "sigma", None),
         ("mc-study", "model", "r", None),
-        ("mc-study", "output", "report", None),
+        ("mc-study", "output", "dir", None),
     ])
     def test_bad_value_is_a_config_error_and_null_is_absent(self, tmp_path, capsys,
-                                                            command, section, key, value):
+                                                            monkeypatch, command, section,
+                                                            key, value):
         cfg = copy.deepcopy(VALUES_BASE)
         cfg[section][key] = value
-        code, err, out_dir = self.run_config(capsys, tmp_path / "given", command, cfg)
+        code, err, out_dir = self.run_config(capsys, monkeypatch, tmp_path / "given",
+                                             command, cfg)
         if value is not None:
             assert code == 1
             assert f"error: config: {section}.{key}: " in err
             return
         assert code == 0, err
         del cfg[section][key]
-        code, err, absent_dir = self.run_config(capsys, tmp_path / "absent", command, cfg)
+        code, err, absent_dir = self.run_config(capsys, monkeypatch, tmp_path / "absent",
+                                                command, cfg)
         assert code == 0, err
         names = sorted(path.name for path in out_dir.iterdir())
         assert names == sorted(path.name for path in absent_dir.iterdir())

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import math
+import pathlib
 import sys
 import threading
 import time
@@ -265,7 +266,8 @@ class TestRunStudy:
         report = run_study(small_config())
         for block in report.blocks:
             assert not block.errors
-            assert np.all(block.sq_err_adaptive >= block.sq_err_best_fixed)
+            records = block.records
+            assert np.all(records["sq_err_adaptive"] >= records["sq_err_best_fixed"])
 
     def test_histogram_counts_replicates(self):
         cfg = small_config()
@@ -614,9 +616,9 @@ class TestOutputs:
             curves_path=str(tmp_path / "curves.csv"),
         )
         run_study(small_config(replicates=3, **paths))
-        first = {k: open(v, "rb").read() for k, v in paths.items()}
+        first = {k: pathlib.Path(v).read_bytes() for k, v in paths.items()}
         run_study(small_config(replicates=3, **paths))
-        second = {k: open(v, "rb").read() for k, v in paths.items()}
+        second = {k: pathlib.Path(v).read_bytes() for k, v in paths.items()}
         assert first == second
 
     def test_warm_coefficient_cache_writes_identical_files(self, tmp_path):
@@ -644,6 +646,11 @@ class TestOutputs:
 
 
 class TestReplicateColumns:
+    def test_record_is_packed(self):
+        # three float64, three int64 and one int8 with no padding: an aligned
+        # dtype would take 56 bytes and still pass the memory bounds below
+        assert harness.RECORD.itemsize == 49
+
     @pytest.mark.parametrize("mixing", [0.0, 0.3])
     def test_columns_write_the_files_of_the_record_dicts(self, tmp_path, monkeypatch,
                                                          mixing):
@@ -719,8 +726,8 @@ class TestReplicateColumns:
             assert math.isnan(point.score(result)[1])
 
     def test_peak_grows_by_one_record_per_replicate(self):
-        # a grid point keeps a replicate's record and nothing else: 49 bytes
-        # in its block's columns (3 float64, 3 int64, 1 int8); holding every
+        # a grid point keeps a replicate's record and nothing else: one
+        # packed 49-byte harness.RECORD in its block; holding every
         # replicate's estimates at m <= m_ell and its penalties up to the
         # sandwich's reach until the grid point ends would add
         # 8 (m_ell + mu_n + 1) bytes, 32 to 48 on this grid
@@ -741,9 +748,9 @@ class TestReplicateColumns:
         assert growth <= 64 * len(grid) * replicates
 
     def test_finished_report_keeps_under_100_bytes_per_replicate(self):
-        # a dict per replicate record kept about 572 bytes; the columns keep
-        # 49 bytes (3 float64, 3 int64, 1 int8) plus a fixed cost per grid
-        # point and per report
+        # a dict per replicate record kept about 572 bytes; a block keeps
+        # one packed 49-byte harness.RECORD plus a fixed cost per grid point
+        # and per report
         cfg = small_config(n_grid=(16, 32, 64), replicates=400)
         run_study(cfg)  # fill the library's caches before measuring
         gc.collect()

@@ -643,6 +643,12 @@ class TestCsvRoundTrip:
                            match=f"ragged.csv, line 3: {fields} fields, the header has 3"):
             simulate.load_dataset_csv(path)
 
+    def test_file_without_x_columns_rejected_with_its_path(self, tmp_path):
+        path = tmp_path / "y_only.csv"
+        path.write_text("y\n1\n2\n")
+        with pytest.raises(ValueError, match="y_only.csv: no x columns"):
+            simulate.load_dataset_csv(path)
+
     def test_header_only_file_rejected_with_its_path(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("y,x1,x2\n")
