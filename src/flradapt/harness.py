@@ -255,14 +255,14 @@ class _GridPoint:
     def score(self, result) -> tuple:
         """One replicate's record, its values in :data:`RECORD` order.
 
-        The adaptive and m* errors are ``pow(x, 2)`` and the best fixed one the
-        least ``x * x``, which differ in the last bit for about one double in a
-        thousand; the split stays because study outputs keep their bytes.  It
-        works on Python floats, faster than numpy for a replicate's few values.
+        Every error is squared as ``d * d``, so a selected best fixed
+        dimension gives the best fixed error bit for bit.  It works on
+        Python floats, faster than numpy for a replicate's few values.
         """
         target = self.target
         est_all = result.diagnostics["estimates_all"].tolist()
         squares = [(e - target) * (e - target) for e in est_all]
+        error = result.value - target
         m_fixed = min(self.m_star, result.m_ell_cap)
         sandwich = -1
         if self.diagonal:
@@ -271,10 +271,10 @@ class _GridPoint:
             sandwich = int(all(low <= p <= high
                                for low, p, high in zip(self.p_pop, p_hat, self.p_upper)))
         return (
-            (result.value - target) ** 2,
+            error * error,
             # NaN when any square is, as numpy's min gives it
             math.nan if any(map(math.isnan, squares)) else min(squares),
-            (est_all[m_fixed - 1] - target) ** 2,
+            squares[m_fixed - 1],
             result.selected, result.m_hat_cap, result.m_ell_cap, sandwich,
         )
 

@@ -6,11 +6,15 @@ the eigenvalue weight gamma_j.  An optional Givens rotation of adjacent
 coefficient pairs produces a non-diagonal covariance with the same spectrum.
 That rotation is one rule in :class:`Covariance`, the one description of
 the population's regressors: :func:`draw_dataset` samples from it (J is
-``cov.dim``) and applies the rotation to the drawn rows in place, and the
-oracle reads its population quantities from ``Covariance.apply`` and
+``cov.dim``) and applies the rotation to the kept columns of the drawn rows,
+and the oracle reads its population quantities from ``Covariance.apply`` and
 ``leading_quadratic_forms``, which take products and quadratic forms pair by
 pair in closed form, with no dense J x J matrix.  Responses follow
-y_i = <slope, x_i> + sigma * eps_i with independent standard normal noise.
+y_i = <slope, x_i> + sigma * eps_i with independent standard normal noise;
+the sampler forms <slope, x_i> as z_i' w from the row's raw normals z_i and
+the sampling weights w = sqrt(gamma) * R^T slope
+(:meth:`Covariance.sampling_weights`), so it scales and rotates only the
+kept columns, rounded up to a whole pair when rotated.
 A :class:`GridStream` hands :func:`draw_dataset` the samples of one seed at
 several sample sizes, drawing each normal once for all of them.
 :func:`true_value` is the functional evaluated on the slope's coefficients,
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -35,9 +39,10 @@ SLOPE_SCALE = 0.9
 
 # normals per row block of the sampler (256 KiB, 256 rows at J = 128; 1 MiB
 # blocks pass the interpreter lock less often, a headline study ran 6 %
-# faster on 2 vCPUs, but hold 1.5 MiB more per rotated draw).  A block's
-# product with the slope gave the one-thread bits with two OpenBLAS threads
-# too, which the product over all rows of a long draw did not (n = 8003)
+# faster on 2 vCPUs, but hold 0.75 MiB more per draw).  A block's product
+# with the sampling weights gave the one-thread bits with two OpenBLAS
+# threads too, which the product over all rows of a long draw did not
+# (n = 8003)
 SAMPLE_BLOCK = 2 ** 15
 
 
@@ -94,6 +99,14 @@ class Covariance:
         scale.flags.writeable = False
         return scale
 
+    def sampling_weights(self, slope: np.ndarray) -> np.ndarray:
+        """w = sqrt(gamma) * R^T slope, the weights of the raw normals z in
+        a response: a drawn row is x = R (sqrt(gamma) * z), so x' slope =
+        z' w.  R^T is :meth:`rotate` at -theta, its pair rule and sign."""
+        w = replace(self, theta=-self.theta).rotate(np.array(slope, dtype=np.float64))
+        w *= self.sampling_scale
+        return w
+
     def _pairs(self, v: np.ndarray) -> tuple:
         """Views of the first and the second member of every coefficient
         pair (2k-1, 2k) on the last axis of ``v``."""
@@ -105,8 +118,8 @@ class Covariance:
         and return ``x``: (a, b) becomes (c a - s b, s a + c b) with
         c = cos(theta), s = sin(theta).  An unpaired last coefficient (odd
         dim) is left as is; theta = 0 returns ``x`` untouched.  Two
-        temporaries of half the size of ``x`` are allocated, so the sampler
-        hands in one row block at a time.
+        temporaries of half the size of ``x`` are allocated; the sampler
+        hands in the kept columns of one row block at a time.
         """
         if self.is_diagonal:
             return x
@@ -256,17 +269,20 @@ class GridStream:
     size's rows, the start of the largest size's noise.  A stream draws each
     of these normals once, in one pass on its first :meth:`take`: the
     largest size's rows one row block at a time, copying a smaller size's
-    noise out of the raw rows before they are scaled, then the largest
-    size's noise.  :func:`draw_dataset` with ``stream=`` then hands out
-    ``sizes`` in increasing order.
+    noise out of the raw rows, then the largest size's noise.
+    :func:`draw_dataset` with ``stream=`` then hands out ``sizes`` in
+    increasing order.
 
-    The stream keeps the first ``columns`` coefficients of every row in one
-    shared array, the products of the largest size's row blocks with the
-    slope, and every size's noise.  A row's product with the slope can take
-    other last bits in a block of another shape, so the last row block of
-    every smaller size, ``_row_blocks(n, J)[-1]``, is also multiplied by the
-    slope in its own shape when its last row is drawn.  Every dataset is
-    then bit for bit the one drawn for its size alone.
+    A row block is not written after its fill.  Its products with the
+    sampling weights are the rows' products with the slope, and only its
+    first ``columns`` coefficients, rounded up to a whole pair when the
+    covariance is rotated, are scaled and rotated.  The stream keeps those
+    ``columns`` coefficients of every row in one shared array, the products
+    of the largest size's row blocks, and every size's noise.  A row's
+    product can take other last bits in a block of another shape, so the
+    last row block of every smaller size, ``_row_blocks(n, J)[-1]``, is also
+    multiplied by the weights in its own shape when its last row is drawn.
+    Every dataset is then bit for bit the one drawn for its size alone.
     """
 
     def __init__(self, cov: Covariance, slope: np.ndarray, seed: int, sizes,
@@ -283,8 +299,9 @@ class GridStream:
 
     def _draw(self) -> None:
         """Draw every normal of the stream and multiply its rows by the
-        slope."""
-        cov, slope, J = self.cov, self.slope, self.cov.dim
+        sampling weights."""
+        cov, J = self.cov, self.cov.dim
+        w = cov.sampling_weights(self.slope)
         n_max, smaller = self.sizes[-1], self.sizes[:-1]
         rng = np.random.default_rng(self.seed)
         blocks = _row_blocks(n_max, J)
@@ -293,7 +310,13 @@ class GridStream:
         self._own = {}  # smaller size -> products of its last row block
         lasts = [(n, *_row_blocks(n, J)[-1]) for n in smaller]
         carried = {}  # smaller size -> its last row block, filled so far
-        buffer = np.empty((max(hi - lo for lo, hi in blocks), J))
+        rows = max(hi - lo for lo, hi in blocks)
+        buffer = np.empty((rows, J))
+        # the kept columns, rounded up to a whole pair for a rotation, are
+        # scaled and rotated in x, or in a scratch block when rounded up
+        width = self.columns if cov.is_diagonal else min(self.columns + self.columns % 2, J)
+        scale = cov.sampling_scale[:width]
+        scratch = None if width == self.columns else np.empty((rows, width))
         for lo, hi in blocks:
             block = buffer[:hi - lo]
             rng.standard_normal(out=block)
@@ -302,22 +325,23 @@ class GridStream:
                 a, b = max(lo * J, n * J), min(hi * J, n * J + n)
                 if a < b:
                     self._noise[n][a - n * J:b - n * J] = raw[a - lo * J:b - lo * J]
-            block *= cov.sampling_scale
-            cov.rotate(block)
-            self._x[lo:hi] = block[:, :self.columns]
-            self._signal[lo:hi] = block @ slope
+            self._signal[lo:hi] = block @ w
+            x = self._x[lo:hi] if scratch is None else scratch[:hi - lo]
+            cov.rotate(np.multiply(block[:, :width], scale, out=x))
+            if scratch is not None:
+                self._x[lo:hi] = x[:, :self.columns]
             for n, first, last in lasts:
                 if first < hi < last:  # a one-row merge: it ends in the next block
                     carried[n] = np.empty((last - first, J))
                     carried[n][:hi - first] = block[first - lo:]
                 elif lo < last <= hi and first < lo:
                     carried[n][lo - first:] = block[:last - lo]
-                    self._own[n] = carried.pop(n) @ slope
+                    self._own[n] = carried.pop(n) @ w
                 elif lo < last <= hi:
-                    self._own[n] = block[first - lo:last - lo] @ slope
+                    self._own[n] = block[first - lo:last - lo] @ w
         # free the row block first, so that a stream never holds it and the
         # largest size's noise at once
-        del buffer, block, raw
+        del buffer, block, raw, scratch, x
         noise = self._noise[n_max] = rng.standard_normal(n_max)
         for n in smaller:
             past = n * J + n - n_max * J  # noise normals past the rows
@@ -357,11 +381,12 @@ def draw_dataset(cov: Covariance, slope: np.ndarray, n: int, sigma: float,
     coefficients) and the J slope coefficients ``slope``, fully determined
     by ``seed``.
 
-    The n x J standard normals are drawn one row block at a time into one
-    scratch block, scaled, rotated, multiplied into their rows of y and
-    copied into x; the noise is drawn after the last block.  Chunked fills
-    continue one stream, so the sample is bit for bit that of one n x J
-    draw.  With ``columns`` the regressors keep only their first
+    The n x J standard normals z are drawn one row block at a time into one
+    scratch block.  The block's product with the sampling weights
+    sqrt(gamma) * R^T slope gives its rows of y, and its kept columns are
+    scaled and rotated into x; the noise is drawn after the last block.
+    Chunked fills continue one stream, so the sample is bit for bit that of
+    one n x J draw.  With ``columns`` the regressors keep only their first
     ``columns`` coefficients: x is n x columns, y still sees all J.
 
     ``stream`` is a :class:`GridStream` of ``seed`` whose next size is n: the

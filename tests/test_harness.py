@@ -65,7 +65,8 @@ RAW_COLUMNS = (
 def reference_single_n(cfg, n):
     """One dict per replicate: the record loop as it stood before the
     harness kept its records as per-n columns (draws on the calling
-    thread, which does not change a record)."""
+    thread, which does not change a record), every error squared as
+    d * d."""
     cov = simulate.Covariance(cfg.model, simulate.default_truncation(n), cfg.mixing)
     slope = simulate.make_slope(cfg.model, cov.dim)
     target = simulate.true_value(cfg.spec, slope)
@@ -85,10 +86,11 @@ def reference_single_n(cfg, n):
         try:
             result = adaptive.adaptive_estimate(data, cfg.spec)
             est_all = result.diagnostics["estimates_all"]
-            record["sq_err_adaptive"] = (result.value - target) ** 2
-            record["sq_err_best_fixed"] = float(np.min((est_all - target) ** 2))
+            error, errors = result.value - target, est_all - target
+            record["sq_err_adaptive"] = error * error
+            record["sq_err_best_fixed"] = float(np.min(errors * errors))
             m_fixed = min(m_star, result.m_ell_cap)
-            record["sq_err_mstar"] = float((est_all[m_fixed - 1] - target) ** 2)
+            record["sq_err_mstar"] = float(errors[m_fixed - 1] * errors[m_fixed - 1])
             record["m_hat"] = result.selected
             record["m_hat_cap"] = result.m_hat_cap
             record["m_ell_cap"] = result.m_ell_cap
@@ -390,10 +392,13 @@ class TestRunStudy:
 
     def test_threaded_grid_point_peaks_at_one_replicate_per_thread(self, monkeypatch):
         # a rotated n = 8000 grid point on two pool threads: each thread
-        # holds at most its dataset (x of 9 columns and y) and the sampler's
-        # 256 KiB row block with its two half-block rotation temporaries; the
-        # slack covers the estimator's n-vector workspace (64 KiB), the pool
-        # and the grid point's arrays
+        # holds at most its dataset (x of 9 columns and y), the stream's
+        # products of the rows with the sampling weights (an n-vector) and
+        # the sampler's 256 KiB row block of raw normals; the slack covers
+        # the scaled and rotated kept columns of one row block (20 KiB) with
+        # their two half-size rotation temporaries, the estimator's n-vector
+        # workspace (64 KiB), the pool and the grid point's arrays.  Scaling
+        # and rotating the whole row block took about 0.25 MiB more
         threads, n = 2, 8000
         monkeypatch.setattr(harness, "_sampler_threads", lambda: threads)
         cfg = small_config(n_grid=(n,), replicates=6, mixing=0.3)
@@ -407,16 +412,17 @@ class TestRunStudy:
             tracemalloc.stop()
         x, y = n * max(adaptive.cap_m_ell(SPEC, n), harness.MIN_KEPT_COLUMNS) * 8, n * 8
         row_block = 256 * 2 ** 10
-        assert peak <= threads * (x + y + 2 * row_block) + 128 * 2 ** 10
+        assert peak <= threads * (x + 2 * y + row_block) + 192 * 2 ** 10
 
     def test_threaded_grid_peaks_at_one_stream_per_thread(self, monkeypatch):
         # a rotated 500..8000 grid on two pool threads: a thread walks one
-        # replicate's sizes over one stream, which holds the kept columns and
-        # responses of the largest size and, while it draws, one row block,
-        # and it holds one size's dataset at a time; the budget is the
-        # one-point test's above plus the smaller sizes' noise vectors, which
-        # the stream copies out of its rows as it draws them.  Every size's
-        # dataset at once would be about 0.43 MiB more per thread
+        # replicate's sizes over one stream, which holds the kept columns,
+        # row products and noise of the largest size and, while it draws,
+        # one row block of raw normals, and it holds one size's dataset at a
+        # time; the budget is the one-point test's above plus the smaller
+        # sizes' noise vectors, which the stream copies out of its rows as it
+        # draws them.  Every size's dataset at once would be about 0.43 MiB
+        # more per thread
         threads, sizes = 2, (500, 1000, 2000, 4000, 8000)
         monkeypatch.setattr(harness, "_sampler_threads", lambda: threads)
         cfg = small_config(n_grid=sizes, replicates=6, mixing=0.3)
@@ -431,7 +437,7 @@ class TestRunStudy:
         n = sizes[-1]
         x, y = n * max(adaptive.cap_m_ell(SPEC, n), harness.MIN_KEPT_COLUMNS) * 8, n * 8
         row_block, noise = 256 * 2 ** 10, sum(sizes[:-1]) * 8
-        assert peak <= threads * (x + y + 2 * row_block + noise) + 128 * 2 ** 10
+        assert peak <= threads * (x + 2 * y + row_block + noise) + 192 * 2 ** 10
 
     @pytest.mark.parametrize("mixing", [0.0, 0.3])
     def test_grid_spanning_two_truncations_writes_the_reference_files(
@@ -724,6 +730,28 @@ class TestReplicateColumns:
             result.diagnostics["estimates_all"] = np.where(np.arange(len(est_all)) == k,
                                                            np.nan, est_all)
             assert math.isnan(point.score(result)[1])
+
+    def test_selected_best_fixed_dimension_scores_its_error_bit_for_bit(self):
+        # an error whose pow(x, 2) is not x * x (about one double in a
+        # thousand): the adaptive error of a selected best fixed dimension
+        # is the best fixed error itself
+        n = 256
+        cov = simulate.Covariance(PP, simulate.default_truncation(n))
+        slope = simulate.make_slope(PP, cov.dim)
+        point = harness._GridPoint(small_config(n_grid=(n,)), cov, slope, n)
+        estimate = point.target - 0.007307508352737332
+        while pow(estimate - point.target, 2) == \
+                (estimate - point.target) * (estimate - point.target):
+            estimate = math.nextafter(estimate, math.inf)
+        est_all = np.array([point.target + 0.5, estimate, point.target - 0.25,
+                            point.target + 0.125])
+        result = adaptive.AdaptiveResult(
+            m_ell_cap=4, m_hat_cap=4, penalties=np.zeros(4), contrasts=np.zeros(4),
+            selected=2, estimates=est_all, value=float(est_all[1]),
+            diagnostics={"estimates_all": est_all})
+        record = point.score(result)
+        assert record[0] == record[1]
+        assert record[1] == (est_all[1] - point.target) * (est_all[1] - point.target)
 
     def test_peak_grows_by_one_record_per_replicate(self):
         # a grid point keeps a replicate's record and nothing else: one

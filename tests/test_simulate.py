@@ -43,15 +43,19 @@ def rotate_pairs_reference(x, theta):
 
 
 def draw_dataset_reference(cov, slope, n, sigma, seed):
-    """One-shot sampler: all n x J normals in one draw, scaled as a new
-    array, the pair rotation loop, and one matrix-vector product over all
-    n rows; ``draw_dataset`` must reproduce it bit for bit."""
+    """One-shot sampler: all n x J normals z in one draw.  x is z scaled as
+    a new array and put through the pair rotation loop; y is one
+    matrix-vector product over all n rows of z with the weights
+    sqrt(gamma) * R^T slope, R^T the loop at -theta, plus the noise.
+    ``draw_dataset`` must reproduce both bit for bit."""
     rng = np.random.default_rng(seed)
-    lam = sequences.gamma_array(cov.model, cov.dim)
-    x = rng.standard_normal((n, cov.dim)) * np.sqrt(lam)
+    scale = np.sqrt(sequences.gamma_array(cov.model, cov.dim))
+    z = rng.standard_normal((n, cov.dim))
+    x, rotated = z * scale, slope
     if cov.theta != 0.0:
         x = rotate_pairs_reference(x, cov.theta)
-    y = x @ slope + sigma * rng.standard_normal(n)
+        rotated = rotate_pairs_reference(slope[None, :], -cov.theta)[0]
+    y = z @ (scale * rotated) + sigma * rng.standard_normal(n)
     return x, y
 
 
@@ -249,6 +253,29 @@ class TestDrawDataset:
         assert np.array_equal(data.x, x)
         assert np.array_equal(data.y, y)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2, -1.1])
+    @pytest.mark.parametrize("J", [128, 129])
+    def test_responses_are_the_slope_products_of_the_rows(self, theta, J):
+        # y is formed from the raw normals, z' (sqrt(gamma) * R^T slope),
+        # which is x' slope up to rounding: within 1e-13 of the sum of the
+        # magnitudes of each response's terms
+        cov, slope, n, sigma, seed = Covariance(PP, J, theta), make_slope(PP, J), 1000, 0.5, 41
+        data = draw_dataset(cov, slope, n, sigma, seed)
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((n, J))
+        noise = sigma * rng.standard_normal(n)
+        terms = np.abs(data.x) @ np.abs(slope) + np.abs(noise)
+        assert np.all(np.abs(data.y - (data.x @ slope + noise)) <= 1e-13 * terms)
+
+    @pytest.mark.parametrize("columns", [1, 5, 9, 128, 129])
+    def test_odd_kept_widths_are_the_reference_columns(self, columns):
+        # the sampler scales and rotates the kept columns rounded up to a
+        # whole pair, or all of them at J = 129, whose last is unpaired
+        case = Covariance(PP, 129, 0.3), make_slope(PP, 129), 1001, 0.5, 43
+        x, _ = draw_dataset_reference(*case)
+        data = draw_dataset(*case, columns)
+        assert np.array_equal(data.x, x[:, :columns])
+
     @pytest.mark.parametrize("J", STREAM_J)
     @pytest.mark.parametrize("theta", STREAM_THETA)
     @pytest.mark.parametrize("n", STREAM_N)
@@ -300,9 +327,11 @@ class TestDrawDataset:
     @pytest.mark.parametrize("theta", [0.0, 0.3])
     def test_narrow_draw_peaks_at_its_columns_and_two_row_blocks(self, theta):
         # a study's n = 8000 draw keeps 9 columns: beyond them and y it holds
-        # one block of normals and, in turn, the workspace of scaling it
-        # (numpy's 64 KiB broadcast buffer) or of rotating it (two half-block
-        # temporaries); 16 KiB covers the weight vectors and the generator
+        # one block of raw normals and, rotated, a scratch block of its
+        # first 10 columns (20 KiB) with their two half-size rotation
+        # temporaries; 96 KiB covers those, the weight vectors and the
+        # generator.  Scaling and rotating the whole block held one more
+        # row block
         import tracemalloc
 
         cov = default_cov(8000, theta)
@@ -316,7 +345,7 @@ class TestDrawDataset:
             tracemalloc.stop()
         row_block = simulate.SAMPLE_BLOCK * 8
         assert data.x.shape == (8000, 9)
-        assert peak <= data.x.nbytes + data.y.nbytes + 2 * row_block + 16 * 2 ** 10
+        assert peak <= data.x.nbytes + data.y.nbytes + row_block + 96 * 2 ** 10
 
     @pytest.mark.parametrize("theta", [0.0, 0.3])
     def test_peak_memory_is_one_regressor_matrix(self, theta):
