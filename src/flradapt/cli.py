@@ -286,7 +286,6 @@ def _cmd_rates(args):
             out[f"{mode}_order"] = {
                 "n_exponent": desc.n_exponent,
                 "log_exponent": desc.log_exponent,
-                "loglog_exponent": desc.loglog_exponent,
                 "label": desc.label(),
             }
         except oracle.RegimeConditionError as err:

@@ -417,7 +417,8 @@ def run_study(cfg: StudyConfig) -> StudyReport:
 def fit_rate(n_values, risks, abscissa: str = "n") -> tuple:
     """Least squares of log(risk) on the log abscissa; returns (slope, se).
 
-    ``abscissa`` is "n" or "n_over_log_n".
+    ``abscissa`` is "n" or "n_over_log_n".  ``se`` treats the per-n risks as
+    independent, though a study's grid points share each replicate's stream.
     """
     if abscissa not in ("n", "n_over_log_n"):
         raise ValueError(f"unknown abscissa {abscissa!r}")
@@ -425,10 +426,10 @@ def fit_rate(n_values, risks, abscissa: str = "n") -> tuple:
     risks = [float(r) for r in risks]
     if len(n_values) != len(risks) or len(n_values) < 3:
         raise ValueError("need at least three (n, risk) pairs")
-    if not all(n > 1 for n in n_values):
-        raise ValueError("every sample size must exceed 1")
-    if any(r <= 0 for r in risks):
-        raise ValueError("zero or negative risk: log-log fit undefined")
+    if not all(1 < n < math.inf for n in n_values):
+        raise ValueError("every sample size must be finite and exceed 1")
+    if not all(0 < r < math.inf for r in risks):
+        raise ValueError("every risk must be finite and positive: log-log fit undefined")
     if abscissa == "n":
         x = np.log(n_values)
     else:

@@ -174,19 +174,19 @@ def side_condition_ratio(model, spec, n: int, m: int) -> float:
 
 def _population_quantities(cov, spec, slope, sigma, m_max):
     """Var(y), the quadratic forms g_m' Gamma_m^-1 g_m and the running
-    maxima V_m of l_m' Gamma_m^-1 l_m for m = 1..m_max, with g = Gamma slope,
-    in closed form from ``cov.apply`` and ``cov.leading_quadratic_forms``."""
+    maxima V_m of l_m' Gamma_m^-1 l_m for m = 1..m_max, with g = Gamma slope
+    (``cov.apply``); each form is ``cumsum(u * u)`` of u = L^-1 v
+    (``cov.leading_factor_solve``)."""
     J = len(slope)
     if m_max > J:
         raise ValueError(f"m_max = {m_max} exceeds slope truncation {J}")
     if cov.dim != J:
         raise ValueError(f"covariance dim {cov.dim} differs from slope truncation {J}")
-    ell = functionals.coefficients(spec, m_max)
     g = cov.apply(slope)
     sig_y2 = sigma ** 2 + float(slope @ g)
-    quad = cov.leading_quadratic_forms(g[:m_max])
-    v = np.maximum.accumulate(cov.leading_quadratic_forms(ell))
-    return sig_y2, quad, v
+    u_g = cov.leading_factor_solve(g[:m_max])
+    u_ell = cov.leading_factor_solve(functionals.coefficients(spec, m_max))
+    return sig_y2, np.cumsum(u_g * u_g), np.maximum.accumulate(np.cumsum(u_ell * u_ell))
 
 
 def theoretical_penalty_curve(cov, spec, slope, sigma: float, n: int,
@@ -202,11 +202,10 @@ def theoretical_penalty_curve(cov, spec, slope, sigma: float, n: int,
 
 @dataclass(frozen=True)
 class RateDescriptor:
-    """Closed-form order n^e * (log n)^f * (log log n)^g."""
+    """Closed-form order n^e * (log n)^f."""
 
     n_exponent: float
     log_exponent: float = 0.0
-    loglog_exponent: float = 0.0
 
     def label(self) -> str:
         parts = []
@@ -214,8 +213,6 @@ class RateDescriptor:
             parts.append(f"n^({self.n_exponent:g})")
         if self.log_exponent:
             parts.append(f"(log n)^({self.log_exponent:g})")
-        if self.loglog_exponent:
-            parts.append(f"(log log n)^({self.loglog_exponent:g})")
         return " * ".join(parts) if parts else "1"
 
 
@@ -257,10 +254,10 @@ def rate_exponent(model, spec, mode: str) -> RateDescriptor:
     # s <= 1 for the three families and pp and ep need a > 1/2, so s - a < 1/2:
     # the orders of s - a >= 1/2 never arise
     if regime is sequences.Regime.PE:
-        return RateDescriptor(0.0, -(2 * p + 2 * s - 1) / (2 * a), 0.0)
+        return RateDescriptor(0.0, -(2 * p + 2 * s - 1) / (2 * a))
     if regime is sequences.Regime.PP:
         e = (2 * p + 2 * s - 1) / (2 * p + 2 * a)
-        return RateDescriptor(-e, 0.0 if mode == "minimax" else e, 0.0)
+        return RateDescriptor(-e, 0.0 if mode == "minimax" else e)
     if mode == "minimax":
-        return RateDescriptor(-1.0, (2 * a - 2 * s + 1) / (2 * p), 0.0)
-    return RateDescriptor(-1.0, (2 * p + 2 * a - 2 * s + 1) / (2 * p), 0.0)
+        return RateDescriptor(-1.0, (2 * a - 2 * s + 1) / (2 * p))
+    return RateDescriptor(-1.0, (2 * p + 2 * a - 2 * s + 1) / (2 * p))

@@ -8,8 +8,8 @@ That rotation is one rule in :class:`Covariance`, the one description of
 the population's regressors: :func:`draw_dataset` samples from it (J is
 ``cov.dim``) and applies the rotation to the kept columns of the drawn rows,
 and the oracle reads its population quantities from ``Covariance.apply`` and
-``leading_quadratic_forms``, which take products and quadratic forms pair by
-pair in closed form, with no dense J x J matrix.  Responses follow
+``leading_factor_solve``, which multiply and solve pair by pair in closed
+form, with no dense J x J matrix.  Responses follow
 y_i = <slope, x_i> + sigma * eps_i with independent standard normal noise;
 the sampler forms <slope, x_i> as z_i' w from the row's raw normals z_i and
 the sampling weights w = sqrt(gamma) * R^T slope
@@ -133,42 +133,34 @@ class Covariance:
         odd += a
         return x
 
-    def _edge_entries(self, lam: np.ndarray, m_max: int) -> np.ndarray:
-        """The diagonal entry at the edge of each odd leading block m <= m_max:
-        c^2 gamma_m + s^2 gamma_{m+1} of the pair it cuts, or the unpaired
-        last weight."""
-        edge = lam[0:m_max:2].copy()
-        cut = self.pair_blocks(lam)[:len(edge), 0, 0]
-        edge[:len(cut)] = cut
-        return edge
+    def leading_factor_solve(self, vec: np.ndarray) -> np.ndarray:
+        """u = L^-1 vec in O(m), L the lower Cholesky factor of the leading
+        m x m block of the covariance, m = len(vec).
 
-    def leading_quadratic_forms(self, vec: np.ndarray) -> np.ndarray:
-        """vec_m' Gamma_m^-1 vec_m over the leading m x m blocks of the
-        covariance, m = 1..len(vec), in closed form.
-
-        A leading block is block-diagonal: a complete rotated pair adds
-        (c v_{2k-1} + s v_{2k})^2 / gamma_{2k-1} +
-        (c v_{2k} - s v_{2k-1})^2 / gamma_{2k}, and an odd block m adds
-        v_m^2 over the diagonal entry at its edge (:meth:`_edge_entries`).
-        Every term is non-negative, so no solve loses the form when the
-        weights span hundreds of decades (rotated ``pe``, a = 1).
+        A pair block [[a, b], [b, c]] (:meth:`pair_blocks`) has the factor
+        [[sqrt(a), 0], [b / sqrt(a), sqrt(gamma_2k) sqrt(gamma_2k-1 / a)]]:
+        no cancellation, and no underflow on steep weights (rotated ``pe``,
+        a = 1).  An unpaired last coefficient has sqrt(gamma).  A leading
+        block of L factors that leading block, so ``cumsum(u * u)`` holds
+        every form vec_k' Gamma_k^-1 vec_k, k <= m, a cut pair's included.
+        theta = 0 gives exactly vec / sqrt(gamma).
         """
         vec = np.asarray(vec, dtype=float)
-        m_max = len(vec)
-        if not 1 <= m_max <= self.dim:
-            raise ValueError(f"len(vec) must lie in 1..{self.dim}, got {m_max}")
+        m = len(vec)
+        if not 1 <= m <= self.dim:
+            raise ValueError(f"len(vec) must lie in 1..{self.dim}, got {m}")
         c, s = math.cos(self.theta), math.sin(self.theta)
-        lam = self.eigenvalues()
-        whole = 2 * (m_max // 2)
-        v1, v2 = vec[0:whole:2], vec[1:whole:2]
-        pairs = (c * v1 + s * v2) ** 2 / lam[0:whole:2] \
-            + (c * v2 - s * v1) ** 2 / lam[1:whole:2]
-        forms = np.empty(m_max)
-        forms[1::2] = np.cumsum(pairs)
-        edge = self._edge_entries(lam, m_max)
-        forms[0::2] = np.concatenate(([0.0], forms[1::2]))[:len(edge)] \
-            + vec[0::2] ** 2 / edge
-        return forms
+        lam = self.eigenvalues()[:m + 1]
+        g1, g2 = lam[0:m:2], lam[1:m + 1:2]  # every pair it meets, a cut one too
+        pivot = g1.copy()
+        pivot[:len(g2)] = c * c * g1[:len(g2)] + s * s * g2
+        root = np.sqrt(pivot)
+        u = np.empty(m)
+        u[0::2] = vec[0::2] / root
+        h = m // 2  # the pairs the block holds whole
+        u[1::2] = (vec[1::2] - c * s * (g1[:h] - g2[:h]) / root[:h] * u[0:2 * h:2]) \
+            / (np.sqrt(g2[:h]) * np.sqrt(g1[:h] / pivot[:h]))
+        return u
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The covariance times ``vec`` in O(dim): each pair's rotated block

@@ -205,14 +205,20 @@ class TestFitRate:
         assert stderr == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_risk_rejected(self):
-        with pytest.raises(ValueError, match="log-log"):
-            fit_rate([100, 200, 400], [1.0, 0.0, 1.0], "n")
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="log-log"):
+                    fit_rate([100, 200, 400], [1.0, bad, 1.0], "n")
 
     @pytest.mark.parametrize("n, abscissa", [
         ([1, 2, 4], "n_over_log_n"),
         ([0, 2, 4], "n"),
         ([2, 2, 2], "n"),
         ([2, 4, 4], "n_over_log_n"),
+        ([100, 200, math.inf], "n"),
+        ([100, 200, math.inf], "n_over_log_n"),
+        ([100, math.nan, 400], "n"),
     ])
     def test_degenerate_sample_sizes_rejected(self, n, abscissa):
         with warnings.catch_warnings():

@@ -330,22 +330,22 @@ class TestTheoreticalPenalty:
 class TestRateExponent:
     def test_pp_point_minimax(self):
         desc = rate_exponent(PP, PointEval(t0=0.3), "minimax")
-        assert desc == RateDescriptor(-0.25, 0.0, 0.0)
+        assert desc == RateDescriptor(-0.25, 0.0)
 
     def test_pp_point_adaptive(self):
         desc = rate_exponent(PP, PointEval(t0=0.3), "adaptive")
-        assert desc == RateDescriptor(-0.25, 0.25, 0.0)
+        assert desc == RateDescriptor(-0.25, 0.25)
 
     def test_pe_point_same_in_both_modes(self):
-        want = RateDescriptor(0.0, -(2 * 1.0 - 1) / (2 * 0.5), 0.0)
+        want = RateDescriptor(0.0, -(2 * 1.0 - 1) / (2 * 0.5))
         assert rate_exponent(PE, PointEval(t0=0.3), "minimax") == want
         assert rate_exponent(PE, PointEval(t0=0.3), "adaptive") == want
 
     # pe and ep with p = 2, a = 1: the labels of ``flradapt rates``
     @pytest.mark.parametrize("model, minimax, adaptive", [
-        (PP, RateDescriptor(-(2 + 1) / 4, 0.0, 0.0), RateDescriptor(-0.75, 0.75, 0.0)),
-        (PE_2, RateDescriptor(0.0, -2.5, 0.0), RateDescriptor(0.0, -2.5, 0.0)),
-        (EP_2, RateDescriptor(-1.0, 0.25, 0.0), RateDescriptor(-1.0, 1.25, 0.0)),
+        (PP, RateDescriptor(-(2 + 1) / 4, 0.0), RateDescriptor(-0.75, 0.75)),
+        (PE_2, RateDescriptor(0.0, -2.5), RateDescriptor(0.0, -2.5)),
+        (EP_2, RateDescriptor(-1.0, 0.25), RateDescriptor(-1.0, 1.25)),
     ], ids=["pp", "pe", "ep"])
     def test_local_average(self, model, minimax, adaptive):
         assert rate_exponent(model, LocalAverage(b=0.5), "minimax") == minimax
@@ -353,9 +353,9 @@ class TestRateExponent:
 
     @pytest.mark.parametrize("model, minimax, adaptive", [
         (SequenceModel(regime=Regime.PP, p=2.0, a=1.0),
-         RateDescriptor(-(4 - 2 - 1) / 6, 0.0, 0.0), RateDescriptor(-1 / 6, 1 / 6, 0.0)),
-        (PE_2, RateDescriptor(0.0, -0.5, 0.0), RateDescriptor(0.0, -0.5, 0.0)),
-        (EP_2, RateDescriptor(-1.0, 1.25, 0.0), RateDescriptor(-1.0, 2.25, 0.0)),
+         RateDescriptor(-(4 - 2 - 1) / 6, 0.0), RateDescriptor(-1 / 6, 1 / 6)),
+        (PE_2, RateDescriptor(0.0, -0.5), RateDescriptor(0.0, -0.5)),
+        (EP_2, RateDescriptor(-1.0, 1.25), RateDescriptor(-1.0, 2.25)),
     ], ids=["pp", "pe", "ep"])
     def test_derivative(self, model, minimax, adaptive):
         assert rate_exponent(model, DerivativeEval(t0=0.3, q=1), "minimax") == minimax
@@ -363,9 +363,9 @@ class TestRateExponent:
 
     def test_ep_point_eval(self):
         desc = rate_exponent(EP, PointEval(t0=0.3), "minimax")
-        assert desc == RateDescriptor(-1.0, (2 * 1.0 + 1) / (2 * 0.5), 0.0)
+        assert desc == RateDescriptor(-1.0, (2 * 1.0 + 1) / (2 * 0.5))
         desc = rate_exponent(EP, PointEval(t0=0.3), "adaptive")
-        assert desc == RateDescriptor(-1.0, (2 * 0.5 + 2 * 1.0 + 1) / (2 * 0.5), 0.0)
+        assert desc == RateDescriptor(-1.0, (2 * 0.5 + 2 * 1.0 + 1) / (2 * 0.5))
 
     def test_out_of_regime_rejected_with_named_condition(self):
         small_p = SequenceModel(regime=Regime.PP, p=0.4, a=1.5)
@@ -382,7 +382,7 @@ class TestRateExponent:
             rate_exponent(PP, E1, "minimax")
 
     def test_descriptor_evaluation(self):
-        desc = RateDescriptor(-0.25, 0.25, 0.0)
+        desc = RateDescriptor(-0.25, 0.25)
         assert "n^(-0.25)" in desc.label()
 
 
@@ -409,9 +409,10 @@ def penalty_curve_reference(model, spec, slope, sigma, n, m_max, cov=None):
         cov = Covariance(model, len(slope), 0.0)
     g = cov.apply(slope)
     sig_y2 = sigma ** 2 + float(slope @ g)
-    quad = cov.leading_quadratic_forms(g[:m_max])
-    v = np.maximum.accumulate(
-        cov.leading_quadratic_forms(functionals.coefficients(spec, m_max)))
+    u_g = cov.leading_factor_solve(g[:m_max])
+    u_ell = cov.leading_factor_solve(functionals.coefficients(spec, m_max))
+    quad = np.cumsum(u_g * u_g)
+    v = np.maximum.accumulate(np.cumsum(u_ell * u_ell))
     factor = oracle.THEORETICAL_PENALTY_CONSTANT * (1.0 + math.log(n)) / n
     return factor * 2.0 * (sig_y2 + quad) * v
 

@@ -553,6 +553,26 @@ class TestCovariance:
         assert Covariance(PP, 6).rotate(x) is x
         np.testing.assert_array_equal(x, np.arange(12.0).reshape(2, 6))
 
+    # pe with a = 1/2: the dense factor of a steeper pe loses digits in the
+    # second pivot of each rotated pair (c - b^2 / a cancels; 8.9e-4 relative
+    # at a = 1 and dim 16, where the closed form has none)
+    @pytest.mark.parametrize("model", [
+        PP, EP, SequenceModel(regime=Regime.PE, p=1.0, a=0.5),
+    ], ids=["pp", "ep", "pe"])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2, -1.1])
+    @pytest.mark.parametrize("dim", [16, 17])
+    def test_leading_factor_solve_matches_dense_cholesky(self, dim, theta, model, dense):
+        # M odd below dim cuts a pair; M = 17 ends in the unpaired weight
+        cov = Covariance(model, dim, theta)
+        mat = dense(cov)
+        v = np.random.default_rng(dim).standard_normal(dim)
+        for M in (1, 7, 8, dim):
+            u = cov.leading_factor_solve(v[:M])
+            want = np.linalg.solve(np.linalg.cholesky(mat[:M, :M]), v[:M])
+            np.testing.assert_allclose(u, want, rtol=1e-12)
+            if theta == 0.0:
+                assert np.array_equal(u, v[:M] / np.sqrt(cov.eigenvalues()[:M]))
+
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.7, math.pi / 2])
     @pytest.mark.parametrize("dim", [16, 17, 32])
     def test_closed_form_quadratic_forms_match_solve(self, dim, theta, dense):
@@ -563,10 +583,10 @@ class TestCovariance:
             ell = functionals.coefficients(spec, dim)
             want = [ell[:m] @ np.linalg.solve(mat[:m, :m], ell[:m])
                     for m in range(1, dim + 1)]
-            np.testing.assert_allclose(cov.leading_quadratic_forms(ell), want,
-                                       rtol=1e-12)
+            u = cov.leading_factor_solve(ell)
+            np.testing.assert_allclose(np.cumsum(u * u), want, rtol=1e-12)
         with pytest.raises(ValueError, match="len"):
-            cov.leading_quadratic_forms(np.ones(dim + 1))
+            cov.leading_factor_solve(np.ones(dim + 1))
 
     def test_steep_rotated_weights_give_exact_quadratic_forms(self):
         # the ratios V_m / V_m^gamma of the running maximum V_m of the forms
@@ -577,7 +597,8 @@ class TestCovariance:
         cov = Covariance(pe, 40, theta=0.3)
         ell = functionals.coefficients(PointEval(t0=0.3), 26)
         with pytest.warns(sequences.UnderflowWarning):  # gamma_j from j = 27
-            v = np.maximum.accumulate(cov.leading_quadratic_forms(ell))
+            u = cov.leading_factor_solve(ell)
+        v = np.maximum.accumulate(np.cumsum(u * u))
         v_gamma = np.cumsum(ell ** 2 / sequences.gamma_array(pe, 26))
         at = np.array([20, 21, 22, 24, 26]) - 1
         np.testing.assert_allclose((v / v_gamma)[at],
