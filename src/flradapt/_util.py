@@ -1,7 +1,8 @@
-"""Small shared helpers: integer checks, exact integer roots and round-trip
-float formatting."""
+"""Small shared helpers: integer checks, exact integer roots, round-trip
+float formatting and standard JSON."""
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -32,3 +33,13 @@ def fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def finite_or_null(obj):
+    """``obj`` with each NaN or infinite float in it as None: standard JSON
+    (RFC 8259) has no ``NaN`` or ``Infinity``."""
+    if isinstance(obj, dict):
+        return {key: finite_or_null(val) for key, val in obj.items()}
+    if isinstance(obj, list):
+        return list(map(finite_or_null, obj))
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import estimator, functionals
-from ._util import floor_fourth_root
+from ._util import finite_or_null, floor_fourth_root
 
 # multiplicative constant of the stochastic penalty: 7 times the population
 # constant oracle.THEORETICAL_PENALTY_CONSTANT, as the theory prescribes
@@ -48,23 +48,19 @@ class AdaptiveResult:
     diagnostics: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
-        """JSON-ready dictionary (arrays become lists)."""
-        diag = {}
-        for key, val in self.diagnostics.items():
-            if isinstance(val, np.ndarray):
-                diag[key] = [float(v) for v in val]
-            else:
-                diag[key] = val
-        return {
+        """JSON-ready dictionary (arrays become lists, NaN and infinities
+        None)."""
+        return finite_or_null({
             "m_ell_cap": int(self.m_ell_cap),
             "m_hat_cap": int(self.m_hat_cap),
             "selected": int(self.selected),
             "value": float(self.value),
-            "estimates": [float(v) for v in self.estimates],
-            "penalties": [float(v) for v in self.penalties],
-            "contrasts": [float(v) for v in self.contrasts],
-            "diagnostics": diag,
-        }
+            "estimates": self.estimates.tolist(),
+            "penalties": self.penalties.tolist(),
+            "contrasts": self.contrasts.tolist(),
+            "diagnostics": {key: val.tolist() if isinstance(val, np.ndarray) else val
+                            for key, val in self.diagnostics.items()},
+        })
 
 
 def cap_m_ell(spec, n: int) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import adaptive, functionals, harness, oracle, sequences, simulate
-from ._util import check_int
+from ._util import check_int, finite_or_null
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -290,7 +290,7 @@ def _cmd_rates(args):
             }
         except oracle.RegimeConditionError as err:
             out[f"{mode}_order"] = {"error": str(err)}
-    print(json.dumps(out, indent=2))
+    print(json.dumps(finite_or_null(out), indent=2))
     return EXIT_OK
 
 

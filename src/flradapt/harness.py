@@ -1,8 +1,9 @@
 """Monte Carlo risk studies over a grid of sample sizes.
 
-Each run of sample sizes with one J = ``default_truncation(n)`` builds one
-:class:`~flradapt.simulate.Covariance` and one slope: every replicate's
-draws sample from that covariance, and the population penalty reads it.
+A study builds one :class:`~flradapt.simulate.Covariance` and one slope, at
+J = ``default_truncation`` of its largest sample size: every replicate's
+draws sample from that covariance, the population penalty reads it, and
+every size scores one target.
 For each replicate and sample size the harness draws a dataset, runs the
 data-driven estimator, and records the squared error of the selected value
 next to two benchmarks: the per-replicate best fixed dimension (the
@@ -12,12 +13,11 @@ Aggregates include theoretical risk levels, a log-log rate fit, the
 selected-dimension histogram, and for diagonal covariances the frequency of
 the penalty sandwich event.
 
-The grid runs replicate-major within each run of sample sizes that share J.
-Replicate ``rep`` draws every size from seed ``base_seed + rep``, so a
-smaller size's sample is a prefix of the same stream: one task per
-replicate walks the run's sizes in increasing order over one
-:class:`~flradapt.simulate.GridStream`, which draws each normal once, in
-one pass, and estimates and drops one size's dataset at a time.
+The grid runs replicate-major.  Replicate ``rep`` draws every size from
+seed ``base_seed + rep``, so a smaller size's sample is a prefix of the same
+stream: one task per replicate walks the grid's sizes in increasing order
+over one :class:`~flradapt.simulate.GridStream`, which draws each normal
+once, in one pass, and estimates and drops one size's dataset at a time.
 The grid points of a replicate therefore share their first rows, and their
 errors are positively correlated.  Tasks whose largest draw is long go to a
 ``concurrent.futures`` thread pool with one thread per usable CPU; the
@@ -65,8 +65,8 @@ _EXPECTED_FAILURES = (
 # path than those of a wider row stride and can differ in the last bits
 MIN_KEPT_COLUMNS = 4
 
-# a run of sizes goes to pool threads only when its replicates' largest draw
-# has this many normals (n_max * J): below it a replicate is mostly Python
+# a study goes to pool threads only when its replicates' largest draw has
+# this many normals (n_max * J): below it a replicate is mostly Python
 # work, which holds the interpreter lock, and two threads buy no steady wall
 # time for more processor time (on a 2-vCPU VM, with a whole replicate per
 # task, small_n's 16..256 grid at 2^15 normals was faster on two threads in
@@ -320,37 +320,26 @@ class _GridPoint:
         return block, row
 
 
-def _truncation_runs(n_grid) -> list:
-    """The grid split into runs of consecutive sample sizes that share
-    J = ``default_truncation(n)``."""
-    runs = []
-    for n in n_grid:
-        if runs and simulate.default_truncation(runs[-1][-1]) == simulate.default_truncation(n):
-            runs[-1].append(n)
-        else:
-            runs.append([n])
-    return runs
-
-
-def _run_sizes(cfg: StudyConfig, sizes: list) -> list:
-    """The replicate blocks and per-n rows of sample sizes that share J,
-    one (block, row) pair per size.
+def _run_grid(cfg: StudyConfig) -> list:
+    """The replicate blocks and per-n rows of the grid, one (block, row)
+    pair per size.
 
     One task per replicate walks the sizes in increasing order over one
     :class:`~flradapt.simulate.GridStream` of the replicate's seed, which
     draws every size's normals on the first call: each size's dataset is
     estimated, scored and dropped before the next size's is handed out.
     """
-    cov = simulate.Covariance(cfg.model, simulate.default_truncation(sizes[0]), cfg.mixing)
+    cov = simulate.Covariance(cfg.model, simulate.default_truncation(cfg.n_grid[-1]),
+                              cfg.mixing)
     slope = simulate.make_slope(cfg.model, cov.dim)
-    points = [_GridPoint(cfg, cov, slope, n) for n in sizes]
+    points = [_GridPoint(cfg, cov, slope, n) for n in cfg.n_grid]
     width = max(point.columns for point in points)
 
     def replicate(rep):
         # each dataset and result dies on this thread before the next size
         # is handed out; an expected failure gives its "Kind: message"
         seed = cfg.base_seed + rep
-        stream = simulate.GridStream(cov, slope, seed, sizes, width)
+        stream = simulate.GridStream(cov, slope, seed, cfg.n_grid, width)
         records = []
         for point in points:
             data = simulate.draw_dataset(cov, slope, point.n, cfg.sigma, seed,
@@ -363,7 +352,7 @@ def _run_sizes(cfg: StudyConfig, sizes: list) -> list:
         return records
 
     threads = 0
-    if sizes[-1] * cov.dim >= THREADED_MIN_NORMALS:
+    if cfg.n_grid[-1] * cov.dim >= THREADED_MIN_NORMALS:
         threads = min(_sampler_threads(), cfg.replicates)
     with closing(_drawn_in_order(replicate, cfg.replicates, threads)) as replicates:
         for rep, records in enumerate(replicates):
@@ -378,12 +367,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     Raises :class:`StudyError` when more than one percent of all replicates
     fail; individual failures are recorded and excluded from the means.
     """
-    rows = []
-    blocks = []
-    for sizes in _truncation_runs(cfg.n_grid):
-        for block, row in _run_sizes(cfg, sizes):
-            blocks.append(block)
-            rows.append(row)
+    blocks, rows = map(list, zip(*_run_grid(cfg)))
     total = len(cfg.n_grid) * cfg.replicates
     total_errors = sum(row["errors"] for row in rows)
     if total_errors > 0.01 * total:

@@ -78,8 +78,7 @@ class Covariance:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        check_int(self.dim, "dim", 1)
         check_mixing(self.theta)
 
     @property
@@ -167,6 +166,8 @@ class Covariance:
         (:meth:`pair_blocks`) times its two entries, an unpaired last entry
         times its weight.  theta = 0 gives exactly gamma * vec."""
         vec = np.asarray(vec, dtype=float)
+        if len(vec) != self.dim:
+            raise ValueError(f"len(vec) must be {self.dim}, got {len(vec)}")
         lam = self.eigenvalues()
         blocks, out = self.pair_blocks(lam), lam * vec
         v1, v2 = self._pairs(vec)

@@ -281,14 +281,26 @@ class TestAdaptiveEstimate:
             adaptive.adaptive_estimate(data, PointEval(t0=0.3))
 
     def test_record_round_trips_through_json(self):
+        # standard JSON: a duplicated column's singular blocks have infinite
+        # inverse norms, which the record writes as null, not Infinity
         import json
-        data = sim_data(n=600, seed=2)
-        result = adaptive.adaptive_estimate(data, PointEval(t0=0.3))
-        text = json.dumps(result.to_record())
-        back = json.loads(text)
-        assert back["selected"] == result.selected
-        assert back["value"] == result.value
-        assert len(back["penalties"]) == result.m_hat_cap
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        base = sim_data(n=300, seed=2)
+        x = base.x.copy()
+        x[:, 2] = x[:, 1]
+        for data in (sim_data(n=600, seed=2), simulate.Dataset(y=base.y, x=x)):
+            result = adaptive.adaptive_estimate(data, PointEval(t0=0.3))
+            back = json.loads(json.dumps(result.to_record()), parse_constant=refuse)
+            assert back["selected"] == result.selected
+            assert back["value"] == result.value
+            assert len(back["penalties"]) == result.m_hat_cap
+        norms = result.diagnostics["inv_spectral_norms"]
+        assert back["diagnostics"]["inv_spectral_norms"] == [
+            v if math.isfinite(v) else None for v in norms.tolist()]
+        assert None in back["diagnostics"]["inv_spectral_norms"]
 
 
 class TestSelectionBound:

@@ -1,21 +1,32 @@
 import copy
 import json
+import math
 import pathlib
 
 import pytest
 import yaml
 
-from flradapt import cli
+from flradapt import cli, simulate
 from flradapt.cli import main, parse_functional
 from flradapt.functionals import Custom, DerivativeEval, LocalAverage, PointEval
 from flradapt.harness import StudyConfig, run_study
 from flradapt.sequences import Regime, SequenceModel
+
+PP = SequenceModel(regime=Regime.PP, p=1.0, a=1.0)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """``text`` parsed as standard JSON (RFC 8259), which has no NaN,
+    Infinity or -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestFunctionalParsing:
@@ -82,6 +93,21 @@ class TestSimulateEstimate:
         assert code == 1
         assert err == "error: usage: seed must be >= 0, got -3\n"
         assert not data.exists()
+
+    def test_duplicated_column_prints_standard_json(self, tmp_path, capsys):
+        # x3 copies x2: the singular blocks' inverse norms are infinite and
+        # print as null
+        data = tmp_path / "dup.csv"
+        cov = simulate.Covariance(PP, simulate.default_truncation(300))
+        drawn = simulate.draw_dataset(cov, simulate.make_slope(PP, cov.dim), 300, 1.0, 0, 8)
+        x = drawn.x.copy()
+        x[:, 2] = x[:, 1]
+        simulate.save_dataset_csv(simulate.Dataset(y=drawn.y, x=x), data)
+        code, out, err = run(capsys, "estimate", "--data", str(data),
+                             "--functional", "point:0.3")
+        assert code == 0, err
+        norms = strict_json(out)["diagnostics"]["inv_spectral_norms"]
+        assert norms.count(None) == 2
 
     def test_missing_dataset(self, tmp_path, capsys):
         code, _, err = run(
@@ -356,6 +382,18 @@ class TestRates:
         assert doc["m_star"] >= 1
         assert doc["r_star_adaptive"] >= doc["r_star_minimax"]
         assert len(doc["risk_curve_minimax"]) == doc["m_search"]
+
+    def test_infinite_risks_print_as_null(self, capsys):
+        # pe's risk curve overflows to inf past some dimension
+        code, out, err = run(
+            capsys, "rates", "--regime", "pe", "--p", "1", "--a", "1",
+            "--functional", "point:0.3", "--n", "1000", "--m-search", "60",
+        )
+        assert code == 0, err
+        curve = strict_json(out)["risk_curve_minimax"]
+        assert len(curve) == 60
+        assert None in curve
+        assert all(v is None or math.isfinite(v) for v in curve)
 
     def test_divergent_derivative_rates_fail_numeric(self, capsys):
         code, _, err = run(

@@ -66,8 +66,9 @@ def reference_single_n(cfg, n):
     """One dict per replicate: the record loop as it stood before the
     harness kept its records as per-n columns (draws on the calling
     thread, which does not change a record), every error squared as
-    d * d."""
-    cov = simulate.Covariance(cfg.model, simulate.default_truncation(n), cfg.mixing)
+    d * d.  Every size samples the population of the largest one."""
+    cov = simulate.Covariance(cfg.model, simulate.default_truncation(cfg.n_grid[-1]),
+                              cfg.mixing)
     slope = simulate.make_slope(cfg.model, cov.dim)
     target = simulate.true_value(cfg.spec, slope)
     m_ell = adaptive.cap_m_ell(cfg.spec, n)
@@ -448,16 +449,18 @@ class TestRunStudy:
     @pytest.mark.parametrize("mixing", [0.0, 0.3])
     def test_grid_spanning_two_truncations_writes_the_reference_files(
             self, tmp_path, monkeypatch, mixing):
-        # J = 128 up to n = 128 and 136 from n = 256 on: each run of sizes
-        # that share J walks its own streams, the first inline and the
-        # second, with n * J = 69,632 normals at n = 512, on the pool
+        # J = 128 up to n = 128 and 136 from n = 256 on: every size samples
+        # the covariance and slope of J = 136, and each replicate walks the
+        # whole grid over one stream on the pool (n * J = 69,632 normals at
+        # n = 512), so every row scores the one target of that slope
         monkeypatch.setattr(simulate, "default_truncation", lambda n: 128 if n <= 128 else 136)
         cfg = small_config(n_grid=(64, 128, 256, 512), replicates=8, mixing=mixing)
-        assert harness._truncation_runs(cfg.n_grid) == [[64, 128], [256, 512]]
         files = study_files(tmp_path, "grid", cfg)
         reference = reference_study_files(tmp_path, "reference", cfg)
         assert files["report_path"] == reference["report_path"]
         assert files["raw_path"] == reference["raw_path"]
+        targets = {row["true_value"] for row in json.loads(files["report_path"])["per_n"]}
+        assert targets == {simulate.true_value(SPEC, simulate.make_slope(PP, 136))}
 
     def test_pool_draws_at_most_threads_plus_one_ahead(self):
         # while the caller holds replicate 0, the pool has started exactly

@@ -512,6 +512,8 @@ class TestCovariance:
             np.testing.assert_allclose(cov.apply(v), want, rtol=1e-14)
         with pytest.raises(ValueError):
             cov.apply(np.ones(dim + 1))
+        with pytest.raises(ValueError):
+            Covariance(PP, 1).apply(np.ones(8))
 
     def test_draws_compute_the_sampling_scale_once(self, monkeypatch):
         # eigenvalues() computes gamma on every call; the draws of one
@@ -648,6 +650,11 @@ class TestConfigValidation:
     def test_nonfinite_mixing_rejected(self, theta):
         with pytest.raises(ValueError, match="mixing angle theta"):
             Covariance(PP, 8, theta)
+
+    @pytest.mark.parametrize("dim", [0, 6.5, True, np.float64(8.0)])
+    def test_nonintegral_or_nonpositive_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim must be"):
+            Covariance(PP, dim)
 
     def test_nonfinite_entries_rejected(self):
         with pytest.raises(ValueError):
