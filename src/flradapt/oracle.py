@@ -227,6 +227,8 @@ def rate_exponent(model, spec, mode: str) -> RateDescriptor:
     ``mode`` is "minimax" (best non-adaptive dimension, accuracy level 1/n)
     or "adaptive" (data-driven dimension, accuracy level (1+log n)/n).
     """
+    if mode not in ("minimax", "adaptive"):
+        raise ValueError(f"mode must be 'minimax' or 'adaptive', got {mode!r}")
     if isinstance(spec, functionals.Custom):
         raise RegimeConditionError(
             "closed-form rate orders exist only for point evaluation, "
@@ -249,8 +251,6 @@ def rate_exponent(model, spec, mode: str) -> RateDescriptor:
     elif isinstance(spec, functionals.LocalAverage):
         if regime is sequences.Regime.PP:
             _require(p + a > 1.5, "p + a > 3/2 (local average, pp)")
-    if mode not in ("minimax", "adaptive"):
-        raise ValueError(f"mode must be 'minimax' or 'adaptive', got {mode!r}")
     # s <= 1 for the three families and pp and ep need a > 1/2, so s - a < 1/2:
     # the orders of s - a >= 1/2 never arise
     if regime is sequences.Regime.PE:

@@ -39,10 +39,7 @@ SLOPE_SCALE = 0.9
 
 # normals per row block of the sampler (256 KiB, 256 rows at J = 128; 1 MiB
 # blocks pass the interpreter lock less often, a headline study ran 6 %
-# faster on 2 vCPUs, but hold 0.75 MiB more per draw).  A block's product
-# with the sampling weights gave the one-thread bits with two OpenBLAS
-# threads too, which the product over all rows of a long draw did not
-# (n = 8003)
+# faster on 2 vCPUs, but hold 0.75 MiB more per draw)
 SAMPLE_BLOCK = 2 ** 15
 
 
@@ -242,13 +239,9 @@ def make_slope(model, J: int) -> np.ndarray:
 
 
 def _row_blocks(n: int, J: int) -> list:
-    """(lo, hi) row ranges covering 0..n of SAMPLE_BLOCK // J rows rounded
-    down to a multiple of 8; a one-row remainder joins the block before it.
-    Each row's product with the slope then takes the BLAS path of one
-    product over all n rows (254-row blocks at J = 129 did not)."""
-    bounds = list(range(0, n, 8 * max(SAMPLE_BLOCK // (8 * J), 1))) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
+    """(lo, hi) row ranges covering 0..n of SAMPLE_BLOCK // J rows, one at
+    least; the last range holds the remainder."""
+    bounds = list(range(0, n, max(SAMPLE_BLOCK // J, 1))) + [n]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
@@ -266,16 +259,13 @@ class GridStream:
     :func:`draw_dataset` with ``stream=`` then hands out ``sizes`` in
     increasing order.
 
-    A row block is not written after its fill.  Its products with the
-    sampling weights are the rows' products with the slope, and only its
-    first ``columns`` coefficients, rounded up to a whole pair when the
-    covariance is rotated, are scaled and rotated.  The stream keeps those
-    ``columns`` coefficients of every row in one shared array, the products
-    of the largest size's row blocks, and every size's noise.  A row's
-    product can take other last bits in a block of another shape, so the
-    last row block of every smaller size, ``_row_blocks(n, J)[-1]``, is also
-    multiplied by the weights in its own shape when its last row is drawn.
-    Every dataset is then bit for bit the one drawn for its size alone.
+    A row block is not written after its fill.  Each row's dot product
+    with the sampling weights (``np.vecdot``, which reads that row alone) is
+    its product with the slope, and only the block's first ``columns``
+    coefficients, rounded up to a whole pair when the covariance is rotated,
+    are scaled and rotated.  The stream keeps those ``columns``
+    coefficients and the product of every row, and every size's noise, so
+    every dataset is bit for bit the one drawn for its size alone.
     """
 
     def __init__(self, cov: Covariance, slope: np.ndarray, seed: int, sizes,
@@ -300,10 +290,7 @@ class GridStream:
         blocks = _row_blocks(n_max, J)
         self._x, self._signal = np.empty((n_max, self.columns)), np.empty(n_max)
         self._noise = {n: np.empty(n) for n in smaller}
-        self._own = {}  # smaller size -> products of its last row block
-        lasts = [(n, *_row_blocks(n, J)[-1]) for n in smaller]
-        carried = {}  # smaller size -> its last row block, filled so far
-        rows = max(hi - lo for lo, hi in blocks)
+        rows = blocks[0][1]
         buffer = np.empty((rows, J))
         # the kept columns, rounded up to a whole pair for a rotation, are
         # scaled and rotated in x, or in a scratch block when rounded up
@@ -318,20 +305,11 @@ class GridStream:
                 a, b = max(lo * J, n * J), min(hi * J, n * J + n)
                 if a < b:
                     self._noise[n][a - n * J:b - n * J] = raw[a - lo * J:b - lo * J]
-            self._signal[lo:hi] = block @ w
+            np.vecdot(block, w, out=self._signal[lo:hi])
             x = self._x[lo:hi] if scratch is None else scratch[:hi - lo]
             cov.rotate(np.multiply(block[:, :width], scale, out=x))
             if scratch is not None:
                 self._x[lo:hi] = x[:, :self.columns]
-            for n, first, last in lasts:
-                if first < hi < last:  # a one-row merge: it ends in the next block
-                    carried[n] = np.empty((last - first, J))
-                    carried[n][:hi - first] = block[first - lo:]
-                elif lo < last <= hi and first < lo:
-                    carried[n][lo - first:] = block[:last - lo]
-                    self._own[n] = carried.pop(n) @ w
-                elif lo < last <= hi:
-                    self._own[n] = block[first - lo:last - lo] @ w
         # free the row block first, so that a stream never holds it and the
         # largest size's noise at once
         del buffer, block, raw, scratch, x
@@ -355,11 +333,7 @@ class GridStream:
         # y is sigma * noise + the slope products, formed in the noise array
         y = self._noise.pop(n)
         y *= sigma
-        own = self._own.pop(n, None)
-        cut = n if own is None else n - len(own)
-        y[:cut] += self._signal[:cut]
-        if own is not None:
-            y[cut:] += own
+        y += self._signal[:n]
         x = self._x[:n]
         if columns < self.columns:
             x = np.ascontiguousarray(x[:, :columns])
@@ -375,8 +349,8 @@ def draw_dataset(cov: Covariance, slope: np.ndarray, n: int, sigma: float,
     by ``seed``.
 
     The n x J standard normals z are drawn one row block at a time into one
-    scratch block.  The block's product with the sampling weights
-    sqrt(gamma) * R^T slope gives its rows of y, and its kept columns are
+    scratch block.  Each row's dot product with the sampling weights
+    sqrt(gamma) * R^T slope gives its y, and the block's kept columns are
     scaled and rotated into x; the noise is drawn after the last block.
     Chunked fills continue one stream, so the sample is bit for bit that of
     one n x J draw.  With ``columns`` the regressors keep only their first

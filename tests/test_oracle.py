@@ -381,6 +381,15 @@ class TestRateExponent:
         with pytest.raises(oracle.RegimeConditionError):
             rate_exponent(PP, E1, "minimax")
 
+    @pytest.mark.parametrize("model, spec", [
+        (SequenceModel(regime=Regime.PP, p=0.5, a=1.0), PointEval(t0=0.3)),
+        (PP, E1),
+    ], ids=["out_of_regime", "custom"])
+    def test_unknown_mode_is_named_before_the_regime_check(self, model, spec):
+        with pytest.raises(ValueError, match="got 'bogus'") as err:
+            rate_exponent(model, spec, "bogus")
+        assert not isinstance(err.value, oracle.RegimeConditionError)
+
     def test_descriptor_evaluation(self):
         desc = RateDescriptor(-0.25, 0.25)
         assert "n^(-0.25)" in desc.label()
