@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import check_int
+
 # numerically singular iff lambda_min <= SINGULARITY_RTOL * trace / m
 SINGULARITY_RTOL = 1e-12
 
@@ -41,12 +43,19 @@ class Moments:
             raise ValueError("gammahat must be square and match ghat")
         if not m:
             raise ValueError("moments need at least one dimension")
+        if not (math.isfinite(self.sigma2_y_hat) and self.sigma2_y_hat >= 0):
+            raise ValueError("sigma2_y_hat must be finite and non-negative")
+        self.n = check_int(self.n, "n", 1)
         # arrays over immutable bytes are read-only copies, and the bytes of
         # gammahat are needed anyway: a matrix bitwise equal to its
-        # transpose, as empirical_moments makes, has no asymmetry to measure
+        # transpose, as empirical_moments makes, has no asymmetry to measure;
+        # one buffer holds both arrays, so one pass checks every entry
         raw = gam.tobytes()
-        self.ghat = np.frombuffer(ghat.tobytes()).reshape(ghat.shape)
-        self.gammahat = np.frombuffer(raw).reshape(m, m)
+        both = np.frombuffer(raw + ghat.tobytes())
+        if not np.isfinite(both).all():
+            raise ValueError("ghat and gammahat entries must all be finite")
+        self.gammahat = both[:m * m].reshape(m, m)
+        self.ghat = both[m * m:].reshape(ghat.shape)
         if raw != gam.T.tobytes():
             asym = np.abs(gam - gam.T).max()
             scale = max(np.abs(gam).max(), 1e-300)
@@ -56,8 +65,6 @@ class Moments:
         # the bound is never positive: a non-negative w[0] skips the trace
         if w[0] < 0 and w[0] < -1e-10 * max(gam.trace(), 0.0):
             raise ValueError("gammahat is not positive semi-definite")
-        if self.sigma2_y_hat < 0:
-            raise ValueError("sigma2_y_hat must be non-negative")
 
     @property
     def dim(self) -> int:

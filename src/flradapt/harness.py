@@ -22,8 +22,8 @@ The grid points of a replicate therefore share their first rows, and their
 errors are positively correlated.  Tasks whose largest draw is long go to a
 ``concurrent.futures`` thread pool with one thread per usable CPU; the
 calling thread files the records in replicate order.  Each replicate has its
-own seed, so the records do not depend on the thread count.  A drawn
-dataset keeps only the regressor columns the estimator reads.
+own seed, so the records do not depend on the thread count.  A dataset is
+a view of the columns the estimator reads at the grid's largest size.
 
 A task scores each result into its replicate's record on the thread that
 estimated it and drops the result.  A record is one packed :data:`RECORD`
@@ -60,9 +60,9 @@ _EXPECTED_FAILURES = (
 )
 
 
-# a study's dataset keeps max(m_ell, MIN_KEPT_COLUMNS) regressor columns:
-# the moments of a C-contiguous n x m matrix with m < 4 take another BLAS
-# path than those of a wider row stride and can differ in the last bits
+# a study's stream keeps max(MIN_KEPT_COLUMNS, m_ell of its largest size)
+# columns and every size reads a view of them: for m < 4 only, the moments of
+# a C-contiguous n x m matrix take another BLAS path than a wider stride's
 MIN_KEPT_COLUMNS = 4
 
 # a study goes to pool threads only when its replicates' largest draw has
@@ -237,7 +237,7 @@ class _GridPoint:
     def __init__(self, cfg: StudyConfig, cov, slope, n: int):
         self.cfg, self.n = cfg, n
         self.target = simulate.true_value(cfg.spec, slope)
-        m_ell = adaptive.cap_m_ell(cfg.spec, n)
+        self.m_ell = m_ell = adaptive.cap_m_ell(cfg.spec, n)
         self.m_star, self.r_minimax = oracle.minimax_dimension(cfg.model, cfg.spec, 1.0 / n)
         self.m_diamond, self.r_adaptive = oracle.minimax_dimension(
             cfg.model, cfg.spec, (1.0 + math.log(n)) / n
@@ -249,7 +249,6 @@ class _GridPoint:
             p_pop = p_theo[:_lower_dimension_bound(cfg, n, m_ell)]
             self.p_pop = p_pop.tolist()
             self.p_upper = (SANDWICH_UPPER_FACTOR * p_pop).tolist()
-        self.columns = max(m_ell, MIN_KEPT_COLUMNS)
         self.block = ReplicateBlock.allocate(n, cfg.base_seed, cfg.replicates)
 
     def score(self, result) -> tuple:
@@ -333,7 +332,7 @@ def _run_grid(cfg: StudyConfig) -> list:
                               cfg.mixing)
     slope = simulate.make_slope(cfg.model, cov.dim)
     points = [_GridPoint(cfg, cov, slope, n) for n in cfg.n_grid]
-    width = max(point.columns for point in points)
+    width = max(MIN_KEPT_COLUMNS, *(point.m_ell for point in points))
 
     def replicate(rep):
         # each dataset and result dies on this thread before the next size
@@ -342,8 +341,7 @@ def _run_grid(cfg: StudyConfig) -> list:
         stream = simulate.GridStream(cov, slope, seed, cfg.n_grid, width)
         records = []
         for point in points:
-            data = simulate.draw_dataset(cov, slope, point.n, cfg.sigma, seed,
-                                         point.columns, stream=stream)
+            data = simulate.draw_dataset(cov, slope, point.n, cfg.sigma, seed, stream=stream)
             try:
                 records.append(point.score(adaptive.adaptive_estimate(data, cfg.spec)))
             except _EXPECTED_FAILURES as err:

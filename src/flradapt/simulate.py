@@ -264,14 +264,18 @@ class GridStream:
     its product with the slope, and only the block's first ``columns``
     coefficients, rounded up to a whole pair when the covariance is rotated,
     are scaled and rotated.  The stream keeps those ``columns``
-    coefficients and the product of every row, and every size's noise, so
-    every dataset is bit for bit the one drawn for its size alone.
+    coefficients and the product of every row, and every size's noise: a
+    size's x is a view of the first n rows of the kept columns, bit for bit
+    the first ``columns`` of its draw alone, and its y is that draw's y.
+    ``GridStream(cov, slope, seed, (n,), columns)`` is a narrow draw.
     """
 
     def __init__(self, cov: Covariance, slope: np.ndarray, seed: int, sizes,
                  columns: int):
         self.cov, self.slope, self.seed = cov, slope, seed
         self.sizes = tuple(sizes)
+        for n in self.sizes:
+            check_int(n, "stream size", 1)
         self.columns = columns
         if not self.sizes or any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("stream sizes must be a strictly increasing sequence")
@@ -320,46 +324,39 @@ class GridStream:
                 self._noise[n][n - past:] = noise[:past]
 
     def take(self, cov: Covariance, slope: np.ndarray, n: int, sigma: float,
-             seed: int, columns: int) -> tuple:
-        """(y, x) of the next size ``n``: x C-contiguous, n x ``columns``."""
+             seed: int) -> tuple:
+        """(y, x) of the next size ``n``, x a view of the first n kept rows."""
         if cov is not self.cov or slope is not self.slope or seed != self.seed:
             raise ValueError("a stream draws with the covariance, slope and seed it was made for")
         if self._handed == len(self.sizes) or n != self.sizes[self._handed]:
             raise ValueError(f"the stream's next size is not {n}")
-        if columns > self.columns:
-            raise ValueError(f"the stream keeps {self.columns} columns, not {columns}")
         if self._x is None:
             self._draw()
         # y is sigma * noise + the slope products, formed in the noise array
         y = self._noise.pop(n)
         y *= sigma
         y += self._signal[:n]
-        x = self._x[:n]
-        if columns < self.columns:
-            x = np.ascontiguousarray(x[:, :columns])
         self._handed += 1
-        return y, x
+        return y, self._x[:n]
 
 
 def draw_dataset(cov: Covariance, slope: np.ndarray, n: int, sigma: float,
-                 seed: int, columns: Optional[int] = None, *,
-                 stream: Optional[GridStream] = None) -> Dataset:
+                 seed: int, *, stream: Optional[GridStream] = None) -> Dataset:
     """n i.i.d. pairs with regressors of covariance ``cov`` (J = ``cov.dim``
     coefficients) and the J slope coefficients ``slope``, fully determined
     by ``seed``.
 
     The n x J standard normals z are drawn one row block at a time into one
     scratch block.  Each row's dot product with the sampling weights
-    sqrt(gamma) * R^T slope gives its y, and the block's kept columns are
-    scaled and rotated into x; the noise is drawn after the last block.
-    Chunked fills continue one stream, so the sample is bit for bit that of
-    one n x J draw.  With ``columns`` the regressors keep only their first
-    ``columns`` coefficients: x is n x columns, y still sees all J.
+    sqrt(gamma) * R^T slope gives its y, and the block is scaled and rotated
+    into x; the noise is drawn after the last block.  Chunked fills continue
+    one stream, so the sample is bit for bit that of one n x J draw.
 
     ``stream`` is a :class:`GridStream` of ``seed`` whose next size is n: the
     call then hands out that size from the stream, which draws all its
-    sizes at once on its first call, and returns the same dataset.  Without
-    it the call is the one-size stream.
+    sizes at once on its first call.  x is then the stream's kept columns,
+    y still sees all J.  Without it the call is the one-size stream that
+    keeps all J columns.
     """
     check_int(n, "n", 1)
     check_sigma(sigma)
@@ -371,12 +368,9 @@ def draw_dataset(cov: Covariance, slope: np.ndarray, n: int, sigma: float,
         )
     if len(slope) != J:
         raise ValueError(f"slope has {len(slope)} coefficients, covariance has {J}")
-    width = J if columns is None else columns
-    if not 1 <= width <= J:
-        raise ValueError(f"columns must lie in 1..{J}, got {columns}")
     if stream is None:
-        stream = GridStream(cov, slope, seed, (n,), width)
-    y, x = stream.take(cov, slope, n, sigma, seed, width)
+        stream = GridStream(cov, slope, seed, (n,), J)
+    y, x = stream.take(cov, slope, n, sigma, seed)
     return Dataset(y=y, x=x)
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from flradapt import simulate
+
 
 def dense_covariance_matrix(cov):
     """Dense reference for ``simulate.Covariance``: diag(gamma) with each
@@ -30,3 +32,17 @@ def effective_d_reference(cov):
 def dense():
     """The dense covariance reference, :func:`dense_covariance_matrix`."""
     return dense_covariance_matrix
+
+
+def narrow_draw(cov, slope, n, sigma, seed, columns):
+    """The dataset of ``draw_dataset`` at one size that keeps the first
+    ``columns`` regressor coefficients: the draw of a one-size
+    ``GridStream`` of that width."""
+    stream = simulate.GridStream(cov, slope, seed, (n,), columns)
+    return simulate.draw_dataset(cov, slope, n, sigma, seed, stream=stream)
+
+
+@pytest.fixture
+def narrow():
+    """The one-size narrow draw, :func:`narrow_draw`."""
+    return narrow_draw

@@ -94,12 +94,12 @@ class TestSimulateEstimate:
         assert err == "error: usage: seed must be >= 0, got -3\n"
         assert not data.exists()
 
-    def test_duplicated_column_prints_standard_json(self, tmp_path, capsys):
+    def test_duplicated_column_prints_standard_json(self, tmp_path, capsys, narrow):
         # x3 copies x2: the singular blocks' inverse norms are infinite and
         # print as null
         data = tmp_path / "dup.csv"
         cov = simulate.Covariance(PP, simulate.default_truncation(300))
-        drawn = simulate.draw_dataset(cov, simulate.make_slope(PP, cov.dim), 300, 1.0, 0, 8)
+        drawn = narrow(cov, simulate.make_slope(PP, cov.dim), 300, 1.0, 0, 8)
         x = drawn.x.copy()
         x[:, 2] = x[:, 1]
         simulate.save_dataset_csv(simulate.Dataset(y=drawn.y, x=x), data)

@@ -101,6 +101,33 @@ class TestMomentsOwnTheirArrays:
             mom.ghat[0] = 0.0
 
 
+class TestMomentsRefuseInvalidInput:
+    @pytest.mark.parametrize("change, message", [
+        ({"sigma2_y_hat": math.nan}, "sigma2_y_hat must be finite"),
+        ({"sigma2_y_hat": math.inf}, "sigma2_y_hat must be finite"),
+        ({"sigma2_y_hat": -1.0}, "sigma2_y_hat must be finite and non-negative"),
+        ({"ghat": [math.inf, 0.0]}, "entries must all be finite"),
+        ({"ghat": [0.0, math.nan]}, "entries must all be finite"),
+        # a NaN in the upper triangle alone: eigvalsh reads the lower one
+        ({"gammahat": [[2.0, math.nan], [0.5, 1.0]]}, "entries must all be finite"),
+        ({"gammahat": [[math.nan, 0.5], [0.5, 1.0]]}, "entries must all be finite"),
+        ({"gammahat": [[2.0, math.inf], [math.inf, 1.0]]}, "entries must all be finite"),
+        ({"n": 0}, "n must be >= 1, got 0"),
+        ({"n": 2.5}, "n must be an integer, got 2.5"),
+        ({"n": True}, "n must be an integer, got True"),
+    ])
+    def test_invalid_moments_rejected(self, change, message):
+        kwargs = dict(ghat=[1.0, 2.0], gammahat=[[2.0, 0.5], [0.5, 1.0]],
+                      sigma2_y_hat=1.0, n=100)
+        kwargs.update(change)
+        with pytest.raises(ValueError, match=message):
+            Moments(**kwargs)
+
+    def test_integral_sample_size_of_any_integer_type_accepted(self):
+        mom = Moments(np.ones(1), np.ones((1, 1)), 1.0, np.int64(100))
+        assert mom.n == 100 and type(mom.n) is int
+
+
 class TestSpectralNormInverse:
     # the inverse norm the threshold rule reads, on the leading full block
     @staticmethod

@@ -177,12 +177,14 @@ SPECS = [PointEval(t0=0.3), DerivativeEval(t0=0.3, q=1), LocalAverage(b=0.2),
 
 @pytest.mark.parametrize("mixing", [0.0, 0.3])
 @pytest.mark.parametrize("n", [16, 17, 32, 64, 128, 256, 500, 1000, 2000])
-def test_simulated_draws_match_the_reference(n, mixing):
+def test_simulated_draws_match_the_reference(n, mixing, narrow):
+    # all J columns, and the narrowest a study keeps
     cov = simulate.Covariance(PP, simulate.default_truncation(n), mixing)
     slope = simulate.make_slope(PP, cov.dim)
+    width = max(adaptive.cap_m_ell(PointEval(t0=0.3), n), 4)
     for seed in range(3):
-        for columns in (None, max(adaptive.cap_m_ell(PointEval(t0=0.3), n), 4)):
-            data = simulate.draw_dataset(cov, slope, n, 1.0, seed, columns)
+        for data in (simulate.draw_dataset(cov, slope, n, 1.0, seed),
+                     narrow(cov, slope, n, 1.0, seed, width)):
             for spec in SPECS:
                 assert_same_result(data, spec)
 

@@ -66,7 +66,8 @@ def reference_single_n(cfg, n):
     """One dict per replicate: the record loop as it stood before the
     harness kept its records as per-n columns (draws on the calling
     thread, which does not change a record), every error squared as
-    d * d.  Every size samples the population of the largest one."""
+    d * d.  Every size samples the population of the largest one and
+    draws all of its J regressor columns."""
     cov = simulate.Covariance(cfg.model, simulate.default_truncation(cfg.n_grid[-1]),
                               cfg.mixing)
     slope = simulate.make_slope(cfg.model, cov.dim)
@@ -78,12 +79,11 @@ def reference_single_n(cfg, n):
     if cov.is_diagonal:
         p_theo = oracle.theoretical_penalty_curve(cov, cfg.spec, slope, cfg.sigma, n, m_ell)
         mu_n = harness._lower_dimension_bound(cfg, n, m_ell)
-    columns = max(m_ell, harness.MIN_KEPT_COLUMNS)
     records = []
     for rep in range(cfg.replicates):
         record = dict.fromkeys(RAW_COLUMNS)
         record.update(n=n, replicate=rep, seed=cfg.base_seed + rep)
-        data = simulate.draw_dataset(cov, slope, n, cfg.sigma, cfg.base_seed + rep, columns)
+        data = simulate.draw_dataset(cov, slope, n, cfg.sigma, cfg.base_seed + rep)
         try:
             result = adaptive.adaptive_estimate(data, cfg.spec)
             est_all = result.diagnostics["estimates_all"]
@@ -172,8 +172,8 @@ def fail_replicate(monkeypatch, n, seed, error=adaptive.AdaptiveEstimationError,
     each draw from now on carries its seed."""
     draw, estimate = simulate.draw_dataset, adaptive.adaptive_estimate
 
-    def seeded_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
-        data = draw(cov, slope, n, sigma, seed, columns, stream=stream)
+    def seeded_draw(cov, slope, n, sigma, seed, *, stream=None):
+        data = draw(cov, slope, n, sigma, seed, stream=stream)
         data.seed = seed
         return data
 
@@ -332,34 +332,62 @@ class TestRunStudy:
 
     def test_no_dataset_outlives_its_replicate(self, monkeypatch, sampler_threads):
         # the study never builds an n x J matrix: each dataset keeps the
-        # max(m_ell, 4) columns the estimator reads; a pool thread walks one
-        # replicate's sizes and drops each dataset before the next draw, so
-        # when a draw starts only the other threads hold one each; a failed
-        # replicate is still recorded
+        # max(m_ell, 4) columns the estimator reads at the grid's largest
+        # size; a pool thread walks one replicate's sizes and drops each
+        # dataset before the next draw, so when a draw starts only the other
+        # threads hold one each; a failed replicate is still recorded
         threads = 3
         sampler_threads(threads)
         lock = threading.Lock()
         drawn, alive_at_draw = [], []
         draw = simulate.draw_dataset
 
-        def tracked_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
+        def tracked_draw(cov, slope, n, sigma, seed, *, stream=None):
             with lock:
                 alive_at_draw.append(sum(ref() is not None for ref, _ in drawn))
-            data = draw(cov, slope, n, sigma, seed, columns, stream=stream)
+            data = draw(cov, slope, n, sigma, seed, stream=stream)
             with lock:
                 drawn.append((weakref.ref(data), (n, data.dim)))
             return data
 
         monkeypatch.setattr(harness.simulate, "draw_dataset", tracked_draw)
         fail_replicate(monkeypatch, 64, 101 + 2)
-        report = run_study(small_config(replicates=40))
+        cfg = small_config(replicates=40)
+        report = run_study(cfg)
         assert len(drawn) == 120 and report.total_errors == 1
         assert report.blocks[0].errors[2] == (
             "AdaptiveEstimationError: synthetic failure")
         assert max(alive_at_draw) <= threads - 1
+        kept = max(harness.MIN_KEPT_COLUMNS, adaptive.cap_m_ell(SPEC, cfg.n_grid[-1]))
         for _, (n, width) in drawn:
-            assert width == max(adaptive.cap_m_ell(SPEC, n), harness.MIN_KEPT_COLUMNS)
+            assert width == kept
             assert width < simulate.default_truncation(n)
+
+    @pytest.mark.parametrize("mixing", [0.0, 0.3])
+    def test_every_size_reads_a_view_of_its_streams_columns(self, monkeypatch, mixing):
+        # one kept width per study, set by the largest size: m_ell is 5 at
+        # n = 700 and at most 4 below it, so within a replicate every
+        # size's x is a 5-column view of the largest size's rows, not a copy
+        cfg = small_config(n_grid=(64, 256, 700), replicates=3, mixing=mixing)
+        lock = threading.Lock()
+        drawn = {}
+        draw = simulate.draw_dataset
+
+        def kept_draw(cov, slope, n, sigma, seed, *, stream=None):
+            data = draw(cov, slope, n, sigma, seed, stream=stream)
+            with lock:
+                drawn.setdefault(seed, {})[n] = data.x
+            return data
+
+        monkeypatch.setattr(harness.simulate, "draw_dataset", kept_draw)
+        run_study(cfg)
+        width = max(harness.MIN_KEPT_COLUMNS, adaptive.cap_m_ell(SPEC, cfg.n_grid[-1]))
+        assert width == 5 and len(drawn) == cfg.replicates
+        for xs in drawn.values():
+            assert list(xs) == list(cfg.n_grid)
+            for n, x in xs.items():
+                assert x.shape == (n, width) and x.flags.c_contiguous
+                assert np.shares_memory(x, xs[cfg.n_grid[-1]]), n
 
     @pytest.mark.parametrize("threads", [0, 2])
     def test_no_result_outlives_its_replicate(self, monkeypatch, sampler_threads, threads):
@@ -374,8 +402,8 @@ class TestRunStudy:
         draw, estimate, file = simulate.draw_dataset, adaptive.adaptive_estimate, \
             harness._GridPoint.file
 
-        def seeded_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
-            data = draw(cov, slope, n, sigma, seed, columns, stream=stream)
+        def seeded_draw(cov, slope, n, sigma, seed, *, stream=None):
+            data = draw(cov, slope, n, sigma, seed, stream=stream)
             data.seed = seed
             return data
 
@@ -425,11 +453,10 @@ class TestRunStudy:
         # a rotated 500..8000 grid on two pool threads: a thread walks one
         # replicate's sizes over one stream, which holds the kept columns,
         # row products and noise of the largest size and, while it draws,
-        # one row block of raw normals, and it holds one size's dataset at a
-        # time; the budget is the one-point test's above plus the smaller
-        # sizes' noise vectors, which the stream copies out of its rows as it
-        # draws them.  Every size's dataset at once would be about 0.43 MiB
-        # more per thread
+        # one row block of raw normals, and it holds one size's dataset, a
+        # view of the kept columns, at a time; the budget is the one-point
+        # test's above plus the smaller sizes' noise vectors, which the
+        # stream copies out of its rows as it draws them
         threads, sizes = 2, (500, 1000, 2000, 4000, 8000)
         monkeypatch.setattr(harness, "_sampler_threads", lambda: threads)
         cfg = small_config(n_grid=sizes, replicates=6, mixing=0.3)
@@ -509,9 +536,9 @@ class TestRunStudy:
         on_main = {"draw": {}, "estimate": {}}
         draw, estimate = simulate.draw_dataset, adaptive.adaptive_estimate
 
-        def tracked_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
+        def tracked_draw(cov, slope, n, sigma, seed, *, stream=None):
             on_main["draw"].setdefault(n, set()).add(threading.current_thread() is main)
-            return draw(cov, slope, n, sigma, seed, columns, stream=stream)
+            return draw(cov, slope, n, sigma, seed, stream=stream)
 
         def tracked_estimate(data, spec):
             on_main["estimate"].setdefault(data.n, set()).add(
@@ -537,10 +564,10 @@ class TestRunStudy:
         before = threading.active_count()
         draw = simulate.draw_dataset
 
-        def broken_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
+        def broken_draw(cov, slope, n, sigma, seed, *, stream=None):
             if n == 128 and seed == 101 + 5:
                 raise TypeError("synthetic draw bug")
-            return draw(cov, slope, n, sigma, seed, columns, stream=stream)
+            return draw(cov, slope, n, sigma, seed, stream=stream)
 
         monkeypatch.setattr(harness.simulate, "draw_dataset", broken_draw)
         with pytest.raises(TypeError, match="synthetic draw bug"):
@@ -553,9 +580,9 @@ class TestRunStudy:
         # runs in a copy of the caller's context
         draw = simulate.draw_dataset
 
-        def underflowing_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
+        def underflowing_draw(cov, slope, n, sigma, seed, *, stream=None):
             np.multiply(1e-300, 1e-300)
-            return draw(cov, slope, n, sigma, seed, columns, stream=stream)
+            return draw(cov, slope, n, sigma, seed, stream=stream)
 
         monkeypatch.setattr(harness.simulate, "draw_dataset", underflowing_draw)
         cfg = small_config(n_grid=(64,), replicates=4)
@@ -572,9 +599,9 @@ class TestRunStudy:
         started = []
         draw = simulate.draw_dataset
 
-        def counted_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
+        def counted_draw(cov, slope, n, sigma, seed, *, stream=None):
             started.append(seed)
-            return draw(cov, slope, n, sigma, seed, columns, stream=stream)
+            return draw(cov, slope, n, sigma, seed, stream=stream)
 
         # the first grid point of the fifth replicate; a task draws every
         # grid point of its replicate, so the tasks started are counted
@@ -596,9 +623,9 @@ class TestRunStudy:
         on_main = []
         draw = simulate.draw_dataset
 
-        def tracked_draw(cov, slope, n, sigma, seed, columns=None, *, stream=None):
+        def tracked_draw(cov, slope, n, sigma, seed, *, stream=None):
             on_main.append(threading.current_thread() is main)
-            return draw(cov, slope, n, sigma, seed, columns, stream=stream)
+            return draw(cov, slope, n, sigma, seed, stream=stream)
 
         monkeypatch.setattr(harness.simulate, "draw_dataset", tracked_draw)
         with pytest.warns(sequences.UnderflowWarning):
@@ -732,7 +759,7 @@ class TestReplicateColumns:
         slope = simulate.make_slope(PP, cov.dim)
         point = harness._GridPoint(small_config(n_grid=(n,)), cov, slope, n)
         result = adaptive.adaptive_estimate(
-            simulate.draw_dataset(cov, slope, n, 1.0, 7, point.columns), SPEC)
+            simulate.draw_dataset(cov, slope, n, 1.0, 7), SPEC)
         est_all = result.diagnostics["estimates_all"]
         assert point.score(result)[1] == float(np.min((est_all - point.target) ** 2))
         for k in range(len(est_all)):

@@ -237,22 +237,22 @@ class TestDrawDataset:
         assert np.all(np.abs(data.y - (data.x @ slope + noise)) <= 1e-13 * terms)
 
     @pytest.mark.parametrize("columns", [1, 5, 9, 128, 129])
-    def test_odd_kept_widths_are_the_reference_columns(self, columns):
+    def test_odd_kept_widths_are_the_reference_columns(self, columns, narrow):
         # the sampler scales and rotates the kept columns rounded up to a
         # whole pair, or all of them at J = 129, whose last is unpaired
         case = Covariance(PP, 129, 0.3), make_slope(PP, 129), 1001, 0.5, 43
         x, _ = draw_dataset_reference(*case)
-        data = draw_dataset(*case, columns)
+        data = narrow(*case, columns)
         assert np.array_equal(data.x, x[:, :columns])
 
     @pytest.mark.parametrize("J", STREAM_J)
     @pytest.mark.parametrize("theta", STREAM_THETA)
     @pytest.mark.parametrize("n", STREAM_N)
-    def test_streamed_draw_matches_one_shot_reference(self, n, theta, J):
+    def test_streamed_draw_matches_one_shot_reference(self, n, theta, J, narrow):
         case = stream_case(n, theta, J)
         x, y = draw_dataset_reference(*case)
         for columns in (1, 2, 3, 4, 9, J, None):
-            data = draw_dataset(*case, columns)
+            data = draw_dataset(*case) if columns is None else narrow(*case, columns)
             width = J if columns is None else columns
             assert data.x.shape == (n, width)
             assert np.array_equal(data.x, x[:, :width]), columns
@@ -272,28 +272,38 @@ class TestDrawDataset:
             assert np.array_equal(data.y, y), n
 
     def test_column_count_out_of_range_rejected(self):
-        case = stream_case(16, 0.0, 128)
+        case = cov, slope, n, _, seed = stream_case(16, 0.0, 128)
         for columns in (0, 129):
             with pytest.raises(ValueError, match="columns must lie in 1..128"):
-                draw_dataset(*case, columns)
+                simulate.GridStream(cov, slope, seed, (n,), columns)
+        # the kept width is the stream's alone
+        with pytest.raises(TypeError):
+            draw_dataset(*case, 4)
 
     @pytest.mark.parametrize("theta", [0.0, 0.3])
     @pytest.mark.parametrize("n", [16, 17, 64, 129, 256])
-    def test_kept_columns_give_the_moments_of_the_full_matrix(self, n, theta):
-        # the study keeps max(m, 4) columns: a narrower C-contiguous matrix
-        # would take another BLAS path for x^T y and can differ in the last bits
+    def test_kept_columns_give_the_moments_of_the_full_matrix(self, n, theta, narrow):
+        # a study's sizes read the first m <= width columns of one stream of
+        # width max(m_ell, 4): from m = 4 on a C-contiguous n x m matrix and
+        # a wider row stride give the same moments, and below 4 every slice
+        # is strided (a C-contiguous n x m matrix with m < 4 would take
+        # another BLAS path for x^T y and can differ in the last bits)
         cov = default_cov(n, theta)
         case = cov, make_slope(PP, cov.dim), n, 1.0, 51 + n
         full = draw_dataset(*case)
-        for m in (1, 2, 3):
-            kept = draw_dataset(*case, max(m, harness.MIN_KEPT_COLUMNS))
-            got, want = empirical_moments(kept, m), empirical_moments(full, m)
-            assert np.array_equal(got.gammahat, want.gammahat)
-            assert np.array_equal(got.ghat, want.ghat)
-            assert got.sigma2_y_hat == want.sigma2_y_hat
+        assert harness.MIN_KEPT_COLUMNS == 4
+        for width in (4, 5, 9, 10):
+            kept = narrow(*case, width)
+            for m in (1, 2, 3, 4, 5, 9):
+                if m > width:
+                    continue
+                got, want = empirical_moments(kept, m), empirical_moments(full, m)
+                assert np.array_equal(got.gammahat, want.gammahat), (m, width)
+                assert np.array_equal(got.ghat, want.ghat), (m, width)
+                assert got.sigma2_y_hat == want.sigma2_y_hat
 
     @pytest.mark.parametrize("theta", [0.0, 0.3])
-    def test_narrow_draw_peaks_at_its_columns_and_two_row_blocks(self, theta):
+    def test_narrow_draw_peaks_at_its_columns_and_two_row_blocks(self, theta, narrow):
         # a study's n = 8000 draw keeps 9 columns: beyond them and y it holds
         # one block of raw normals and, rotated, a scratch block of its
         # first 10 columns (20 KiB) with their two half-size rotation
@@ -304,10 +314,10 @@ class TestDrawDataset:
 
         cov = default_cov(8000, theta)
         case = cov, make_slope(PP, cov.dim), 8000, 1.0, 3
-        draw_dataset(*case, 9)
+        narrow(*case, 9)
         tracemalloc.start()
         try:
-            data = draw_dataset(*case, 9)
+            data = narrow(*case, 9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -372,16 +382,17 @@ class TestGridStream:
         cov, slope = Covariance(PP, J, theta), make_slope(PP, J)
         for sizes in stream_grids(block, J):
             seed = 1000 + sizes[-1]
-            # sizes keep 4, 5 or 6 columns; those below the stream's 6 get
-            # copies, the others views
-            columns = [4 + (i % 3) for i in range(len(sizes))]
-            stream = simulate.GridStream(cov, slope, seed, sizes, max(columns))
-            for n, width in zip(sizes, columns):
-                data = draw_dataset(cov, slope, n, 0.5, seed, width, stream=stream)
-                alone = draw_dataset(cov, slope, n, 0.5, seed, width)
-                assert data.x.shape == (n, width) and data.x.flags.c_contiguous
-                assert np.array_equal(data.x, alone.x), (sizes, n)
+            # every size's x is a view of the stream's 5 kept columns, an
+            # odd width whose rotation rounds up to a whole pair
+            stream, xs = simulate.GridStream(cov, slope, seed, sizes, 5), []
+            for n in sizes:
+                data = draw_dataset(cov, slope, n, 0.5, seed, stream=stream)
+                alone = draw_dataset(cov, slope, n, 0.5, seed)
+                assert data.x.shape == (n, 5) and data.x.flags.c_contiguous
+                assert np.array_equal(data.x, alone.x[:, :5]), (sizes, n)
                 assert np.array_equal(data.y, alone.y), (sizes, n)
+                xs.append(data.x)
+            assert all(np.shares_memory(x, xs[-1]) for x in xs)
 
     @pytest.mark.parametrize("theta", STREAM_THETA)
     def test_stream_draws_each_normal_once(self, monkeypatch, theta):
@@ -407,7 +418,7 @@ class TestGridStream:
             generators.clear()
             stream = simulate.GridStream(cov, slope, 5, sizes, 6)
             for n in sizes:
-                draw_dataset(cov, slope, n, 1.0, 5, 6, stream=stream)
+                draw_dataset(cov, slope, n, 1.0, 5, stream=stream)
             assert [g.normals for g in generators] == [sizes[-1] * J + sizes[-1]], sizes
         for n in (17, 500, 8003):
             generators.clear()
@@ -418,17 +429,27 @@ class TestGridStream:
         cov, slope = default_cov(64), make_slope(PP, 128)
         stream = simulate.GridStream(cov, slope, 3, (32, 64), 4)
         with pytest.raises(ValueError, match="next size is not 64"):
-            draw_dataset(cov, slope, 64, 1.0, 3, 4, stream=stream)
+            draw_dataset(cov, slope, 64, 1.0, 3, stream=stream)
         with pytest.raises(ValueError, match="seed it was made for"):
-            draw_dataset(cov, slope, 32, 1.0, 4, 4, stream=stream)
-        with pytest.raises(ValueError, match="keeps 4 columns"):
-            draw_dataset(cov, slope, 32, 1.0, 3, 5, stream=stream)
-        draw_dataset(cov, slope, 32, 1.0, 3, 4, stream=stream)
-        draw_dataset(cov, slope, 64, 1.0, 3, 4, stream=stream)
+            draw_dataset(cov, slope, 32, 1.0, 4, stream=stream)
+        draw_dataset(cov, slope, 32, 1.0, 3, stream=stream)
+        draw_dataset(cov, slope, 64, 1.0, 3, stream=stream)
         with pytest.raises(ValueError, match="next size is not 64"):
-            draw_dataset(cov, slope, 64, 1.0, 3, 4, stream=stream)
+            draw_dataset(cov, slope, 64, 1.0, 3, stream=stream)
         with pytest.raises(ValueError, match="strictly increasing"):
             simulate.GridStream(cov, slope, 3, (64, 32), 4)
+
+    @pytest.mark.parametrize("sizes, message", [
+        ((0,), "stream size must be >= 1, got 0"),
+        ((2.5,), "stream size must be an integer, got 2.5"),
+        ((-3, 10), "stream size must be >= 1, got -3"),
+        ((16, True), "stream size must be an integer, got True"),
+    ])
+    def test_stream_refuses_sizes_that_are_not_positive_integers(self, sizes, message):
+        # refused when the stream is built, not in its first draw
+        cov, slope = default_cov(64), make_slope(PP, 128)
+        with pytest.raises(ValueError, match=message):
+            simulate.GridStream(cov, slope, 1, sizes, 4)
 
 
 class TestCovariance:
