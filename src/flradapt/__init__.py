@@ -17,7 +17,6 @@ from .functionals import (
     LocalAverage,
     Custom,
     coefficients,
-    gram,
 )
 from .simulate import (
     Covariance,

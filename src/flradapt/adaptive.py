@@ -21,9 +21,11 @@ import numpy as np
 from . import estimator, functionals
 from ._util import finite_or_null, floor_fourth_root
 
-# multiplicative constant of the stochastic penalty: 7 times the population
-# constant oracle.THEORETICAL_PENALTY_CONSTANT, as the theory prescribes
-PENALTY_CONSTANT = 700.0
+# constant of the population penalty, oracle.theoretical_penalty_curve
+THEORETICAL_PENALTY_CONSTANT = 100.0
+# multiplicative constant of the stochastic penalty, 700: 7 times the
+# population constant, as the theory prescribes
+PENALTY_CONSTANT = 7.0 * THEORETICAL_PENALTY_CONSTANT
 
 
 class DegenerateFunctionalWarning(RuntimeWarning):
@@ -112,16 +114,23 @@ def cap_m_hat(inv_norms, gram_prefix, n: int, m_ell: int) -> int:
     return m_ell
 
 
+def penalty_curve(kappa: float, var_y: float, quad_g, quad_ell, n: int) -> np.ndarray:
+    """The one penalty rule of the estimator and the population, p_m =
+    kappa (1 + log n) / n (2 var_y + 2 max_{k<=m} G_k) max_{k<=m} V_k for
+    m = 1..len(quad_g), G_k = ``quad_g[k - 1]`` = g_k' Gamma_k^-1 g_k and
+    V_k = ``quad_ell[k - 1]`` = l_k' Gamma_k^-1 l_k; the running maxima make
+    it non-decreasing exactly, in floating point too."""
+    quad_g = np.maximum.accumulate(quad_g)
+    quad_ell = np.maximum.accumulate(quad_ell)
+    return kappa * (1.0 + math.log(n)) / n * (2.0 * var_y + 2.0 * quad_g) * quad_ell
+
+
 def penalties(mom: estimator.Moments, spec, n, m_max: int) -> np.ndarray:
-    """Stochastic penalties p_1..p_{m_max}.
-
-    p_m = PENALTY_CONSTANT * (2 mean(y^2) + 2 g_hat_m' Gamma_hat_m^-1 g_hat_m)
-                           * max_{k <= m} l_k' Gamma_hat_k^-1 l_k * (1 + log n) / n
-
-    Both bracketed factors are accumulated as running maxima over k <= m, so
-    the sequence is non-decreasing by construction (the quadratic form in
-    g_hat is non-decreasing already whenever the blocks are definite; the
-    running maximum makes that exact in floating point).
+    """Stochastic penalties p_1..p_{m_max}: :func:`penalty_curve` with
+    PENALTY_CONSTANT on mean(y^2) and the forms g_hat_m' Gamma_hat_m^-1
+    g_hat_m and l_m' Gamma_hat_m^-1 l_m.  The population penalty,
+    :func:`oracle.theoretical_penalty_curve`, is the same rule on the
+    population moments with THEORETICAL_PENALTY_CONSTANT, a seventh of it.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -138,10 +147,7 @@ def penalties(mom: estimator.Moments, spec, n, m_max: int) -> np.ndarray:
         sol_ell = estimator.solve_block(mom, m, ell)
         quad_g[m - 1] = float(mom.ghat[:m] @ sol_g)
         quad_ell[m - 1] = float(ell[:m] @ sol_ell)
-    quad_g = np.maximum.accumulate(quad_g)
-    quad_ell = np.maximum.accumulate(quad_ell)
-    factor = PENALTY_CONSTANT * (1.0 + math.log(n)) / n
-    return factor * (2.0 * mom.sigma2_y_hat + 2.0 * quad_g) * quad_ell
+    return penalty_curve(PENALTY_CONSTANT, mom.sigma2_y_hat, quad_g, quad_ell, n)
 
 
 @functools.lru_cache(maxsize=64)

@@ -166,15 +166,6 @@ def coefficients(spec: FunctionalSpec, m: int) -> np.ndarray:
     return _coefficient_prefix(spec, m)
 
 
-def gram(spec: FunctionalSpec, m: int) -> float:
-    """Sum of the first m squared coefficients; non-decreasing in m.
-
-    Computed with exact summation so that monotonicity in m holds exactly.
-    """
-    c = coefficients(spec, m)
-    return math.fsum(float(v) * float(v) for v in c)
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _gram_prefix(spec: FunctionalSpec, m: int) -> np.ndarray:
     c = coefficients(spec, m)
@@ -182,8 +173,9 @@ def _gram_prefix(spec: FunctionalSpec, m: int) -> np.ndarray:
 
 
 def gram_prefix(spec: FunctionalSpec, m: int) -> np.ndarray:
-    """Cumulative sums of squared coefficients for dimensions 1..m (read-only,
-    shared between calls)."""
+    """Cumulative sums of squared coefficients for dimensions 1..m, the
+    coefficient mass at every dimension; non-decreasing, as a running sum of
+    non-negative terms is (read-only, shared between calls)."""
     _check_dimension(m)
     return _gram_prefix(spec, m)
 

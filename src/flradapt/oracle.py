@@ -20,9 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import functionals, sequences
-
-THEORETICAL_PENALTY_CONSTANT = 100.0
+from . import adaptive, functionals, sequences
 
 # horizons for explicit tail summation; exponential regularity weights
 # terminate by underflow long before the cap
@@ -167,14 +165,14 @@ def side_condition_ratio(model, spec, n: int, m: int) -> float:
     The condition itself is asymptotic (the ratio should vanish as n grows)
     and cannot be verified at a single n; small values are consistent with it.
     """
-    mass = functionals.gram(spec, m)
+    mass = float(functionals.gram_prefix(spec, m)[-1])
     inv_gamma = math.exp(-sequences.log_gamma_array(model, m)[-1])
     return (mass * inv_gamma) / (n / (1.0 + math.log(n)))
 
 
 def _population_quantities(cov, spec, slope, sigma, m_max):
-    """Var(y), the quadratic forms g_m' Gamma_m^-1 g_m and the running
-    maxima V_m of l_m' Gamma_m^-1 l_m for m = 1..m_max, with g = Gamma slope
+    """Var(y) and the quadratic forms g_m' Gamma_m^-1 g_m and
+    l_m' Gamma_m^-1 l_m for m = 1..m_max, with g = Gamma slope
     (``cov.apply``); each form is ``cumsum(u * u)`` of u = L^-1 v
     (``cov.leading_factor_solve``)."""
     J = len(slope)
@@ -186,18 +184,20 @@ def _population_quantities(cov, spec, slope, sigma, m_max):
     sig_y2 = sigma ** 2 + float(slope @ g)
     u_g = cov.leading_factor_solve(g[:m_max])
     u_ell = cov.leading_factor_solve(functionals.coefficients(spec, m_max))
-    return sig_y2, np.cumsum(u_g * u_g), np.maximum.accumulate(np.cumsum(u_ell * u_ell))
+    return sig_y2, np.cumsum(u_g * u_g), np.cumsum(u_ell * u_ell)
 
 
 def theoretical_penalty_curve(cov, spec, slope, sigma: float, n: int,
                               m_max: int) -> np.ndarray:
-    """Population penalties p_m = 100 sigma_m^2 V_m (1 + log n) / n for
-    m = 1..m_max, with sigma_m^2 = 2 (Var(y) + g_m' Gamma_m^-1 g_m), for the
-    diagonal or rotated-diagonal covariance ``cov`` and the slope
-    coefficients ``slope``."""
-    sig_y2, quad, v = _population_quantities(cov, spec, slope, sigma, m_max)
-    factor = THEORETICAL_PENALTY_CONSTANT * (1.0 + math.log(n)) / n
-    return factor * 2.0 * (sig_y2 + quad) * v
+    """Population penalties for m = 1..m_max: the estimator's rule,
+    :func:`adaptive.penalty_curve`, with
+    ``adaptive.THEORETICAL_PENALTY_CONSTANT`` (one seventh of
+    ``adaptive.PENALTY_CONSTANT``) and each sample moment replaced by its
+    population value, for the diagonal or rotated-diagonal covariance
+    ``cov`` and the slope coefficients ``slope``."""
+    sig_y2, quad_g, quad_ell = _population_quantities(cov, spec, slope, sigma, m_max)
+    return adaptive.penalty_curve(adaptive.THEORETICAL_PENALTY_CONSTANT,
+                                  sig_y2, quad_g, quad_ell, n)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ from enum import Enum
 
 import numpy as np
 
+from ._util import check_int
+
 # smallest positive normal double, returned on underflow together with a flag
 MIN_NORMAL = float(np.finfo(np.float64).tiny)
 
@@ -92,12 +94,13 @@ def log_beta_at(model, j: np.ndarray) -> np.ndarray:
 
 def log_beta_array(model, j_max: int) -> np.ndarray:
     """log beta_j for j = 1..j_max."""
-    return log_beta_at(model, np.arange(1, j_max + 1, dtype=np.float64))
+    return log_beta_at(model, np.arange(1, check_int(j_max, "j_max", 1) + 1,
+                                        dtype=np.float64))
 
 
 def log_gamma_array(model, j_max: int) -> np.ndarray:
     """log gamma_j for j = 1..j_max."""
-    j = np.arange(1, j_max + 1, dtype=np.float64)
+    j = np.arange(1, check_int(j_max, "j_max", 1) + 1, dtype=np.float64)
     if model.regime is Regime.PE:
         return -(j ** (2.0 * model.a) - 1.0)
     return -2.0 * model.a * np.log(j)
@@ -105,7 +108,7 @@ def log_gamma_array(model, j_max: int) -> np.ndarray:
 
 def gamma_array(model, j_max: int) -> np.ndarray:
     """gamma_1..gamma_{j_max}, clamped below at the smallest positive normal."""
-    j = np.arange(1, j_max + 1, dtype=np.float64)
+    j = np.arange(1, check_int(j_max, "j_max", 1) + 1, dtype=np.float64)
     if model.regime is Regime.PE:
         with np.errstate(under="ignore"):
             out = np.exp(-(j ** (2.0 * model.a) - 1.0))

@@ -220,8 +220,7 @@ def make_slope(model, J: int) -> np.ndarray:
     exp(-(j^(2p)-1)/2) / j when the regularity weights are exponential; both
     give beta-weighted squares proportional to j^-2.
     """
-    if J < 1:
-        raise ValueError("J must be >= 1")
+    J = check_int(J, "J", 1)
     j = np.arange(1, J + 1, dtype=np.float64)
     if model.regime is sequences.Regime.EP:
         log_raw = -(j ** (2.0 * model.p) - 1.0) / 2.0 - np.log(j)

@@ -13,7 +13,6 @@ from flradapt.functionals import (
     PointEval,
     coefficients,
     coefficients_at,
-    gram,
     gram_prefix,
 )
 
@@ -229,23 +228,27 @@ class TestMemoized:
 
 
 class TestGram:
+    # the coefficient mass at m is the last entry of gram_prefix(spec, m)
     def test_point_eval_at_zero(self):
-        assert gram(PointEval(t0=0.0), 2) == pytest.approx(3.0, rel=1e-15)
+        assert gram_prefix(PointEval(t0=0.0), 2)[-1] == pytest.approx(3.0, rel=1e-15)
 
     def test_full_interval_average(self):
-        assert gram(LocalAverage(b=1.0), 3) == pytest.approx(1.0, rel=1e-15)
+        assert gram_prefix(LocalAverage(b=1.0), 3)[-1] == pytest.approx(1.0, rel=1e-15)
 
     @given(st.integers(min_value=1, max_value=60),
            st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_dimension(self, m, t0):
         spec = PointEval(t0=t0)
-        assert gram(spec, m + 1) >= gram(spec, m)
+        assert gram_prefix(spec, m + 1)[-1] >= gram_prefix(spec, m)[-1]
 
     def test_prefix_matches_scalar(self):
+        # each entry against the exactly summed squares of its prefix
         spec = LocalAverage(b=0.3)
         prefix = functionals.gram_prefix(spec, 12)
-        assert prefix[11] == pytest.approx(gram(spec, 12), rel=1e-14)
+        exact = [math.fsum(c * c for c in coefficients(spec, m).tolist())
+                 for m in range(1, 13)]
+        np.testing.assert_allclose(prefix, exact, rtol=1e-14)
         assert np.all(np.diff(prefix) >= 0)
 
 

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from flradapt import functionals, oracle, sequences, simulate
+from flradapt import adaptive, functionals, oracle, sequences, simulate
+from flradapt.estimator import Moments
 from flradapt.functionals import Custom, DerivativeEval, LocalAverage, PointEval
 from flradapt.oracle import (
     RateDescriptor,
@@ -404,9 +405,10 @@ class TestSideCondition:
 
     def test_ratio_at_explicit_dimension(self):
         n, m = 10 ** 4, 5
-        got = oracle.side_condition_ratio(PP, PointEval(t0=0.3), n, m)
-        from flradapt.functionals import gram
-        want = gram(PointEval(t0=0.3), m) * m ** 2 / (n / (1 + math.log(n)))
+        spec = PointEval(t0=0.3)
+        got = oracle.side_condition_ratio(PP, spec, n, m)
+        mass = math.fsum(c * c for c in functionals.coefficients(spec, m).tolist())
+        want = mass * m ** 2 / (n / (1 + math.log(n)))
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -422,7 +424,7 @@ def penalty_curve_reference(model, spec, slope, sigma, n, m_max, cov=None):
     u_ell = cov.leading_factor_solve(functionals.coefficients(spec, m_max))
     quad = np.cumsum(u_g * u_g)
     v = np.maximum.accumulate(np.cumsum(u_ell * u_ell))
-    factor = oracle.THEORETICAL_PENALTY_CONSTANT * (1.0 + math.log(n)) / n
+    factor = adaptive.THEORETICAL_PENALTY_CONSTANT * (1.0 + math.log(n)) / n
     return factor * 2.0 * (sig_y2 + quad) * v
 
 
@@ -445,3 +447,22 @@ def test_penalty_curve_keeps_its_values(model, dim, theta, m_max):
             want = penalty_curve_reference(model, spec, slope, 1.3, 500, m_max,
                                            None if theta == 0.0 else cov)
             assert np.array_equal(got, want)
+
+
+# the estimator's penalty on moments that equal the population's is seven
+# times the population penalty: one rule, and the constants 700 and 100
+@pytest.mark.parametrize("n, m_max", [(500, 4), (8000, 9), (10 ** 6, 31)])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("spec", [PointEval(t0=0.3), LocalAverage(b=0.2)])
+@pytest.mark.parametrize("model", [PP, SequenceModel(regime=Regime.PP, p=2.0, a=1.0), EP])
+def test_population_penalty_is_the_estimators_rule(dense, model, spec, theta, n, m_max):
+    sigma = 1.3
+    cov = Covariance(model, simulate.default_truncation(n), theta)
+    slope = simulate.make_slope(model, cov.dim)
+    mat = dense(cov)
+    g = mat @ slope
+    mom = Moments(ghat=g[:m_max], gammahat=mat[:m_max, :m_max],
+                  sigma2_y_hat=sigma ** 2 + float(slope @ g), n=n)
+    got = adaptive.penalties(mom, spec, n, m_max)
+    want = theoretical_penalty_curve(cov, spec, slope, sigma, n, m_max)
+    np.testing.assert_allclose(got, 7.0 * want, rtol=1e-12)

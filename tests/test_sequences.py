@@ -29,6 +29,14 @@ class TestWeightFormulas:
     def test_pe_gamma_exponential(self):
         assert gamma_array(PE, 3)[2] == pytest.approx(math.exp(-2.0), rel=1e-15)
 
+    @pytest.mark.parametrize("weights", [gamma_array, sequences.log_gamma_array,
+                                         log_beta_array])
+    @pytest.mark.parametrize("j_max", [6.5, True, np.float64(8.0)])
+    def test_count_must_be_an_integer(self, weights, j_max):
+        # 6.5 built 7 weights before
+        with pytest.raises(ValueError, match="j_max must be an integer"):
+            weights(PP, j_max)
+
     @pytest.mark.parametrize("model", [PP, PE, EP])
     def test_first_weights_are_one(self, model):
         assert log_beta_array(model, 1)[0] == 0.0

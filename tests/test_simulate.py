@@ -137,6 +137,12 @@ class TestMakeSlope:
         with pytest.raises(ValueError, match="read-only"):
             slope[0] = 0.0
 
+    @pytest.mark.parametrize("J", [6.5, True, np.float64(8.0)])
+    def test_truncation_must_be_an_integer(self, J):
+        # each was taken as a count before: 7, 1 and 8 coefficients
+        with pytest.raises(ValueError, match="J must be an integer"):
+            make_slope(PP, J)
+
 
 class TestDrawDataset:
     def test_same_seed_bit_identical(self):
