@@ -3,13 +3,13 @@ float formatting and standard JSON."""
 from __future__ import annotations
 
 import math
-import numbers
+from numbers import Integral
 
 
 def check_int(value, name: str, minimum: int) -> int:
     """``value`` as an int; ValueError naming ``name`` unless it is an
     integer of at least ``minimum`` (a bool or an integral float is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")

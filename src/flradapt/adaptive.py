@@ -1,12 +1,12 @@
 """Fully data-driven dimension selection by penalized contrast.
 
-The candidate dimensions run from 1 up to a random bound derived from the
-data.  Each candidate carries a stochastic penalty; the contrast of a
-candidate m is the largest penalized squared difference between its estimate
-and the estimates at dimensions above it.  The selected dimension minimizes
-contrast plus penalty, ties resolving to the smallest index.  A deterministic
-inequality bounds the error of the selected estimate in terms of any single
-candidate's penalty, approximation error, and excess fluctuation.
+A source of moments gives its forms at m = 1..m_ell, the estimates, the
+inverse norms of the moment blocks and a penalty curve (:func:`adaptive_estimate`
+for rows), and :func:`decide` selects on them: the candidates run up to a random
+bound, the contrast of m is the largest penalized squared difference between its
+estimate and those above it, and the choice minimizes contrast plus penalty, ties
+to the smallest index.  A deterministic inequality bounds the selected estimate's
+error by any candidate's penalty, approximation error and excess fluctuation.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import estimator, functionals
-from ._util import finite_or_null, floor_fourth_root
+from ._util import check_int, finite_or_null, floor_fourth_root
 
 # constant of the population penalty, oracle.theoretical_penalty_curve
 THEORETICAL_PENALTY_CONSTANT = 100.0
@@ -72,9 +72,7 @@ def cap_m_ell(spec, n: int) -> int:
     Falls back to 1 (with :class:`DegenerateFunctionalWarning`) when even the
     first coefficient violates the mass constraint.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cap = _admissible_cap(spec, n)
+    cap = _admissible_cap(spec, check_int(n, "n", 1))
     if cap == 0:
         warnings.warn(
             "functional coefficient mass exceeds n already at m = 1",
@@ -104,7 +102,7 @@ def cap_m_hat(inv_norms, gram_prefix, n: int, m_ell: int) -> int:
     dimension m (infinite when singular) and ``gram_prefix[m - 1]`` the
     coefficient mass up to m.  A singular block ends the candidate set
     whatever the mass, so every candidate has an invertible block; the block
-    at m = 1 is the caller's to check.
+    at m = 1 is :func:`decide`'s to check.
     """
     threshold = n / (1.0 + math.log(n))
     for m in range(2, m_ell + 1):
@@ -181,19 +179,39 @@ def select(contrasts, penalties) -> int:
     pen = np.asarray(penalties, dtype=np.float64)
     if kap.shape != pen.shape or kap.ndim != 1 or len(kap) == 0:
         raise ValueError("contrasts and penalties must be equal-length 1-d")
-    return int((kap + pen).argmin()) + 1
+    total = kap + pen
+    if not np.isfinite(total).all():
+        raise ValueError("contrasts plus penalties must be finite")
+    return int(total.argmin()) + 1
+
+
+def decide(n: int, spec, est_all, inv_norms, penalty, diagnostics: dict) -> AdaptiveResult:
+    """The selection on one source's forms at m = 1..m_ell = len(est_all):
+    the random bound m_hat of :func:`cap_m_hat` on ``inv_norms`` (infinite
+    where singular), one call ``penalty(m_hat)`` for p_1..p_m_hat, and the
+    contrasts and choice on ``est_all[:m_hat]``.  The result's diagnostics
+    are ``diagnostics`` then both forms; a singular block at m = 1 raises
+    :class:`AdaptiveEstimationError` before any penalty."""
+    if math.isinf(inv_norms[0]):
+        raise AdaptiveEstimationError("no invertible moment block at any dimension")
+    m_ell = len(est_all)
+    m_hat = cap_m_hat(inv_norms, functionals.gram_prefix(spec, m_ell), n, m_ell)
+    pen = penalty(m_hat)
+    est = est_all[:m_hat]
+    kap = contrasts(est, pen)
+    chosen = select(kap, pen)
+    return AdaptiveResult(
+        m_ell_cap=m_ell, m_hat_cap=m_hat, penalties=pen, contrasts=kap, selected=chosen,
+        estimates=est, value=float(est[chosen - 1]),
+        diagnostics={**diagnostics, "estimates_all": est_all, "inv_spectral_norms": inv_norms},
+    )
 
 
 def adaptive_estimate(data, spec) -> AdaptiveResult:
-    """Run the full data-driven pipeline on one dataset.
-
-    Deterministic given the data: moments up to the deterministic cap,
-    per-dimension thresholded estimates, the random bound, penalties,
-    contrasts, and the selected value.  The random bound stops below the
-    first singular moment block, so the penalties see invertible blocks
-    only; a singular block already at dimension one raises
-    :class:`AdaptiveEstimationError`.
-    """
+    """The full data-driven pipeline on one dataset: the row source's forms,
+    then :func:`decide` with :func:`penalties`.  The forms are the moments up
+    to the deterministic cap and, at each dimension up to it, the thresholded
+    estimate and the inverse spectral norm; deterministic given the data."""
     n = data.n
     if n < 2:
         raise ValueError("need at least two observations")
@@ -210,27 +228,10 @@ def adaptive_estimate(data, spec) -> AdaptiveResult:
         inv_norms[m - 1], coeffs = estimator.galerkin_estimate(mom, m)
         # a thresholded dimension estimates exactly +0.0
         est_all[m - 1] = 0.0 if coeffs is None else float(ell[:m] @ coeffs)
-    if math.isinf(inv_norms[0]):
-        raise AdaptiveEstimationError("no invertible moment block at any dimension")
-    prefix = functionals.gram_prefix(spec, m_ell)
-    m_hat = cap_m_hat(inv_norms, prefix, n, m_ell)
-    pen = penalties(mom, spec, n, m_hat)
-    est = est_all[:m_hat]
-    kap = contrasts(est, pen)
-    chosen = select(kap, pen)
-    diagnostics["estimates_all"] = est_all
-    diagnostics["inv_spectral_norms"] = inv_norms
-    diagnostics["sigma2_y_hat"] = mom.sigma2_y_hat
-    return AdaptiveResult(
-        m_ell_cap=m_ell,
-        m_hat_cap=m_hat,
-        penalties=pen,
-        contrasts=kap,
-        selected=chosen,
-        estimates=est,
-        value=float(est[chosen - 1]),
-        diagnostics=diagnostics,
-    )
+    result = decide(n, spec, est_all, inv_norms, lambda k: penalties(mom, spec, n, k),
+                    diagnostics)
+    result.diagnostics["sigma2_y_hat"] = mom.sigma2_y_hat
+    return result
 
 
 @dataclass(frozen=True)

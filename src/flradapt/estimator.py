@@ -38,9 +38,9 @@ class Moments:
     def __post_init__(self):
         ghat = np.asarray(self.ghat, dtype=np.float64)
         gam = np.asarray(self.gammahat, dtype=np.float64)
-        m = len(ghat)
-        if gam.shape != (m, m):
-            raise ValueError("gammahat must be square and match ghat")
+        m = ghat.size
+        if ghat.ndim != 1 or gam.shape != (m, m):
+            raise ValueError("ghat must be 1-d and gammahat square to match it")
         if not m:
             raise ValueError("moments need at least one dimension")
         if not (math.isfinite(self.sigma2_y_hat) and self.sigma2_y_hat >= 0):
@@ -77,7 +77,7 @@ def empirical_moments(data, M: int) -> Moments:
 
     Moments at M restrict to moments at any m < M by truncation.
     """
-    if not (1 <= M <= data.dim):
+    if check_int(M, "M", 1) > data.dim:
         raise ValueError(f"M must lie in 1..{data.dim}, got {M}")
     n, y = data.n, data.y
     xm = data.x[:, :M]
@@ -92,7 +92,7 @@ def empirical_moments(data, M: int) -> Moments:
 def _eigen(mom: Moments, m: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigendecomposition (w, v) of the leading m x m moment block, or None
     when the block is numerically singular."""
-    if not (1 <= m <= mom.dim):
+    if check_int(m, "m", 1) > mom.dim:
         raise ValueError(f"m must lie in 1..{mom.dim}, got {m}")
     block = mom.gammahat[:m, :m]
     w, v = np.linalg.eigh(block)

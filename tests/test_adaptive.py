@@ -45,6 +45,20 @@ class TestCapMEll:
         with pytest.warns(adaptive.DegenerateFunctionalWarning):
             assert cap_m_ell(Custom(coeffs=(10.0, 10.0, 10.0)), 99) == 1
 
+    @pytest.mark.parametrize("n, message", [
+        (2500.5, "n must be an integer, got 2500.5"),
+        (2500.0, "n must be an integer, got 2500.0"),
+        (True, "n must be an integer, got True"),
+        (0, "n must be >= 1, got 0"),
+    ])
+    def test_non_integer_sample_size_refused(self, n, message):
+        # before, 2500.5 capped like 2500 and True shared n = 1's cache entry
+        with pytest.raises(ValueError, match=message):
+            cap_m_ell(PointEval(t0=0.3), n)
+
+    def test_integral_sample_size_of_any_integer_type_accepted(self):
+        assert cap_m_ell(PointEval(t0=0.3), np.int64(2500)) == cap_m_ell(PointEval(t0=0.3), 2500)
+
 
 def cap_from_moments(mom, spec, n):
     """Random dimension bound read off injected moments: inverse norms of
@@ -167,6 +181,16 @@ class TestContrastsAndSelect:
         assert select(np.array([2.0]), np.array([0.0])) == 1
         assert select(np.array([2.0, 7.0]), np.zeros(2)) == 1
 
+    @pytest.mark.parametrize("kap, pen", [
+        ([math.nan, 1.0], [0.0, 0.0]),
+        ([1.0, 2.0], [0.0, math.inf]),
+        ([-math.inf, 1.0], [0.0, 0.0]),
+    ])
+    def test_select_refuses_a_non_finite_objective(self, kap, pen):
+        # argmin takes a NaN for the minimum: [nan, 1.0] selected m = 1
+        with pytest.raises(ValueError, match="must be finite"):
+            select(np.array(kap), np.array(pen))
+
     def test_window_lower_bound(self):
         rng = np.random.default_rng(0)
         est = rng.normal(size=8)
@@ -187,6 +211,51 @@ class TestContrastsAndSelect:
         assert np.all(obj >= 0)
         assert obj[-1] == 0.0
         assert 1 <= select(kap, pen) <= m
+
+
+class TestDecide:
+    def test_bits_of_the_pipeline_and_one_penalty_call(self):
+        # the collinear draw ends the candidate set below m_ell, so the
+        # penalties stop at m_hat_cap there
+        spec = PointEval(t0=0.3)
+        draws = [sim_data(n=900, seed=seed) for seed in range(3)] + [collinear_data()]
+        for data in draws:
+            want = adaptive.adaptive_estimate(data, spec)
+            mom = estimator.empirical_moments(data, want.m_ell_cap)
+            calls = []
+
+            def penalty(k):
+                calls.append(k)
+                return penalties(mom, spec, data.n, k)
+
+            est_all = want.diagnostics["estimates_all"]
+            inv_norms = want.diagnostics["inv_spectral_norms"]
+            got = adaptive.decide(data.n, spec, est_all, inv_norms, penalty, {})
+            assert calls == [want.m_hat_cap]
+            assert (got.m_ell_cap, got.m_hat_cap, got.selected) == \
+                (want.m_ell_cap, want.m_hat_cap, want.selected)
+            for name in ("value", "penalties", "contrasts", "estimates"):
+                assert np.float64(getattr(got, name)).tobytes() == \
+                    np.float64(getattr(want, name)).tobytes(), name
+            assert list(got.diagnostics) == ["estimates_all", "inv_spectral_norms"]
+        assert want.m_hat_cap < want.m_ell_cap
+
+    def test_singular_first_block_raises_before_any_penalty(self):
+        calls = []
+        with pytest.raises(adaptive.AdaptiveEstimationError, match="no invertible"):
+            adaptive.decide(100, Custom(coeffs=(1.0, 1.0)), np.zeros(2),
+                            np.array([math.inf, 1.0]), calls.append, {})
+        assert calls == []
+
+    def test_diagnostics_keep_their_order(self):
+        # the cap at n = 10^4 exceeds the data's three columns: the clip
+        # comes first, the moments' own entry last
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((10 ** 4, 3))
+        data = simulate.Dataset(y=x @ [1.0, 0.5, 0.25] + rng.standard_normal(10 ** 4), x=x)
+        result = adaptive.adaptive_estimate(data, PointEval(t0=0.3))
+        assert list(result.diagnostics) == ["m_ell_clipped_to_data", "estimates_all",
+                                            "inv_spectral_norms", "sigma2_y_hat"]
 
 
 def collinear_data():

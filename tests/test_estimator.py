@@ -108,6 +108,10 @@ class TestMomentsRefuseInvalidInput:
         ({"sigma2_y_hat": -1.0}, "sigma2_y_hat must be finite and non-negative"),
         ({"ghat": [math.inf, 0.0]}, "entries must all be finite"),
         ({"ghat": [0.0, math.nan]}, "entries must all be finite"),
+        # a column or a scalar is no ghat: a column solved to a 2 x 2 array
+        # of "coefficients" whose penalties failed with a TypeError
+        ({"ghat": [[1.0], [2.0]]}, "ghat must be 1-d"),
+        ({"ghat": 1.0, "gammahat": [[1.0]]}, "ghat must be 1-d"),
         # a NaN in the upper triangle alone: eigvalsh reads the lower one
         ({"gammahat": [[2.0, math.nan], [0.5, 1.0]]}, "entries must all be finite"),
         ({"gammahat": [[math.nan, 0.5], [0.5, 1.0]]}, "entries must all be finite"),
@@ -126,6 +130,32 @@ class TestMomentsRefuseInvalidInput:
     def test_integral_sample_size_of_any_integer_type_accepted(self):
         mom = Moments(np.ones(1), np.ones((1, 1)), 1.0, np.int64(100))
         assert mom.n == 100 and type(mom.n) is int
+
+
+TWO = injected_moments(np.eye(2), [1.0, 2.0], n=100)
+
+
+class TestDimensionsAreIntegers:
+    # before, 2.5 failed in slicing with a TypeError and True solved at m = 1
+    @pytest.mark.parametrize("call, message", [
+        (lambda: galerkin_estimate(TWO, 2.5), "m must be an integer, got 2.5"),
+        (lambda: galerkin_estimate(TWO, 2.0), "m must be an integer, got 2.0"),
+        (lambda: solve_block(TWO, True, np.ones(2)), "m must be an integer, got True"),
+        (lambda: solve_block(TWO, 0, np.ones(2)), "m must be >= 1, got 0"),
+        (lambda: empirical_moments(sim_data(n=64), 2.5), "M must be an integer, got 2.5"),
+        (lambda: empirical_moments(sim_data(n=64), True), "M must be an integer, got True"),
+    ], ids=["galerkin-2.5", "galerkin-2.0", "solve-True", "solve-0", "moments-2.5",
+            "moments-True"])
+    def test_non_integer_dimension_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_integral_dimension_of_any_integer_type_accepted(self):
+        data = sim_data(n=64)
+        assert np.array_equal(empirical_moments(data, np.int64(3)).gammahat,
+                              empirical_moments(data, 3).gammahat)
+        assert np.array_equal(galerkin_estimate(TWO, np.int32(2))[1],
+                              galerkin_estimate(TWO, 2)[1])
 
 
 class TestSpectralNormInverse:
