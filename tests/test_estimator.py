@@ -108,10 +108,6 @@ class TestMomentsRefuseInvalidInput:
         ({"sigma2_y_hat": -1.0}, "sigma2_y_hat must be finite and non-negative"),
         ({"ghat": [math.inf, 0.0]}, "entries must all be finite"),
         ({"ghat": [0.0, math.nan]}, "entries must all be finite"),
-        # a column or a scalar is no ghat: a column solved to a 2 x 2 array
-        # of "coefficients" whose penalties failed with a TypeError
-        ({"ghat": [[1.0], [2.0]]}, "ghat must be 1-d"),
-        ({"ghat": 1.0, "gammahat": [[1.0]]}, "ghat must be 1-d"),
         # a NaN in the upper triangle alone: eigvalsh reads the lower one
         ({"gammahat": [[2.0, math.nan], [0.5, 1.0]]}, "entries must all be finite"),
         ({"gammahat": [[math.nan, 0.5], [0.5, 1.0]]}, "entries must all be finite"),
@@ -119,6 +115,10 @@ class TestMomentsRefuseInvalidInput:
         ({"n": 0}, "n must be >= 1, got 0"),
         ({"n": 2.5}, "n must be an integer, got 2.5"),
         ({"n": True}, "n must be an integer, got True"),
+        # a column or a scalar is no ghat: a column solved to a 2 x 2 array
+        # of "coefficients" whose penalties failed with a TypeError
+        ({"ghat": [[1.0], [2.0]]}, "ghat must be 1-d"),
+        ({"ghat": 1.0, "gammahat": [[1.0]]}, "ghat must be 1-d"),
     ])
     def test_invalid_moments_rejected(self, change, message):
         kwargs = dict(ghat=[1.0, 2.0], gammahat=[[2.0, 0.5], [0.5, 1.0]],
