@@ -190,8 +190,13 @@ def decide(n: int, spec, est_all, inv_norms, penalty, diagnostics: dict) -> Adap
     the random bound m_hat of :func:`cap_m_hat` on ``inv_norms`` (infinite
     where singular), one call ``penalty(m_hat)`` for p_1..p_m_hat, and the
     contrasts and choice on ``est_all[:m_hat]``.  The result's diagnostics
-    are ``diagnostics`` then both forms; a singular block at m = 1 raises
-    :class:`AdaptiveEstimationError` before any penalty."""
+    are ``diagnostics`` then both forms.  An n that is not an integer of at
+    least 2 or forms of two lengths raise ValueError, and a singular block at
+    m = 1 raises :class:`AdaptiveEstimationError`, before any penalty."""
+    n = check_int(n, "n", 2)
+    if len(inv_norms) != len(est_all):
+        raise ValueError(f"inv_norms must have the length of est_all, {len(est_all)}, "
+                         f"got {len(inv_norms)}")
     if math.isinf(inv_norms[0]):
         raise AdaptiveEstimationError("no invertible moment block at any dimension")
     m_ell = len(est_all)

@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import adaptive, functionals, oracle, sequences, simulate
+from . import adaptive, functionals, oracle, simulate
 from ._util import check_int, fmt
 
 SANDWICH_UPPER_FACTOR = 24.0
@@ -218,12 +218,12 @@ def _config_echo(cfg: StudyConfig) -> dict:
     }
 
 
-def _lower_dimension_bound(cfg, n: int, m_ell: int) -> int:
+def _lower_dimension_bound(cov, spec, n: int, m_ell: int) -> int:
     """Deterministic lower companion of the random dimension bound: the same
-    rule with the inverse norms replaced by 16 d^3 / gamma_m, using the known
-    eigenvalue weights (link constant d = 1, diagonal case)."""
-    gam = sequences.gamma_array(cfg.model, m_ell)
-    return adaptive.cap_m_hat(16.0 / gam, functionals.gram_prefix(cfg.spec, m_ell),
+    rule with the inverse norms replaced by 16 d^3 / gamma_m, using the
+    eigenvalue weights of ``cov`` (link constant d = 1, diagonal case)."""
+    gam = cov.eigenvalues()[:m_ell]
+    return adaptive.cap_m_hat(16.0 / gam, functionals.gram_prefix(spec, m_ell),
                               n, m_ell)
 
 
@@ -246,7 +246,7 @@ class _GridPoint:
         if self.diagonal:
             # the sandwich p_pop <= p_hat <= factor * p_pop reaches at most mu_n
             p_theo = oracle.theoretical_penalty_curve(cov, cfg.spec, slope, cfg.sigma, n, m_ell)
-            p_pop = p_theo[:_lower_dimension_bound(cfg, n, m_ell)]
+            p_pop = p_theo[:_lower_dimension_bound(cov, cfg.spec, n, m_ell)]
             self.p_pop = p_pop.tolist()
             self.p_upper = (SANDWICH_UPPER_FACTOR * p_pop).tolist()
         self.block = ReplicateBlock.allocate(n, cfg.base_seed, cfg.replicates)

@@ -14,8 +14,8 @@ non-increasing by construction.  beta exists in log space only
 (``log_beta_at``, ``log_beta_array``), because the exponential weights
 overflow a double once j^(2p) passes about 709.  :class:`SequenceModel`
 rejects parameters with a non-summable eigenvalue sequence, and
-``oracle.ell_weight_tail`` raises ``DivergentTailError`` for a divergent
-functional tail.
+``oracle.risk_curve`` (so ``oracle.minimax_dimension`` and ``flradapt
+rates``) raises ``DivergentTailError`` for a divergent functional tail.
 """
 from __future__ import annotations
 

@@ -7,11 +7,11 @@ coefficient pairs produces a non-diagonal covariance with the same spectrum.
 That rotation is one rule in :class:`Covariance`, the one description of
 the population's regressors: :func:`draw_dataset` samples from it (J is
 ``cov.dim``) and applies the rotation to the kept columns of the drawn rows,
-and the oracle reads its population quantities from ``Covariance.apply`` and
-``leading_factor_solve``, which multiply and solve pair by pair in closed
-form, with no dense J x J matrix.  Responses follow
-y_i = <slope, x_i> + sigma * eps_i with independent standard normal noise;
-the sampler forms <slope, x_i> as z_i' w from the row's raw normals z_i and
+and the oracle reads its population quantities from ``Covariance.apply``,
+which rotates back, weights and rotates, and ``leading_factor_solve``, which
+solves pair by pair in closed form, with no dense J x J matrix.  Responses
+follow y_i = <slope, x_i> + sigma * eps_i with independent standard normal
+noise; the sampler forms <slope, x_i> as z_i' w from the row's raw normals z_i and
 the sampling weights w = sqrt(gamma) * R^T slope
 (:meth:`Covariance.sampling_weights`), so it scales and rotates only the
 kept columns, rounded up to a whole pair when rotated.
@@ -98,10 +98,15 @@ class Covariance:
     def sampling_weights(self, slope: np.ndarray) -> np.ndarray:
         """w = sqrt(gamma) * R^T slope, the weights of the raw normals z in
         a response: a drawn row is x = R (sqrt(gamma) * z), so x' slope =
-        z' w.  R^T is :meth:`rotate` at -theta, its pair rule and sign."""
-        w = replace(self, theta=-self.theta).rotate(np.array(slope, dtype=np.float64))
+        z' w."""
+        w = self._rotate_back(slope)
         w *= self.sampling_scale
         return w
+
+    def _rotate_back(self, vec: np.ndarray) -> np.ndarray:
+        """R^T vec as a new float array: :meth:`rotate` at -theta, its pair
+        rule and sign."""
+        return replace(self, theta=-self.theta).rotate(np.array(vec, dtype=np.float64))
 
     def _pairs(self, v: np.ndarray) -> tuple:
         """Views of the first and the second member of every coefficient
@@ -133,11 +138,14 @@ class Covariance:
         """u = L^-1 vec in O(m), L the lower Cholesky factor of the leading
         m x m block of the covariance, m = len(vec).
 
-        A pair block [[a, b], [b, c]] (:meth:`pair_blocks`) has the factor
-        [[sqrt(a), 0], [b / sqrt(a), sqrt(gamma_2k) sqrt(gamma_2k-1 / a)]]:
-        no cancellation, and no underflow on steep weights (rotated ``pe``,
-        a = 1).  An unpaired last coefficient has sqrt(gamma).  A leading
-        block of L factors that leading block, so ``cumsum(u * u)`` holds
+        The pair (2k-1, 2k) has the block [[a, b], [b, e]] of R diag(g, h)
+        R^T, g = gamma_2k-1, h = gamma_2k: a = c^2 g + s^2 h,
+        b = c s (g - h) and e = s^2 g + c^2 h, c = cos(theta),
+        s = sin(theta).  Its factor is [[sqrt(a), 0], [b / sqrt(a),
+        sqrt(h) sqrt(g / a)]], as e - b^2 / a = g h / a: no cancellation,
+        and no underflow on steep weights (rotated ``pe``, a = 1).  An
+        unpaired last coefficient has sqrt(gamma).  A leading block of L
+        factors that leading block, so ``cumsum(u * u)`` holds
         every form vec_k' Gamma_k^-1 vec_k, k <= m, a cut pair's included.
         theta = 0 gives exactly vec / sqrt(gamma).
         """
@@ -159,32 +167,14 @@ class Covariance:
         return u
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """The covariance times ``vec`` in O(dim): each pair's rotated block
-        (:meth:`pair_blocks`) times its two entries, an unpaired last entry
-        times its weight.  theta = 0 gives exactly gamma * vec."""
-        vec = np.asarray(vec, dtype=float)
+        """The covariance R diag(gamma) R^T times ``vec`` in O(dim), R the
+        pair rotation of :meth:`rotate`.  theta = 0 gives exactly
+        gamma * vec."""
         if len(vec) != self.dim:
             raise ValueError(f"len(vec) must be {self.dim}, got {len(vec)}")
-        lam = self.eigenvalues()
-        blocks, out = self.pair_blocks(lam), lam * vec
-        v1, v2 = self._pairs(vec)
-        o1, o2 = self._pairs(out)
-        o1[:] = blocks[:, 0, 0] * v1 + blocks[:, 0, 1] * v2
-        o2[:] = blocks[:, 1, 0] * v1 + blocks[:, 1, 1] * v2
-        return out
-
-    def pair_blocks(self, weights: np.ndarray) -> np.ndarray:
-        """Rotated 2x2 diagonal blocks R diag(w_{2k-1}, w_{2k}) R^T, shape
-        (dim // 2, 2, 2), for rows rotated by :meth:`rotate`.  The two
-        off-diagonal entries are one number, so every block is exactly
-        symmetric."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        w1, w2 = self._pairs(weights)
-        blocks = np.empty((self.dim // 2, 2, 2))
-        blocks[:, 0, 0] = c * c * w1 + s * s * w2
-        blocks[:, 1, 1] = s * s * w1 + c * c * w2
-        blocks[:, 0, 1] = blocks[:, 1, 0] = c * s * (w1 - w2)
-        return blocks
+        out = self._rotate_back(vec)
+        out *= self.eigenvalues()
+        return self.rotate(out)
 
 
 @dataclass(eq=False)

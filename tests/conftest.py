@@ -6,26 +6,40 @@ import pytest
 from flradapt import simulate
 
 
-def dense_covariance_matrix(cov):
-    """Dense reference for ``simulate.Covariance``: diag(gamma) with each
-    rotated pair's 2x2 block from ``pair_blocks`` on the diagonal.  The
-    library works on the covariance in closed form and never builds this
-    matrix; the tests compare those closed forms against it."""
-    lam = cov.eigenvalues()
-    mat = np.diag(lam)
-    # row and column indices of each pair's 2x2 block on the diagonal
-    pair = np.arange(0, 2 * (cov.dim // 2), 2)[:, None, None]
-    mat[pair + [[0], [1]], pair + [[0, 1]]] = cov.pair_blocks(lam)
+def givens_matrix(dim, theta):
+    """The dense rotation R of ``simulate.Covariance``: the identity with
+    [[cos, -sin], [sin, cos]] on the diagonal for every coefficient pair
+    (2k-1, 2k), and 1 for an unpaired last coefficient."""
+    mat = np.eye(dim)
+    c, s = math.cos(theta), math.sin(theta)
+    for i in range(0, dim - 1, 2):
+        mat[i:i + 2, i:i + 2] = [[c, -s], [s, c]]
     return mat
+
+
+def rotated_diagonal(dim, theta, weights):
+    """R diag(weights) R^T from the dense rotation, symmetrized."""
+    rot = givens_matrix(dim, theta)
+    mat = rot @ np.diag(weights) @ rot.T
+    return (mat + mat.T) / 2
+
+
+def dense_covariance_matrix(cov):
+    """Dense reference for ``simulate.Covariance``: R diag(gamma) R^T with
+    the explicit Givens matrix R.  The library works on the covariance in
+    closed form and never builds this matrix; the tests compare those
+    closed forms against it."""
+    return rotated_diagonal(cov.dim, cov.theta, cov.eigenvalues())
 
 
 def effective_d_reference(cov):
     """Link constant from the numerical eigenvalues of diag(w)^-1 B for each
-    rotated block B of diag(gamma^2), w = gamma^2."""
-    lam2 = cov.eigenvalues() ** 2
-    w = np.stack([lam2[0:2 * (cov.dim // 2):2], lam2[1:2 * (cov.dim // 2):2]], axis=-1)
-    mu = np.linalg.eigvals(cov.pair_blocks(lam2) / w[..., None]).real
-    return float(max(1.0, math.sqrt(max(mu.max(), 1.0 / mu.min()))))
+    pair's 2x2 block B on the diagonal of R diag(w) R^T, w = gamma^2."""
+    w = cov.eigenvalues() ** 2
+    mat = rotated_diagonal(cov.dim, cov.theta, w)
+    mu = [np.linalg.eigvals(mat[i:i + 2, i:i + 2] / w[i:i + 2, None]).real
+          for i in range(0, cov.dim - 1, 2)]
+    return float(max(1.0, math.sqrt(max(np.max(mu), 1.0 / np.min(mu)))))
 
 
 @pytest.fixture

@@ -247,6 +247,20 @@ class TestDecide:
                             np.array([math.inf, 1.0]), calls.append, {})
         assert calls == []
 
+    @pytest.mark.parametrize("n, inv_norms, message", [
+        (True, [1.0, 1.0], "n must be an integer, got True"),
+        (500.5, [1.0, 1.0], "n must be an integer, got 500.5"),
+        (1, [1.0, 1.0], "n must be >= 2, got 1"),
+        (500, [1.0], "length of est_all, 2, got 1"),
+        (500, [1.0, 1.0, 1.0], "length of est_all, 2, got 3"),
+    ])
+    def test_invalid_n_or_forms_raise_before_any_penalty(self, n, inv_norms, message):
+        calls = []
+        with pytest.raises(ValueError, match=message):
+            adaptive.decide(n, Custom(coeffs=(1.0, 1.0)), np.zeros(2),
+                            np.array(inv_norms), calls.append, {})
+        assert calls == []
+
     def test_diagnostics_keep_their_order(self):
         # the cap at n = 10^4 exceeds the data's three columns: the clip
         # comes first, the moments' own entry last

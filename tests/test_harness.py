@@ -78,7 +78,7 @@ def reference_single_n(cfg, n):
         cfg.model, cfg.spec, (1.0 + math.log(n)) / n)
     if cov.is_diagonal:
         p_theo = oracle.theoretical_penalty_curve(cov, cfg.spec, slope, cfg.sigma, n, m_ell)
-        mu_n = harness._lower_dimension_bound(cfg, n, m_ell)
+        mu_n = harness._lower_dimension_bound(cov, cfg.spec, n, m_ell)
     records = []
     for rep in range(cfg.replicates):
         record = dict.fromkeys(RAW_COLUMNS)

@@ -111,8 +111,10 @@ class TestModelValidation:
 
 class TestAssumptionChecks:
     """The standing summability assumptions: ``SequenceModel`` admits only
-    summable eigenvalue weights, and ``oracle.ell_weight_tail`` raises
-    ``DivergentTailError`` when sum_j l_j^2 / beta_j diverges."""
+    summable eigenvalue weights, and the tail total behind
+    ``oracle.risk_curve`` (so ``oracle.minimax_dimension`` and ``flradapt
+    rates``) and ``oracle.ell_weight_tail`` raises ``DivergentTailError``
+    when sum_j l_j^2 / beta_j diverges."""
 
     def test_constant_coefficients_converge_under_pp(self):
         # point evaluation: l_j^2 averages 1, so the terms are of order j^-2

@@ -468,13 +468,7 @@ class TestCovariance:
         lam = np.sort(np.linalg.eigvalsh(dense(cov)))
         np.testing.assert_allclose(lam, np.sort(cov.eigenvalues()), rtol=1e-12)
 
-    @pytest.mark.parametrize("dim", [8, 16, 129])
-    @pytest.mark.parametrize("theta", [0.5, 0.6, math.pi / 2])
-    def test_rotated_matrix_is_exactly_symmetric(self, dim, theta, dense):
-        mat = dense(Covariance(PP, dim, theta))
-        assert np.array_equal(mat, mat.T)
-
-    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.7, math.pi / 2])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.7, math.pi / 2, -1.1])
     @pytest.mark.parametrize("dim", [16, 17])
     def test_apply_matches_dense_product(self, dim, theta, dense):
         # odd dim ends in an unpaired weight
