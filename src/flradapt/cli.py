@@ -106,6 +106,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """Strict float cast: refuses booleans."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _ints(value):
     """Integer list from ``n1,n2,..`` text or a YAML sequence."""
     if isinstance(value, str):
@@ -117,18 +124,18 @@ def _floats(value):
     """Coefficient list from ``c1,c2,..`` text or a YAML sequence."""
     if isinstance(value, str):
         value = value.split(",")
-    return tuple(float(v) for v in value)
+    return tuple(_float(v) for v in value)
 
 
 def _build_model(cfg, args):
     regime = _pick(cfg, "model", "regime", args.regime)
     if regime is None:
         raise ConfigError("model regime missing (set model.regime or --regime)")
-    p, a = (_pick(cfg, "model", key, getattr(args, key), cast=float) for key in ("p", "a"))
+    p, a = (_pick(cfg, "model", key, getattr(args, key), cast=_float) for key in ("p", "a"))
     missing = [k for k, v in (("p", p), ("a", a)) if v is None]
     if missing:
         raise ConfigError(f"model parameters missing: {', '.join(missing)}")
-    r = _pick(cfg, "model", "r", args.r, default=1.0, cast=float)
+    r = _pick(cfg, "model", "r", args.r, default=1.0, cast=_float)
     try:
         return sequences.SequenceModel(regime=sequences.Regime(regime), p=p, a=a, r=r)
     except ValueError as err:
@@ -139,9 +146,9 @@ def _build_model(cfg, args):
 # fields are the colon-separated values of the ``--functional`` text and the
 # keys of the ``functional:`` config section
 _FUNCTIONAL_KINDS = {
-    "point": (functionals.PointEval, (("t0", float),)),
-    "deriv": (functionals.DerivativeEval, (("t0", float), ("q", _int))),
-    "avg": (functionals.LocalAverage, (("b", float),)),
+    "point": (functionals.PointEval, (("t0", _float),)),
+    "deriv": (functionals.DerivativeEval, (("t0", _float), ("q", _int))),
+    "avg": (functionals.LocalAverage, (("b", _float),)),
     "custom": (functionals.Custom, (("coeffs", _floats),)),
 }
 _FUNCTIONAL_USAGE = "point:t0 | deriv:t0:q | avg:b | custom:c1,c2,.."
@@ -183,11 +190,11 @@ def _cmd_simulate(args):
     cfg = _load_config(args.config)
     model = _build_model(cfg, args)
     n = _pick(cfg, "simulate", "n", args.n, cast=_int)
-    sigma = _pick(cfg, "simulate", "sigma", args.sigma, default=1.0, cast=float)
+    sigma = _pick(cfg, "simulate", "sigma", args.sigma, default=1.0, cast=_float)
     seed = _pick(cfg, "simulate", "seed", args.seed, default=0, cast=_int)
     if n is None:
         raise ConfigError("sample size missing (simulate.n or --n)")
-    theta = _pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=float)
+    theta = _pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=_float)
     out = _pick(cfg, "output", "dataset", args.out, cast=os.fspath)
     if out is None:
         raise ConfigError("output path missing (output.dataset or --out)")
@@ -229,12 +236,12 @@ def _cmd_mc_study(args):
     study = harness.StudyConfig(
         model=model,
         spec=spec,
-        sigma=_pick(cfg, "simulate", "sigma", args.sigma, default=1.0, cast=float),
+        sigma=_pick(cfg, "simulate", "sigma", args.sigma, default=1.0, cast=_float),
         n_grid=n_grid,
         replicates=_pick(cfg, "study", "replicates", args.replicates, default=100,
                          cast=_int),
         base_seed=_pick(cfg, "study", "base_seed", args.base_seed, default=0, cast=_int),
-        mixing=_pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=float),
+        mixing=_pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=_float),
         report_path=os.path.join(out_dir, "study_report.json"),
         raw_path=os.path.join(out_dir, "study_raw.csv"),
         curves_path=os.path.join(out_dir, "study_curves.csv"),

@@ -27,11 +27,10 @@ a view of the columns the estimator reads at the grid's largest size.
 
 A task scores each result into its replicate's record on the thread that
 estimated it and drops the result.  A record is one packed :data:`RECORD`
-(49 bytes), whose fields are the raw CSV's record columns.  The records of a
-grid point live in one :class:`ReplicateBlock`, a preallocated array of R
-records and a map from failed replicates to their error;
-``StudyReport.blocks`` keeps one block per sample size, and
-``write_raw_csv`` writes them row by row.
+(49 bytes), whose fields are the raw CSV's record columns.  Each sample
+size's grid point owns a preallocated array of R records and a map from
+failed replicates to their error; ``StudyReport.blocks`` keeps the grid
+points, and ``write_raw_csv`` writes their records row by row.
 """
 from __future__ import annotations
 
@@ -48,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import adaptive, functionals, oracle, simulate
-from ._util import check_int, fmt
+from ._util import check_int, finite_or_null, fmt
 
 SANDWICH_UPPER_FACTOR = 24.0
 
@@ -153,34 +152,11 @@ RECORD = np.dtype([
     ("sandwich_ok", "i1"),
 ])
 
+# the record of a failed replicate, one value per RECORD field
+FAILED = (math.nan, math.nan, math.nan, 0, 0, 0, -1)
+
 # raw CSV cell of each sandwich_ok code
 _SANDWICH_CELLS = {-1: "", 0: "False", 1: "True"}
-
-
-@dataclass(eq=False)
-class ReplicateBlock:
-    """The replicate records of one sample size, one :data:`RECORD` each.
-
-    Replicate ``rep`` drew with seed ``base_seed + rep``.  A failed replicate
-    has its ``"Kind: message"`` in ``errors`` and NaN, 0 or -1 in its record.
-    """
-
-    n: int
-    base_seed: int
-    records: np.ndarray
-    errors: dict
-
-    @classmethod
-    def allocate(cls, n: int, base_seed: int, replicates: int) -> "ReplicateBlock":
-        records = np.empty(replicates, RECORD)
-        records[:] = (math.nan, math.nan, math.nan, 0, 0, 0, -1)
-        return cls(n=n, base_seed=base_seed, records=records, errors={})
-
-    def succeeded(self) -> np.ndarray:
-        """Boolean mask of the replicates that did not fail."""
-        ok = np.ones(len(self.records), dtype=bool)
-        ok[list(self.errors)] = False
-        return ok
 
 
 @dataclass(eq=False)
@@ -228,11 +204,15 @@ def _lower_dimension_bound(cov, spec, n: int, m_ell: int) -> int:
 
 
 class _GridPoint:
-    """The per-n constants of one sample size and the block its replicates
-    are filed into.  ``score`` turns a replicate's result into its record on
-    the thread that estimated it, so no result outlives its replicate;
-    ``file`` stores the records in replicate order and ``finish`` returns
-    the block and its per-n row of the report."""
+    """One sample size: its per-n constants and its replicates' records.
+
+    ``records`` holds one :data:`RECORD` per replicate, replicate ``rep``
+    drawn with seed ``base_seed + rep``; a failed replicate has its
+    ``"Kind: message"`` in ``errors`` and :data:`FAILED` as its record.
+    ``score`` turns a replicate's result into its record on the thread that
+    estimated it, so no result outlives its replicate; ``file`` stores the
+    records in replicate order and ``row`` returns the per-n row of the
+    report."""
 
     def __init__(self, cfg: StudyConfig, cov, slope, n: int):
         self.cfg, self.n = cfg, n
@@ -249,7 +229,9 @@ class _GridPoint:
             p_pop = p_theo[:_lower_dimension_bound(cov, cfg.spec, n, m_ell)]
             self.p_pop = p_pop.tolist()
             self.p_upper = (SANDWICH_UPPER_FACTOR * p_pop).tolist()
-        self.block = ReplicateBlock.allocate(n, cfg.base_seed, cfg.replicates)
+        self.records = np.empty(cfg.replicates, RECORD)
+        self.records[:] = FAILED
+        self.errors = {}
 
     def score(self, result) -> tuple:
         """One replicate's record, its values in :data:`RECORD` order.
@@ -280,19 +262,20 @@ class _GridPoint:
     def file(self, rep: int, record) -> None:
         """Store replicate ``rep``'s record, or its ``"Kind: message"``."""
         if isinstance(record, str):
-            self.block.errors[rep] = record
+            self.errors[rep] = record
         else:
-            self.block.records[rep] = record
+            self.records[rep] = record
 
-    def finish(self) -> tuple:
-        """The block and its per-n row of the report."""
-        cfg, block = self.cfg, self.block
-        records, ok = block.records, block.succeeded()
+    def row(self) -> dict:
+        """The per-n row of the report."""
+        cfg, records = self.cfg, self.records
+        ok = np.ones(len(records), dtype=bool)
+        ok[list(self.errors)] = False
         good = int(np.count_nonzero(ok))
         row = {
             "n": self.n,
             "replicates_ok": good,
-            "errors": len(block.errors),
+            "errors": len(self.errors),
             "m_star": self.m_star,
             "m_diamond": self.m_diamond,
             "r_star_minimax": self.r_minimax,
@@ -305,7 +288,9 @@ class _GridPoint:
         if good:
             ad = records["sq_err_adaptive"][ok]
             row["risk_adaptive"] = float(np.mean(ad))
-            row["se_adaptive"] = float(np.std(ad, ddof=1) / math.sqrt(len(ad)))
+            # a sample variance needs two survivors
+            row["se_adaptive"] = (float(np.std(ad, ddof=1) / math.sqrt(good))
+                                  if good > 1 else math.nan)
             row["risk_best_fixed"] = float(np.mean(records["sq_err_best_fixed"][ok]))
             row["risk_mstar_fixed"] = float(np.mean(records["sq_err_mstar"][ok]))
             # np.unique returns the selected dimensions in ascending order
@@ -316,12 +301,12 @@ class _GridPoint:
             row["sandwich_frequency"] = (
                 float(int(np.count_nonzero(flags == 1)) / checked) if checked else None
             )
-        return block, row
+        return row
 
 
 def _run_grid(cfg: StudyConfig) -> list:
-    """The replicate blocks and per-n rows of the grid, one (block, row)
-    pair per size.
+    """The grid points of the study, one per size, each holding its
+    replicates' records.
 
     One task per replicate walks the sizes in increasing order over one
     :class:`~flradapt.simulate.GridStream` of the replicate's seed, which
@@ -356,7 +341,7 @@ def _run_grid(cfg: StudyConfig) -> list:
         for rep, records in enumerate(replicates):
             for point, record in zip(points, records):
                 point.file(rep, record)
-    return [point.finish() for point in points]
+    return points
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:
@@ -365,7 +350,8 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     Raises :class:`StudyError` when more than one percent of all replicates
     fail; individual failures are recorded and excluded from the means.
     """
-    blocks, rows = map(list, zip(*_run_grid(cfg)))
+    points = _run_grid(cfg)
+    rows = [point.row() for point in points]
     total = len(cfg.n_grid) * cfg.replicates
     total_errors = sum(row["errors"] for row in rows)
     if total_errors > 0.01 * total:
@@ -383,7 +369,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     report = StudyReport(
         config_echo=_config_echo(cfg),
         rows=rows,
-        blocks=blocks,
+        blocks=points,
         slopes=slopes,
         total_errors=total_errors,
     )
@@ -430,8 +416,9 @@ def fit_rate(n_values, risks, abscissa: str = "n") -> tuple:
 
 
 def write_report_json(report: StudyReport, path) -> None:
+    """The report as standard JSON: a NaN or infinite value is null."""
     with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
+        json.dump(finite_or_null(report.to_json_dict()), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -444,8 +431,8 @@ def write_raw_csv(report: StudyReport, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RAW_COLUMNS)
-        for block in report.blocks:
-            writer.writerows(_raw_rows(block))
+        for point in report.blocks:
+            writer.writerows(_raw_rows(point))
 
 
 def _record_cells(records: np.ndarray, name: str):
@@ -458,17 +445,17 @@ def _record_cells(records: np.ndarray, name: str):
     return map(repr if RECORD[name].kind == "f" else str, values)
 
 
-def _raw_rows(block: ReplicateBlock):
-    """The raw CSV rows of one block."""
-    records, count = block.records, len(block.records)
+def _raw_rows(point: _GridPoint):
+    """The raw CSV rows of one grid point."""
+    records, count, base_seed = point.records, len(point.records), point.cfg.base_seed
     rows = zip(
-        [fmt(block.n)] * count,
+        [fmt(point.n)] * count,
         map(str, range(count)),
-        map(str, range(block.base_seed, block.base_seed + count)),
+        map(str, range(base_seed, base_seed + count)),
         *(_record_cells(records, name) for name in RECORD.names),
         [""] * count,
     )
-    errors, failed = block.errors, ("",) * len(RECORD)
+    errors, failed = point.errors, ("",) * len(RECORD)
     for rep, row in enumerate(rows):
         yield row if rep not in errors else row[:3] + failed + (errors[rep],)
 

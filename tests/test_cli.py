@@ -300,6 +300,13 @@ class TestConfigValues:
         ("mc-study", "study", "base_seed", 1.5),
         ("simulate", "simulate", "n", 64.9),
         ("mc-study", "model", "p", [1]),
+        ("mc-study", "model", "p", True),
+        ("simulate", "model", "a", True),
+        ("mc-study", "model", "r", True),
+        ("mc-study", "simulate", "sigma", True),
+        ("simulate", "simulate", "sigma", True),
+        ("mc-study", "simulate", "theta", True),
+        ("simulate", "simulate", "theta", True),
         ("mc-study", "simulate", "sigma", None),
         ("mc-study", "model", "r", None),
         ("mc-study", "output", "dir", None),
@@ -347,6 +354,11 @@ class TestFunctionalConfig:
     @pytest.mark.parametrize("section", [
         "{kind: median, t0: 0.3}",  # unknown kind
         "{kind: deriv, t0: 0.3}",   # missing key q
+        # a boolean where a number belongs
+        "{kind: point, t0: true}",
+        "{kind: deriv, t0: true, q: 1}",
+        "{kind: avg, b: true}",
+        "{kind: custom, coeffs: [1, true]}",
     ])
     def test_bad_section_is_a_config_error(self, tmp_path, capsys, small_dataset,
                                            section):

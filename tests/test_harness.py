@@ -686,6 +686,29 @@ class TestOutputs:
         doc = json.loads(path.read_text())
         assert [row["n"] for row in doc["per_n"]] == [64, 128, 256]
 
+    def test_one_surviving_replicate_has_a_null_standard_error(self, tmp_path,
+                                                               monkeypatch):
+        # 2 replicates on 50 sizes: the 1 % budget allows one failure, which
+        # leaves its size one survivor and no sample variance; the report is
+        # standard JSON (RFC 8259), and the curves file keeps its nan
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        fail_replicate(monkeypatch, 40, 101 + 1)
+        report_path, curves_path = tmp_path / "report.json", tmp_path / "curves.csv"
+        cfg = small_config(n_grid=tuple(range(16, 66)), replicates=2,
+                           report_path=str(report_path), curves_path=str(curves_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_study(cfg)
+        doc = json.loads(report_path.read_text(), parse_constant=refuse)
+        row = doc["per_n"][40 - 16]
+        assert (row["n"], row["replicates_ok"], row["se_adaptive"]) == (40, 1, None)
+        assert all(other["se_adaptive"] is not None
+                   for other in doc["per_n"] if other["n"] != 40)
+        curves = curves_path.read_text().splitlines()
+        assert curves[1 + 40 - 16].split(",")[:3] == ["40", repr(row["risk_adaptive"]), "nan"]
+
 
 class TestReplicateColumns:
     def test_record_is_packed(self):
@@ -750,6 +773,18 @@ class TestReplicateColumns:
         assert columns["raw_path"] == reference["raw_path"]
         flags = [line.split(",")[9] for line in columns["raw_path"].decode().splitlines()[1:]]
         assert {"True", "False"} <= set(flags)
+
+    def test_failed_replicate_keeps_the_failed_record(self, monkeypatch):
+        # one value per RECORD field: NaN errors, no dimensions and an
+        # unchecked sandwich
+        assert [repr(value) for value in harness.FAILED] == \
+            ["nan"] * 3 + ["0"] * 3 + ["-1"]
+        assert len(harness.FAILED) == len(harness.RECORD.names)
+        fail_replicate(monkeypatch, 128, 101 + 4)
+        point = run_study(small_config(replicates=40)).blocks[1]
+        assert (point.n, list(point.errors)) == (128, [4])
+        assert [repr(value) for value in point.records[4].tolist()] == \
+            [repr(value) for value in harness.FAILED]
 
     def test_best_fixed_error_is_nan_where_an_estimate_is(self):
         # the record loop took numpy's min of the squares, which is NaN when
