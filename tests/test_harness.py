@@ -3,8 +3,11 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -720,9 +723,12 @@ class TestReplicateColumns:
     def test_columns_write_the_files_of_the_record_dicts(self, tmp_path, monkeypatch,
                                                          mixing):
         # one failure in the second grid point: its row has an error cell
-        # and an empty sandwich cell, as every rotated row has
+        # and an empty sandwich cell, as every rotated row has.  The raw CSV
+        # is written 3 records at a time, so the failure is in a point's
+        # second block and the last block is short
         cfg = small_config(replicates=40, mixing=mixing)
         fail_replicate(monkeypatch, 128, 101 + 4)
+        monkeypatch.setattr(harness, "RAW_BLOCK", 3)
         columns = study_files(tmp_path, "columns", cfg)
         reference = reference_study_files(tmp_path, "reference", cfg)
         assert columns["report_path"] == reference["report_path"]
@@ -823,6 +829,68 @@ class TestReplicateColumns:
         record = point.score(result)
         assert record[0] == record[1]
         assert record[1] == (est_all[1] - point.target) * (est_all[1] - point.target)
+
+    def test_histogram_counts_survivors_in_numeric_order(self):
+        # selected dimensions 2, 9, 10 and 11 and one failure, whose record
+        # keeps m_hat 0: the keys ascend as numbers, so "9" comes before
+        # "10", where a sort of the keys as strings would not put it
+        n = 256
+        cov = simulate.Covariance(PP, simulate.default_truncation(n))
+        slope = simulate.make_slope(PP, cov.dim)
+        cfg = small_config(n_grid=(n,), replicates=8)
+        point = harness._GridPoint(cfg, cov, slope, n)
+        for rep, m_hat in enumerate([10, 2, 11, 9, 10, None, 2, 10]):
+            if m_hat is None:
+                point.file(rep, "AdaptiveEstimationError: synthetic failure")
+            else:
+                point.file(rep, (0.5, 0.25, 0.5, m_hat, 12, 12, 1))
+        ok = np.ones(cfg.replicates, dtype=bool)
+        ok[list(point.errors)] = False
+        dims, counts = np.unique(point.records["m_hat"][ok], return_counts=True)
+        expected = list(zip(map(str, dims.tolist()), counts.tolist()))
+        assert expected == [("2", 2), ("9", 1), ("10", 3), ("11", 1)]
+        assert list(point.row()["m_hat_histogram"].items()) == expected
+
+        failed = harness._GridPoint(cfg, cov, slope, n)
+        for rep in range(cfg.replicates):
+            failed.file(rep, "AdaptiveEstimationError: synthetic failure")
+        row = failed.row()
+        assert (row["replicates_ok"], row["errors"]) == (0, cfg.replicates)
+        assert "m_hat_histogram" not in row
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the peak resident set from /proc")
+    def test_report_rows_add_nothing_to_the_peak_resident_set(self):
+        # the rows of a finished grid must not run numpy code the grid has
+        # not run: np.unique's first sort and an index-list store raise this
+        # probe's peak by about 450 kB, the rows' own objects by about 4 kB.
+        # The probe reads its own VmHWM: a spawned child's ru_maxrss starts
+        # at the peak of the process that spawned it, which hides its own
+        probe = textwrap.dedent("""
+            from flradapt import harness
+            from flradapt.functionals import PointEval
+            from flradapt.sequences import Regime, SequenceModel
+
+            def peak_kb():
+                with open("/proc/self/status") as fh:
+                    line = next(line for line in fh if line.startswith("VmHWM:"))
+                return int(line.split()[1])
+
+            cfg = harness.StudyConfig(
+                model=SequenceModel(regime=Regime.PP, p=1.0, a=1.0),
+                spec=PointEval(t0=0.3), sigma=1.0, n_grid=(16, 32, 64, 128, 256),
+                replicates=200, base_seed=101)
+            points = harness._run_grid(cfg)
+            before = peak_kb()
+            rows = [point.row() for point in points]
+            print(peak_kb() - before)
+        """)
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 128
 
     def test_peak_grows_by_one_record_per_replicate(self):
         # a grid point keeps a replicate's record and nothing else: one

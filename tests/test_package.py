@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -33,16 +34,47 @@ def package_imports(path: pathlib.Path) -> set:
     return found
 
 
+def fresh_interpreter_json(probe: str):
+    """The JSON that ``probe`` prints, run in a fresh interpreter that
+    imports this tree's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
 def test_import_loads_neither_scipy_nor_yaml():
     # scipy is a test-only dependency and yaml is needed by the CLI alone;
     # importing the library must pull in neither
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     probe = ("import json, sys, flradapt; "
              "print(json.dumps(sorted(m for m in ('scipy', 'yaml') if m in sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout) == []
+    assert fresh_interpreter_json(probe) == []
+
+
+def test_inline_study_loads_neither_the_pool_nor_logging():
+    # a study below harness.THREADED_MIN_NORMALS draws every replicate on
+    # the calling thread, so it never imports concurrent.futures, which
+    # loads logging (about 10 ms of import time)
+    probe = textwrap.dedent("""
+        import json, sys
+        import flradapt
+        from flradapt import harness, simulate
+
+        def loaded():
+            return sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules)
+
+        after_import = loaded()
+        cfg = flradapt.StudyConfig(
+            model=flradapt.SequenceModel(regime=flradapt.Regime.PP, p=1.0, a=1.0),
+            spec=flradapt.PointEval(t0=0.3), sigma=1.0, n_grid=(16, 32),
+            replicates=2, base_seed=5)
+        n_max = cfg.n_grid[-1]
+        assert n_max * simulate.default_truncation(n_max) < harness.THREADED_MIN_NORMALS
+        flradapt.run_study(cfg)
+        print(json.dumps([after_import, loaded()]))
+    """)
+    assert fresh_interpreter_json(probe) == [[], []]
 
 
 def test_modules_import_only_earlier_modules():
