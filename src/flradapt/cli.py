@@ -16,6 +16,8 @@ Errors print one machine-parsable line on stderr: ``error: <category>:
 from __future__ import annotations
 
 import argparse
+import collections
+import dataclasses
 import json
 import math
 import os
@@ -44,61 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-# keys some subcommand reads, per config section; the ``functional`` section
-# takes ``kind`` plus that kind's fields from ``_FUNCTIONAL_KINDS``
-_CONFIG_KEYS = {
-    "model": ("regime", "p", "a", "r"),
-    "functional": ("kind",),
-    "simulate": ("n", "sigma", "seed", "theta"),
-    "study": ("n_grid", "replicates", "base_seed", "n"),
-    "output": ("dir", "dataset"),
-}
-
-
-def _load_config(path):
-    if path is None:
-        return {}
-    if not os.path.exists(path):
-        raise ConfigError(f"config not found: {path}")
-    with open(path) as fh:
-        try:
-            cfg = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as err:
-            raise ConfigError(f"config unreadable: {err}") from err
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a mapping of sections")
-    for name, sec in cfg.items():
-        if name not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown section {name!r}")
-        if not isinstance(sec, dict):
-            raise ConfigError(f"config section {name!r} must be a mapping")
-        known = _CONFIG_KEYS[name]
-        if name == "functional" and sec:
-            _, fields = _functional_kind(sec.get("kind"), "config section 'functional'")
-            known = ("kind", *(field for field, _ in fields))
-        for key in sec:
-            if key not in known:
-                raise ConfigError(f"unknown key {name}.{key}")
-    return cfg
-
-
-def _pick(cfg, section, key, flag_value, default=None, cast=None):
-    """The flag value if given, else the config's ``section.key``, else
-    ``default``; a key set to null counts as absent.  A value ``cast``
-    refuses is a config error naming the key."""
-    val = flag_value
-    if val is None:
-        val = cfg.get(section, {}).get(key)
-    if val is None:
-        val = default
-    if val is None or cast is None:
-        return val
-    try:
-        return cast(val)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{section}.{key}: {err}") from err
-
-
 def _int(value) -> int:
     """Strict integer cast: refuses booleans and non-integral numbers."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -113,44 +60,44 @@ def _float(value) -> float:
     return float(value)
 
 
-def _ints(value):
-    """Integer list from ``n1,n2,..`` text or a YAML sequence."""
-    if isinstance(value, str):
-        value = value.split(",")
-    return tuple(_int(v) for v in value)
+def _tuple_of(cast):
+    """Strict cast of ``v1,v2,..`` text or a YAML sequence to a tuple."""
+    return lambda value: tuple(map(cast, value.split(",") if isinstance(value, str) else value))
 
 
-def _floats(value):
-    """Coefficient list from ``c1,c2,..`` text or a YAML sequence."""
-    if isinstance(value, str):
-        value = value.split(",")
-    return tuple(_float(v) for v in value)
+# a flag of a subcommand, the config ``section.key`` it overrides (None for a
+# flag alone), its argparse type or choices, the strict cast of its value, its
+# default, the config error when it has no value, and its help text
+_Setting = collections.namedtuple("_Setting", "flag key type cast default missing help",
+                                  defaults=(None,) * 6)
 
 
-def _build_model(cfg, args):
-    regime = _pick(cfg, "model", "regime", args.regime)
-    if regime is None:
-        raise ConfigError("model regime missing (set model.regime or --regime)")
-    p, a = (_pick(cfg, "model", key, getattr(args, key), cast=_float) for key in ("p", "a"))
-    missing = [k for k, v in (("p", p), ("a", a)) if v is None]
-    if missing:
-        raise ConfigError(f"model parameters missing: {', '.join(missing)}")
-    r = _pick(cfg, "model", "r", args.r, default=1.0, cast=_float)
+def _resolve(cfg, value, setting):
+    """The flag ``value`` if given, else the config key, else the default;
+    a key set to null counts as absent.  A value the cast refuses is a
+    config error naming the key."""
+    if value is None and setting.key:
+        section, key = setting.key.split(".")
+        value = cfg.get(section, {}).get(key)
+    if value is None:
+        value = setting.default
+    if value is None and setting.missing:
+        raise ConfigError(setting.missing)
+    if value is None or setting.cast is None:
+        return value
     try:
-        return sequences.SequenceModel(regime=sequences.Regime(regime), p=p, a=a, r=r)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+        return setting.cast(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{setting.key}: {err}") from err
 
 
-# functional kind -> (constructor, ordered (field, cast) pairs); the ordered
-# fields are the colon-separated values of the ``--functional`` text and the
-# keys of the ``functional:`` config section
-_FUNCTIONAL_KINDS = {
-    "point": (functionals.PointEval, (("t0", _float),)),
-    "deriv": (functionals.DerivativeEval, (("t0", _float), ("q", _int))),
-    "avg": (functionals.LocalAverage, (("b", _float),)),
-    "custom": (functionals.Custom, (("coeffs", _floats),)),
-}
+# functional kind -> its dataclass; the dataclass fields, in order, are the
+# colon-separated values of the ``--functional`` text and the keys of the
+# ``functional:`` config section, each cast by its annotation
+_FUNCTIONAL_KINDS = {"point": functionals.PointEval, "deriv": functionals.DerivativeEval,
+                     "avg": functionals.LocalAverage, "custom": functionals.Custom}
+# keyed by annotation text: ``functionals`` postpones its annotations
+_FIELD_CASTS = {"float": _float, "int": _int, "tuple": _tuple_of(_float)}
 _FUNCTIONAL_USAGE = "point:t0 | deriv:t0:q | avg:b | custom:c1,c2,.."
 
 
@@ -161,9 +108,10 @@ def _functional_kind(kind, source: str):
 
 
 def _make_functional(kind, values: dict, source: str):
-    cls, fields = _functional_kind(kind, source)
+    cls = _functional_kind(kind, source)
     try:
-        return cls(**{name: cast(values[name]) for name, cast in fields})
+        return cls(**{field.name: _FIELD_CASTS[field.type](values[field.name])
+                      for field in dataclasses.fields(cls)})
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad functional {source}: {err!r}") from err
 
@@ -171,51 +119,43 @@ def _make_functional(kind, values: dict, source: str):
 def parse_functional(text):
     """Parse ``point:t0``, ``deriv:t0:q``, ``avg:b``, or ``custom:c1,c2,...``."""
     kind, *parts = str(text).split(":")
-    names = [name for name, _ in _FUNCTIONAL_KINDS.get(kind, (None, ()))[1]]
+    cls = _FUNCTIONAL_KINDS.get(kind)
+    names = [field.name for field in dataclasses.fields(cls)] if cls else []
     if len(parts) != len(names):
         raise ConfigError(f"bad functional {text!r} ({_FUNCTIONAL_USAGE})")
     return _make_functional(kind, dict(zip(names, parts)), repr(text))
 
 
-def _build_functional(cfg, args):
-    if getattr(args, "functional", None) is not None:
-        return parse_functional(args.functional)
+def _build_functional(cfg, text):
+    if text is not None:
+        return parse_functional(text)
     sec = cfg.get("functional", {})
     if sec.get("kind") is None:
         raise ConfigError("functional missing (set functional.kind or --functional)")
     return _make_functional(sec["kind"], sec, "config section 'functional'")
 
 
+def _build_model(args):
+    try:
+        return sequences.SequenceModel(args.regime, args.p, args.a, args.r)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
 def _cmd_simulate(args):
-    cfg = _load_config(args.config)
-    model = _build_model(cfg, args)
-    n = _pick(cfg, "simulate", "n", args.n, cast=_int)
-    sigma = _pick(cfg, "simulate", "sigma", args.sigma, default=1.0, cast=_float)
-    seed = _pick(cfg, "simulate", "seed", args.seed, default=0, cast=_int)
-    if n is None:
-        raise ConfigError("sample size missing (simulate.n or --n)")
-    theta = _pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=_float)
-    out = _pick(cfg, "output", "dataset", args.out, cast=os.fspath)
-    if out is None:
-        raise ConfigError("output path missing (output.dataset or --out)")
-    cov = simulate.Covariance(model, simulate.default_truncation(n), theta)
-    slope = simulate.make_slope(model, cov.dim)
-    data = simulate.draw_dataset(cov, slope, n, sigma, seed)
-    simulate.save_dataset_csv(data, out)
-    print(f"wrote {data.n} x {data.dim} dataset to {out}")
+    cov = simulate.Covariance(args.model, simulate.default_truncation(args.n), args.theta)
+    slope = simulate.make_slope(args.model, cov.dim)
+    data = simulate.draw_dataset(cov, slope, args.n, args.sigma, args.seed)
+    simulate.save_dataset_csv(data, args.out)
+    print(f"wrote {data.n} x {data.dim} dataset to {args.out}")
     return EXIT_OK
 
 
 def _cmd_estimate(args):
-    cfg = _load_config(args.config)
-    spec = _build_functional(cfg, args)
-    data_path = _pick(cfg, "output", "dataset", args.data, cast=os.fspath)
-    if data_path is None:
-        raise ConfigError("dataset path missing (--data)")
-    if not os.path.exists(data_path):
-        raise ConfigError(f"dataset not found: {data_path}")
-    data = simulate.load_dataset_csv(data_path)
-    result = adaptive.adaptive_estimate(data, spec)
+    if not os.path.exists(args.data):
+        raise ConfigError(f"dataset not found: {args.data}")
+    data = simulate.load_dataset_csv(args.data)
+    result = adaptive.adaptive_estimate(data, args.spec)
     text = json.dumps(result.to_record(), indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -226,27 +166,14 @@ def _cmd_estimate(args):
 
 
 def _cmd_mc_study(args):
-    cfg = _load_config(args.config)
-    model = _build_model(cfg, args)
-    spec = _build_functional(cfg, args)
-    n_grid = _pick(cfg, "study", "n_grid", args.n_grid, cast=_ints)
-    if n_grid is None:
-        raise ConfigError("study n_grid missing (study.n_grid or --n-grid)")
-    out_dir = _pick(cfg, "output", "dir", args.out_dir, default=".", cast=os.fspath)
     study = harness.StudyConfig(
-        model=model,
-        spec=spec,
-        sigma=_pick(cfg, "simulate", "sigma", args.sigma, default=1.0, cast=_float),
-        n_grid=n_grid,
-        replicates=_pick(cfg, "study", "replicates", args.replicates, default=100,
-                         cast=_int),
-        base_seed=_pick(cfg, "study", "base_seed", args.base_seed, default=0, cast=_int),
-        mixing=_pick(cfg, "simulate", "theta", args.theta, default=0.0, cast=_float),
-        report_path=os.path.join(out_dir, "study_report.json"),
-        raw_path=os.path.join(out_dir, "study_raw.csv"),
-        curves_path=os.path.join(out_dir, "study_curves.csv"),
+        model=args.model, spec=args.spec, sigma=args.sigma, n_grid=args.n_grid,
+        replicates=args.replicates, base_seed=args.base_seed, mixing=args.theta,
+        report_path=os.path.join(args.out_dir, "study_report.json"),
+        raw_path=os.path.join(args.out_dir, "study_raw.csv"),
+        curves_path=os.path.join(args.out_dir, "study_curves.csv"),
     )
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     report = harness.run_study(study)
     summary = {
         "per_n_risk_adaptive": {
@@ -262,15 +189,10 @@ def _cmd_mc_study(args):
 
 
 def _cmd_rates(args):
-    cfg = _load_config(args.config)
-    model = _build_model(cfg, args)
-    spec = _build_functional(cfg, args)
-    n = check_int(_pick(cfg, "study", "n", args.n, default=10000, cast=_int), "n", 1)
-    m_search = args.m_search
-    if m_search is None:
-        m_search = oracle.default_search_bound(model, n)
-    else:
-        check_int(m_search, "--m-search", 1)
+    model, spec = args.model, args.spec
+    n = check_int(args.n, "n", 1)
+    m_search = (oracle.default_search_bound(model, n) if args.m_search is None
+                else check_int(args.m_search, "--m-search", 1))
     x_minimax = 1.0 / n
     x_adaptive = (1.0 + math.log(n)) / n
     m_star, r_minimax = oracle.minimax_dimension(model, spec, x_minimax, m_search)
@@ -301,78 +223,127 @@ def _cmd_rates(args):
     return EXIT_OK
 
 
-def _add_model_flags(sub):
-    sub.add_argument("--regime", choices=[r.value for r in sequences.Regime])
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--a", type=float)
-    sub.add_argument("--r", type=float)
+# every setting of the CLI, once; a subcommand lists its settings in the
+# order of its flags, and reads a functional when it lists ``--functional``
+_CONFIG = _Setting("--config")
+_FUNCTIONAL = _Setting("--functional", help=_FUNCTIONAL_USAGE)
+_MODEL = (
+    _Setting("--regime", "model.regime", [r.value for r in sequences.Regime],
+             missing="model regime missing (set model.regime or --regime)"),
+    _Setting("--p", "model.p", float, _float, missing="model parameters missing: p"),
+    _Setting("--a", "model.a", float, _float, missing="model parameters missing: a"),
+    _Setting("--r", "model.r", float, _float, 1.0),
+)
+_SIGMA = _Setting("--sigma", "simulate.sigma", float, _float, 1.0)
+_THETA = _Setting("--theta", "simulate.theta", float, _float, 0.0)
+
+# subcommand -> (command, help, settings)
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "draw a dataset and write it as CSV", (
+        *_MODEL, _CONFIG,
+        _Setting("--n", "simulate.n", int, _int,
+                 missing="sample size missing (simulate.n or --n)"),
+        _SIGMA,
+        _Setting("--seed", "simulate.seed", int, _int, 0),
+        _THETA,
+        _Setting("--out", "output.dataset", cast=os.fspath,
+                 missing="output path missing (output.dataset or --out)"),
+    )),
+    "estimate": (_cmd_estimate, "run the data-driven estimator on a CSV dataset", (
+        _FUNCTIONAL, _CONFIG,
+        _Setting("--data", "output.dataset", cast=os.fspath,
+                 missing="dataset path missing (--data)"),
+        _Setting("--out"),
+    )),
+    "mc-study": (_cmd_mc_study, "run a Monte Carlo risk study", (
+        *_MODEL, _FUNCTIONAL, _CONFIG,
+        _Setting("--n-grid", "study.n_grid", cast=_tuple_of(_int),
+                 missing="study n_grid missing (study.n_grid or --n-grid)"),
+        _Setting("--replicates", "study.replicates", int, _int, 100),
+        _Setting("--base-seed", "study.base_seed", int, _int, 0),
+        _SIGMA, _THETA,
+        _Setting("--out-dir", "output.dir", cast=os.fspath, default="."),
+    )),
+    "rates": (_cmd_rates, "print the theoretical risk curve and rate orders", (
+        *_MODEL, _FUNCTIONAL, _CONFIG,
+        _Setting("--n", "study.n", int, _int, 10000),
+        _Setting("--m-search", type=int),
+    )),
+}
+
+# ``section.key`` of every config key a setting reads; the ``functional``
+# section takes ``kind`` plus the fields of that kind
+_CONFIG_KEYS = {setting.key for _, _, settings in _COMMANDS.values()
+                for setting in settings if setting.key}
+_SECTIONS = {key.split(".")[0] for key in _CONFIG_KEYS} | {"functional"}
 
 
-def _add_functional_flag(sub):
-    sub.add_argument("--functional", help=_FUNCTIONAL_USAGE)
+def _load_config(path):
+    if path is None:
+        return {}
+    if not os.path.exists(path):
+        raise ConfigError(f"config not found: {path}")
+    with open(path) as fh:
+        try:
+            cfg = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as err:
+            raise ConfigError(f"config unreadable: {err}") from err
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a mapping of sections")
+    for name, sec in cfg.items():
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section {name!r}")
+        if not isinstance(sec, dict):
+            raise ConfigError(f"config section {name!r} must be a mapping")
+        known = _CONFIG_KEYS
+        if name == "functional" and sec:
+            cls = _functional_kind(sec.get("kind"), "config section 'functional'")
+            known = {"functional.kind", *(f"functional.{f.name}" for f in dataclasses.fields(cls))}
+        for key in sec:
+            if f"{name}.{key}" not in known:
+                raise ConfigError(f"unknown key {name}.{key}")
+    return cfg
 
 
 def build_parser():
     parser = _Parser(prog="flradapt", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="draw a dataset and write it as CSV")
-    _add_model_flags(sim)
-    sim.add_argument("--config")
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--sigma", type=float)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--theta", type=float)
-    sim.add_argument("--out")
-    sim.set_defaults(func=_cmd_simulate)
-
-    est = subs.add_parser("estimate", help="run the data-driven estimator on a CSV dataset")
-    _add_functional_flag(est)
-    est.add_argument("--config")
-    est.add_argument("--data")
-    est.add_argument("--out")
-    est.set_defaults(func=_cmd_estimate)
-
-    study = subs.add_parser("mc-study", help="run a Monte Carlo risk study")
-    _add_model_flags(study)
-    _add_functional_flag(study)
-    study.add_argument("--config")
-    study.add_argument("--n-grid", dest="n_grid")
-    study.add_argument("--replicates", type=int)
-    study.add_argument("--base-seed", dest="base_seed", type=int)
-    study.add_argument("--sigma", type=float)
-    study.add_argument("--theta", type=float)
-    study.add_argument("--out-dir", dest="out_dir")
-    study.set_defaults(func=_cmd_mc_study)
-
-    rates = subs.add_parser("rates", help="print the theoretical risk curve and rate orders")
-    _add_model_flags(rates)
-    _add_functional_flag(rates)
-    rates.add_argument("--config")
-    rates.add_argument("--n", type=int)
-    rates.add_argument("--m-search", dest="m_search", type=int)
-    rates.set_defaults(func=_cmd_rates)
+    for name, (command, text, settings) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        for setting in settings:
+            kind = "choices" if isinstance(setting.type, list) else "type"
+            sub.add_argument(setting.flag, help=setting.help, **{kind: setting.type})
+        sub.set_defaults(func=command, settings=settings)
     return parser
 
 
+def _parse_args(argv):
+    """The command line with its settings resolved in flag order, and its
+    model and functional built where their flags end."""
+    args = build_parser().parse_args(argv)
+    cfg, values = _load_config(args.config), vars(args)
+    for setting in args.settings:
+        dest = setting.flag[2:].replace("-", "_")
+        values[dest] = _resolve(cfg, values[dest], setting)
+        if setting is _MODEL[-1]:
+            args.model = _build_model(args)
+        elif setting is _FUNCTIONAL:
+            args.spec = _build_functional(cfg, args.functional)
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit:  # --help; a refused command line raises ValueError
             return EXIT_OK
         return args.func(args)
     except ConfigError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        adaptive.AdaptiveEstimationError,
-        harness.StudyError,
-        oracle.DivergentTailError,
-        np.linalg.LinAlgError,
-        ArithmeticError,
-    ) as err:
+    except (adaptive.AdaptiveEstimationError, harness.StudyError, oracle.DivergentTailError,
+            np.linalg.LinAlgError, ArithmeticError) as err:
         print(f"error: numeric: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError, OSError) as err:

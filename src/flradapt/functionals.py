@@ -196,14 +196,18 @@ def mean_square_density(spec: FunctionalSpec) -> tuple[float, float]:
     * point evaluation: pairs sum to exactly 2 per two indices, so (1, 0);
     * q-th derivative: pair sum 2 (2 pi k)^(2q) at index ~2k, so (pi^(2q), q);
     * local average over [0, b]: pair sum 2 (2 - 2 cos(wb)) / (wb)^2 with
-      w = 2 pi k, mean 4 / (wb)^2, giving (2 / (pi b)^2, -1).
+      w = 2 pi k, mean 4 / (wb)^2, giving (2 / (pi b)^2, -1).  The pair's
+      own mean 4 sin^2(wb/2) / (wb)^2 is at most 1, the point-evaluation
+      value, which this envelope exceeds below j = sqrt(2) / (pi b); the
+      amplitude is inf once (pi b)^2 underflows to 0.
     """
     if isinstance(spec, PointEval):
         return 1.0, 0.0
     if isinstance(spec, DerivativeEval):
         return math.pi ** (2 * spec.q), float(spec.q)
     if isinstance(spec, LocalAverage):
-        return 2.0 / (math.pi * spec.b) ** 2, -1.0
+        scale = (math.pi * spec.b) ** 2
+        return (2.0 / scale if scale else math.inf), -1.0
     if isinstance(spec, Custom):
         return 0.0, 0.0
     raise TypeError(f"unknown functional spec {spec!r}")

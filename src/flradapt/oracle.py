@@ -64,13 +64,23 @@ def _running_sum(model, spec, stop: int) -> tuple:
     return total, last
 
 
+def _capped_remainder(edge: float, cap: float, p: float) -> float:
+    """Integral over j > edge of min(1, (cap / j)^2) * j^(-2p), for
+    cap > edge: the point-evaluation envelope 1 up to ``cap`` and the local
+    average's envelope (cap / j)^2 = 2 / (pi b j)^2 past it."""
+    k = 1.0 - 2.0 * p
+    head = math.log(cap / edge) if k == 0.0 else (cap ** k - edge ** k) / k
+    return head + cap ** k / (2.0 * p + 1.0)
+
+
 @functools.lru_cache(maxsize=32)
 def _tail_total(model, spec) -> tuple:
     """The summation horizon and the completed total of l_j^2 / beta_j.
 
     For polynomial regularity weights the sum runs to TAIL_HORIZON_POLY and
     the total adds a midpoint-rule integral of the mean-square envelope past
-    it, accurate to a relative O(1/horizon); exponential weights make the
+    it (a local average's capped at the point-evaluation value 1), accurate
+    to a relative O(1/horizon); exponential weights make the
     remainder past TAIL_HORIZON_EXP vanish by underflow (a crude
     doubled-last-term bound covers the cut).  A finitely supported
     functional sums to its support and has no remainder.  The total is the
@@ -93,7 +103,15 @@ def _tail_total(model, spec) -> tuple:
                 f"got p = {model.p}, coefficient growth power s = {power}"
             )
         edge = horizon + 0.5
-        remainder = amp * edge ** (1.0 - decay) / (decay - 1.0)
+        # a local average's envelope exceeds its coefficients' own bound 1
+        # below j = sqrt(2) / (pi b), taken without squaring pi b, which
+        # underflows for b below about 1e-162
+        cap = (functionals.SQRT2 / (math.pi * spec.b)
+               if isinstance(spec, functionals.LocalAverage) else 0.0)
+        if cap > edge:
+            remainder = _capped_remainder(edge, cap, model.p)
+        else:
+            remainder = amp * edge ** (1.0 - decay) / (decay - 1.0)
     total, last = _running_sum(model, spec, horizon)
     if exponential and support is None:
         remainder = 2.0 * last

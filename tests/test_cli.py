@@ -1,4 +1,6 @@
+import argparse
 import copy
+import dataclasses
 import json
 import math
 import pathlib
@@ -415,6 +417,17 @@ class TestRates:
         assert code == 2
         assert "error: numeric" in err
 
+    def test_narrow_average_has_finite_risks(self, capsys):
+        # (pi b)^2 underflows to 0 at b = 1e-300
+        code, out, err = run(
+            capsys, "rates", "--regime", "pp", "--p", "1", "--a", "1",
+            "--functional", "avg:1e-300", "--n", "100",
+        )
+        assert code == 0, err
+        doc = strict_json(out)
+        assert math.isfinite(doc["r_star_minimax"]) and math.isfinite(doc["r_star_adaptive"])
+        assert all(math.isfinite(v) for v in doc["risk_curve_minimax"])
+
     @pytest.mark.parametrize("flag, value", [("--m-search", "0"), ("--n", "0")])
     def test_nonpositive_sizes_are_usage_errors(self, capsys, flag, value):
         code, _, err = run(
@@ -542,3 +555,174 @@ class TestMixingAngle:
         assert doc["config"]["mixing"] == 0.3
         # the sandwich check needs the diagonal covariance
         assert all(row["sandwich_frequency"] is None for row in doc["per_n"])
+
+
+# every flag of each subcommand, every config key of each section and every
+# functional kind's fields, written out: the CLI may neither gain nor lose one
+# unnoticed
+SURFACE_FLAGS = {
+    "simulate": "--config --regime --p --a --r --n --sigma --seed --theta --out",
+    "estimate": "--config --functional --data --out",
+    "mc-study": "--config --regime --p --a --r --functional --n-grid --replicates "
+                "--base-seed --sigma --theta --out-dir",
+    "rates": "--config --regime --p --a --r --functional --n --m-search",
+}
+SURFACE_KEYS = {
+    "model": "regime p a r",
+    "simulate": "n sigma seed theta",
+    "study": "n_grid replicates base_seed n",
+    "output": "dir dataset",
+}
+SURFACE_FIELDS = {
+    "point": (PointEval, "t0"),
+    "deriv": (DerivativeEval, "t0 q"),
+    "avg": (LocalAverage, "b"),
+    "custom": (Custom, "coeffs"),
+}
+
+
+def config_error(tmp_path, cfg):
+    """The config error ``cli._load_config`` raises on ``cfg``, or None."""
+    path = tmp_path / "surface.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    try:
+        cli._load_config(str(path))
+    except cli.ConfigError as err:
+        return str(err)
+    return None
+
+
+class TestSurface:
+    def test_flags_of_each_subcommand(self):
+        subs = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+        flags = {name: sorted(flag for action in sub._actions for flag in action.option_strings
+                              if flag not in ("-h", "--help"))
+                 for name, sub in subs.choices.items()}
+        assert flags == {name: sorted(text.split()) for name, text in SURFACE_FLAGS.items()}
+
+    def test_config_keys_of_each_section(self, tmp_path):
+        candidates = {key for text in SURFACE_KEYS.values() for key in text.split()}
+        candidates |= {"kind", "bogus"} | {field for _, text in SURFACE_FIELDS.values()
+                                           for field in text.split()}
+        for section, text in SURFACE_KEYS.items():
+            for key in sorted(candidates):
+                err = config_error(tmp_path, {section: {key: None}})
+                if key in text.split():
+                    assert err is None, (section, key)
+                else:
+                    assert err == f"unknown key {section}.{key}", (section, key)
+        for section in ("functional", "bogus", "models"):
+            err = config_error(tmp_path, {section: {}})
+            assert err == (None if section == "functional" else f"unknown section {section!r}")
+
+    @pytest.mark.parametrize("kind", sorted(SURFACE_FIELDS))
+    def test_fields_of_each_functional_kind(self, tmp_path, kind):
+        cls, text = SURFACE_FIELDS[kind]
+        fields = text.split()
+        assert [field.name for field in dataclasses.fields(cls)] == fields
+        section = {"kind": kind, **dict.fromkeys(fields, 0.5)}
+        assert config_error(tmp_path, {"functional": section}) is None
+        others = {field for _, text in SURFACE_FIELDS.values() for field in text.split()}
+        for other in sorted(others - set(fields)):
+            err = config_error(tmp_path, {"functional": {**section, other: 0.5}})
+            assert err == f"unknown key functional.{other}"
+
+
+class Missing(str):
+    """The config error of a setting that has neither a value nor a default."""
+
+
+# each subcommand's settings that have a config key: the key, a config value
+# and the value it resolves to, a flag text and the value it resolves to, and
+# the default
+MODEL_PRECEDENCE = {
+    "--regime": ("model.regime", "pe", "pe", "ep", "ep",
+                 Missing("model regime missing (set model.regime or --regime)")),
+    "--p": ("model.p", 0.75, 0.75, "1.5", 1.5, Missing("model parameters missing: p")),
+    "--a": ("model.a", 0.75, 0.75, "1.5", 1.5, Missing("model parameters missing: a")),
+    "--r": ("model.r", 0.5, 0.5, "2", 2.0, 1.0),
+}
+SAMPLING_PRECEDENCE = {
+    "--sigma": ("simulate.sigma", 0.5, 0.5, "2", 2.0, 1.0),
+    "--theta": ("simulate.theta", 0.25, 0.25, "0.5", 0.5, 0.0),
+}
+PRECEDENCE = {
+    **{(command, flag): row for command in ("simulate", "mc-study", "rates")
+       for flag, row in MODEL_PRECEDENCE.items()},
+    **{(command, flag): row for command in ("simulate", "mc-study")
+       for flag, row in SAMPLING_PRECEDENCE.items()},
+    ("simulate", "--n"): ("simulate.n", 48, 48, "32", 32,
+                          Missing("sample size missing (simulate.n or --n)")),
+    ("simulate", "--seed"): ("simulate.seed", 3, 3, "4", 4, 0),
+    ("simulate", "--out"): ("output.dataset", "cfg.csv", "cfg.csv", "flag.csv", "flag.csv",
+                            Missing("output path missing (output.dataset or --out)")),
+    ("estimate", "--data"): ("output.dataset", "cfg.csv", "cfg.csv", "flag.csv", "flag.csv",
+                             Missing("dataset path missing (--data)")),
+    ("mc-study", "--n-grid"): ("study.n_grid", [64, 128], (64, 128), "32,64", (32, 64),
+                               Missing("study n_grid missing (study.n_grid or --n-grid)")),
+    ("mc-study", "--replicates"): ("study.replicates", 3, 3, "4", 4, 100),
+    ("mc-study", "--base-seed"): ("study.base_seed", 5, 5, "6", 6, 0),
+    ("mc-study", "--out-dir"): ("output.dir", "cfg", "cfg", "flag", "flag", "."),
+    ("rates", "--n"): ("study.n", 500, 500, "600", 600, 10000),
+}
+# the flags each subcommand needs, with valid values
+BASE_FLAGS = {
+    "simulate": {"--regime": "pp", "--p": "1", "--a": "1", "--n": "64", "--out": "x.csv"},
+    "estimate": {"--functional": "point:0.3", "--data": "x.csv"},
+    "mc-study": {"--regime": "pp", "--p": "1", "--a": "1", "--functional": "point:0.3",
+                 "--n-grid": "64"},
+    "rates": {"--regime": "pp", "--p": "1", "--a": "1", "--functional": "point:0.3"},
+}
+TABLE = [(name, setting) for name, (_, _, settings) in cli._COMMANDS.items()
+         for setting in settings if setting.key]
+
+
+class TestPrecedence:
+    def test_every_setting_with_a_config_key_is_checked(self):
+        assert sorted((name, setting.flag) for name, setting in TABLE) == sorted(PRECEDENCE)
+
+    @pytest.mark.parametrize("case", ["config", "flag wins", "default", "null is absent"])
+    @pytest.mark.parametrize("command, setting", TABLE,
+                             ids=[f"{name} {setting.flag}" for name, setting in TABLE])
+    def test_flag_then_config_key_then_default(self, tmp_path, command, setting, case):
+        key, cfg_value, from_cfg, flag_text, from_flag, default = PRECEDENCE[command,
+                                                                            setting.flag]
+        flags = {flag: value for flag, value in BASE_FLAGS[command].items()
+                 if flag != setting.flag}
+        if case == "flag wins":
+            flags[setting.flag] = flag_text
+        section, name = key.split(".")
+        cfg = {"config": {section: {name: cfg_value}}, "flag wins": {section: {name: cfg_value}},
+               "default": {}, "null is absent": {section: {name: None}}}[case]
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        argv = [command, "--config", str(path), *(part for pair in flags.items() for part in pair)]
+        want = {"config": from_cfg, "flag wins": from_flag}.get(case, default)
+        if isinstance(want, Missing):
+            with pytest.raises(cli.ConfigError) as err:
+                cli._parse_args(argv)
+            assert str(err.value) == want
+        else:
+            got = getattr(cli._parse_args(argv), setting.flag[2:].replace("-", "_"))
+            assert (got, type(got)) == (want, type(want))
+
+    def test_every_key_of_the_shipped_config_has_a_flag(self):
+        # as the shipped config's header says; --functional overrides the
+        # whole functional section
+        shipped = pathlib.Path(__file__).parents[1] / "configs" / "study_pp_point.yaml"
+        cfg = yaml.safe_load(shipped.read_text())
+        keys = {f"{section}.{key}" for section, sec in cfg.items() if section != "functional"
+                for key in sec}
+        assert keys <= {setting.key for _, setting in TABLE}
+
+    def test_functional_flag_then_config_section(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        argv = ["rates", "--config", str(path), "--regime", "pp", "--p", "1", "--a", "1"]
+        path.write_text("functional: {kind: avg, b: 0.25}\n")
+        assert cli._parse_args(argv).spec == LocalAverage(b=0.25)
+        assert cli._parse_args([*argv, "--functional", "point:0.3"]).spec == PointEval(t0=0.3)
+        path.write_text("functional: {}\n")
+        with pytest.raises(cli.ConfigError) as err:
+            cli._parse_args(argv)
+        assert str(err.value) == "functional missing (set functional.kind or --functional)"

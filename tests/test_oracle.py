@@ -148,6 +148,30 @@ class TestBlockedTailSums:
         got = risk_curve(model, spec, 0.5, m_max)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("b", [1e-9, 1e-300])
+    def test_narrow_average_tail_is_point_evaluations(self, b):
+        # far below b = 1 / horizon a local average's coefficients are those
+        # of evaluation at 0, and its remainder past the horizon may not
+        # exceed the point-evaluation bound (at 1e-300, (pi b)^2 underflows)
+        _, total = oracle._tail_total.__wrapped__(PP, LocalAverage(b=b))
+        _, point = oracle._tail_total.__wrapped__(PP, PointEval(t0=0.0))
+        assert total == pytest.approx(point, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("cap", [2e6, 4.5e8])
+    def test_capped_remainder_integrates_the_capped_envelope(self, p, cap):
+        from scipy.integrate import quad
+
+        # the integrand min(1, (cap / j)^2) j^(-2p) dj, in u = log j
+        def envelope(u):
+            return min(1.0, (cap / math.exp(u)) ** 2) * math.exp((1.0 - 2.0 * p) * u)
+
+        edge = oracle.TAIL_HORIZON_POLY + 0.5
+        lo, mid = math.log(edge), math.log(cap)
+        head, _ = quad(envelope, lo, mid, epsrel=1e-12)
+        tail, _ = quad(envelope, mid, mid + 100.0, epsrel=1e-12)
+        assert oracle._capped_remainder(edge, cap, p) == pytest.approx(head + tail, rel=1e-9)
+
 
 class TestRiskTerm:
     def test_unit_coordinate_at_full_accuracy(self):
