@@ -296,6 +296,8 @@ def _load_config(path):
         if not isinstance(sec, dict):
             raise ConfigError(f"config section {name!r} must be a mapping")
         known = _CONFIG_KEYS
+        if name == "functional" and sec.get("kind") is None:
+            sec.pop("kind", None)  # a null kind counts as absent, as every null key does
         if name == "functional" and sec:
             cls = _functional_kind(sec.get("kind"), "config section 'functional'")
             known = {"functional.kind", *(f"functional.{f.name}" for f in dataclasses.fields(cls))}

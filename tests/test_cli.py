@@ -428,6 +428,15 @@ class TestRates:
         assert math.isfinite(doc["r_star_minimax"]) and math.isfinite(doc["r_star_adaptive"])
         assert all(math.isfinite(v) for v in doc["risk_curve_minimax"])
 
+    def test_subnormal_average_width_is_a_config_error(self, capsys):
+        code, out, err = run(
+            capsys, "rates", "--regime", "pp", "--p", "1", "--a", "1",
+            "--functional", "avg:5e-324", "--n", "100",
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: config: bad functional 'avg:5e-324': ")
+
     @pytest.mark.parametrize("flag, value", [("--m-search", "0"), ("--n", "0")])
     def test_nonpositive_sizes_are_usage_errors(self, capsys, flag, value):
         code, _, err = run(
@@ -726,3 +735,19 @@ class TestPrecedence:
         with pytest.raises(cli.ConfigError) as err:
             cli._parse_args(argv)
         assert str(err.value) == "functional missing (set functional.kind or --functional)"
+        # a null kind counts as absent: {kind: null} is {}, and beside a
+        # field it leaves that field alone, whose kind None is unknown
+        path.write_text("functional: {kind: null}\n")
+        assert cli._parse_args([*argv, "--functional", "point:0.3"]).spec == PointEval(t0=0.3)
+        with pytest.raises(cli.ConfigError) as err:
+            cli._parse_args(argv)
+        assert str(err.value) == "functional missing (set functional.kind or --functional)"
+        errors = set()
+        for text in ("functional: {t0: 0.3}\n", "functional: {kind: null, t0: 0.3}\n"):
+            path.write_text(text)
+            for flags in ([], ["--functional", "point:0.3"]):
+                with pytest.raises(cli.ConfigError) as err:
+                    cli._parse_args([*argv, *flags])
+                errors.add(str(err.value))
+        assert errors == {"unknown functional kind None in config section "
+                          f"'functional' ({cli._FUNCTIONAL_USAGE})"}

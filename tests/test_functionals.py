@@ -1,11 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from flradapt import functionals
+from flradapt import functionals, oracle
 from flradapt.functionals import (
     Custom,
     DerivativeEval,
@@ -15,6 +16,7 @@ from flradapt.functionals import (
     coefficients_at,
     gram_prefix,
 )
+from flradapt.sequences import Regime, SequenceModel
 
 SQRT2 = math.sqrt(2.0)
 
@@ -89,6 +91,22 @@ class TestCoefficientValues:
             DerivativeEval(t0=0.3, q=False)
         with pytest.raises(ValueError):
             Custom(coeffs=(1.0, float("inf")))
+
+    @pytest.mark.parametrize("b", [5e-324, 1e-310])
+    def test_subnormal_average_width_is_refused(self, b):
+        # on the subnormal grid 2 pi k b rounds coarsely: at b = 5e-324 the
+        # even coefficients read 1.333 to 1.421 where sqrt(2) is right
+        with pytest.raises(ValueError, match="^b must lie in"):
+            LocalAverage(b=b)
+
+    def test_smallest_normal_average_width_is_point_evaluation_at_zero(self):
+        spec, point = LocalAverage(b=sys.float_info.min), PointEval(t0=0.0)
+        np.testing.assert_allclose(coefficients(spec, 8), coefficients(point, 8),
+                                   rtol=0.0, atol=1e-12)
+        model = SequenceModel(regime=Regime.PP, p=1.0, a=1.0)
+        _, total = oracle._tail_total.__wrapped__(model, spec)
+        _, want = oracle._tail_total.__wrapped__(model, point)
+        assert total == pytest.approx(want, rel=1e-12)
 
 
 ALL_KINDS = [

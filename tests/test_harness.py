@@ -723,12 +723,9 @@ class TestReplicateColumns:
     def test_columns_write_the_files_of_the_record_dicts(self, tmp_path, monkeypatch,
                                                          mixing):
         # one failure in the second grid point: its row has an error cell
-        # and an empty sandwich cell, as every rotated row has.  The raw CSV
-        # is written 3 records at a time, so the failure is in a point's
-        # second block and the last block is short
+        # and an empty sandwich cell, as every rotated row has
         cfg = small_config(replicates=40, mixing=mixing)
         fail_replicate(monkeypatch, 128, 101 + 4)
-        monkeypatch.setattr(harness, "RAW_BLOCK", 3)
         columns = study_files(tmp_path, "columns", cfg)
         reference = reference_study_files(tmp_path, "reference", cfg)
         assert columns["report_path"] == reference["report_path"]
@@ -891,6 +888,44 @@ class TestReplicateColumns:
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
         assert int(out.stdout) < 128
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the peak resident set from /proc")
+    def test_raw_csv_adds_nothing_to_the_peak_resident_set(self, tmp_path):
+        # the raw CSV is formatted one record at a time, which raises this
+        # probe's peak by 0-8 kB; formatting a whole 1,000-replicate grid
+        # point at once raised it by about 190 kB
+        probe = textwrap.dedent("""
+            import sys
+            from flradapt import harness
+            from flradapt.functionals import PointEval
+            from flradapt.sequences import Regime, SequenceModel
+
+            def peak_kb():
+                with open("/proc/self/status") as fh:
+                    line = next(line for line in fh if line.startswith("VmHWM:"))
+                return int(line.split()[1])
+
+            cfg = harness.StudyConfig(
+                model=SequenceModel(regime=Regime.PP, p=1.0, a=1.0),
+                spec=PointEval(t0=0.3), sigma=1.0, n_grid=(16, 32, 64, 128, 256),
+                replicates=1000, base_seed=101)
+            points = harness._run_grid(cfg)
+            rows = [point.row() for point in points]
+            report = harness.StudyReport(config_echo={}, rows=rows, blocks=points,
+                                         slopes={}, total_errors=0)
+            before = peak_kb()
+            harness.write_raw_csv(report, sys.argv[1])
+            print(peak_kb() - before)
+        """)
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        raw = tmp_path / "raw.csv"
+        out = subprocess.run([sys.executable, "-c", probe, str(raw)], env=env,
+                             capture_output=True, text=True, check=True)
+        assert len(raw.read_text().splitlines()) == 1 + 5 * 1000
+        assert int(out.stdout) < 64
 
     def test_peak_grows_by_one_record_per_replicate(self):
         # a grid point keeps a replicate's record and nothing else: one
